@@ -23,12 +23,10 @@ unvisited during training and light up the signal after a capacity
 shift.  The trigger is a CUSUM (:class:`repro.core.strategies
 .CusumTrigger`): rare one-step excursions into a lightly-visited state
 bleed off against the drift, while the persistent post-shift elevation
-accumulates and must fire.  Members are read at a softening temperature
-through a fused gather+softmax (:class:`TabularEnsembleSignal`), so the
-serve engine's batched signal path answers a whole wave in one
-vectorized reduction — bitwise-identical to the per-session path
-(tabular lanes are elementwise, with no batch-shape-dependent
-accumulation).
+accumulates and must fire.  Members are read at a softening temperature;
+``U_pi`` is then a pure function of the discrete state, so
+:class:`TabularEnsembleSignal` scores every state once at construction
+and answers a whole serve wave with one state-index gather.
 
 Everything is deterministic given the seeds: the environment itself
 draws no randomness, training consumes a seeded RNG, and trained tables
@@ -38,12 +36,14 @@ free.
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from repro.core.ensemble_signals import PolicyEnsembleSignal
+from repro.core.ensemble_signals import PolicyEnsembleSignal, policy_disagreement
 from repro.core.strategies import CusumTrigger
 from repro.domains.base import (
     DOMAINS,
@@ -56,6 +56,7 @@ from repro.domains.base import (
 from repro.errors import ConfigError, SimulationError
 from repro.mdp.interfaces import StepResult
 from repro.mdp.qlearning import QLearningAgent, train_q_learning
+from repro.perf import fast_paths_enabled
 from repro.traces.dataset import DATASET_NAMES, DatasetSplit, make_dataset
 from repro.traces.trace import Trace
 
@@ -72,6 +73,8 @@ __all__ = [
 
 #: The discrete sending-rate ladder (Mbit/s).
 RATE_LADDER_MBPS = np.array([0.3, 0.6, 1.2, 1.8, 2.4, 3.2, 4.2, 5.5])
+#: The ladder as Python floats, for scalar ``bisect`` lookups.
+_LADDER = RATE_LADDER_MBPS.tolist()
 #: Control-interval length: one decision every half second.
 STEP_S = 0.5
 #: Observation history length (control intervals).
@@ -241,24 +244,48 @@ class CCStateIndexer:
     """Discretize CC observations for the tabular learner.
 
     Bins the newest (delivered throughput, loss fraction, queue delay)
-    sample: 9 throughput bins (the ladder's rungs via ``searchsorted``)
-    x 3 loss bins x 3 delay bins = 81 states.  A plain picklable object
-    (no closures) so trained agents ship to serve workers.
+    sample: 9 throughput bins (the ladder's rungs, left-side search)
+    x 3 loss bins x 3 delay bins = 81 states; a non-finite sample raises
+    :class:`~repro.errors.SimulationError`.  A plain picklable object (no
+    closures) so trained agents ship to serve workers.
     """
 
     def __call__(self, observation: np.ndarray) -> int:
-        observation = np.asarray(observation)
-        delivered = float(observation[1, -1]) * RATE_SCALE
-        loss = float(observation[2, -1])
-        delay = float(observation[3, -1]) * DELAY_SCALE
-        throughput_bin = int(np.searchsorted(RATE_LADDER_MBPS, delivered))
+        delivered, loss, delay = latest = np.asarray(observation)[1:4, -1].tolist()
+        if not all(map(math.isfinite, latest)):
+            self.batch(np.asarray(observation)[None])  # raises, naming the field
+        throughput_bin = bisect.bisect_left(_LADDER, delivered * RATE_SCALE)
         loss_bin = 0 if loss <= 1e-9 else (1 if loss < 0.1 else 2)
         # Delay bins are deliberately coarse: a one-step queue from a
         # transient capacity dip stays in bin 0 (in-distribution), while
         # the persistently full post-shift queue (delay ~= the backlog
         # bound) lands in bin 2.
+        delay *= DELAY_SCALE
         delay_bin = 0 if delay < 0.3 else (1 if delay < 0.75 else 2)
         return (throughput_bin * 3 + loss_bin) * 3 + delay_bin
+
+    def batch(self, observations: np.ndarray) -> np.ndarray:
+        """The state of every row of *observations*, ``intp[rows]``,
+        bitwise-equal to the scalar indexer row for row."""
+        latest = np.asarray(observations, dtype=float)[:, 1:4, -1]
+        finite = np.isfinite(latest)
+        if not finite.all():
+            row, column = np.argwhere(~finite)[0]
+            field = ("delivered rate", "loss fraction", "queue delay")[column]
+            raise SimulationError(f"non-finite {field}: {latest[row, column]}")
+        with np.errstate(over="ignore"):
+            scaled = latest * _FIELD_SCALES
+        bins = (scaled[:, :, None] > _FIELD_EDGES).sum(axis=2)
+        return bins @ _BIN_WEIGHTS
+
+
+#: ``CCStateIndexer.batch`` bins a scaled field by how many of its edges
+#: it exceeds (``inf`` pads); ``x >= edge`` is ``x > nextafter(edge, -inf)``.
+_FIELD_SCALES = np.array([RATE_SCALE, 1.0, DELAY_SCALE])
+_FIELD_EDGES = np.full((3, RATE_LADDER_MBPS.size), np.inf)
+_FIELD_EDGES[0] = RATE_LADDER_MBPS
+_FIELD_EDGES[1:, :2] = [1e-9, np.nextafter(0.1, -1)], np.nextafter([0.3, 0.75], -1)
+_BIN_WEIGHTS = np.array([9, 3, 1], dtype=np.intp)
 
 
 #: Number of discrete states :class:`CCStateIndexer` produces.
@@ -293,52 +320,14 @@ class ConservativeRatePolicy:
         return probabilities
 
 
-class _StackedTabularPolicies:
-    """A fused gather+softmax over tabular ensemble members.
-
-    Duck-types the stacked-forward interface
-    :class:`~repro.core.ensemble_signals.PolicyEnsembleSignal` expects of
-    ``_stacked``: :meth:`probabilities` answers one observation for all
-    members, :meth:`probabilities_batch` answers a whole serve wave.
-    Every operation is an elementwise map or a fixed-length last-axis
-    reduction, so batch values are bitwise-equal to the per-observation
-    path regardless of batch shape (unlike the BLAS-backed neural
-    ensembles, which only match to the last ulp).
-    """
-
-    def __init__(self, agents: list[QLearningAgent]) -> None:
-        self.q_tables = np.stack([agent.q_table for agent in agents])
-        self.indexer = agents[0].state_indexer
-        self.temperature = float(agents[0].temperature)
-
-    def _softmax(self, values: np.ndarray) -> np.ndarray:
-        shifted = (values - values.max(axis=-1, keepdims=True)) / self.temperature
-        exp = np.exp(shifted)
-        return exp / exp.sum(axis=-1, keepdims=True)
-
-    def probabilities(self, observation: np.ndarray) -> np.ndarray:
-        """Each member's action distribution, ``(members, num_actions)``."""
-        return self._softmax(self.q_tables[:, self.indexer(observation), :])
-
-    def probabilities_batch(self, observations: np.ndarray) -> np.ndarray:
-        """Distributions for one observation per concurrent session,
-        ``(members, batch, num_actions)``."""
-        states = np.fromiter(
-            (self.indexer(observation) for observation in observations),
-            dtype=np.intp,
-            count=len(observations),
-        )
-        return self._softmax(self.q_tables[:, states, :])
-
-
 class TabularEnsembleSignal(PolicyEnsembleSignal):
-    """``U_pi`` over tabular Q-learning members, with a fused forward.
+    """``U_pi`` over tabular Q-learning members, as a per-state table.
 
-    The generic :class:`PolicyEnsembleSignal` only stacks Pensieve
-    actors; this subclass supplies the tabular equivalent so the serve
-    engine's one-forward-per-wave batching works for the CC domain too.
-    Members must share the state indexer and a positive temperature
-    (greedy one-hot outputs would make disagreement degenerate).
+    Construction scores every state once with the per-member reference
+    reduction; a measurement is then one table read (bitwise-equal; fast
+    paths off still take the reference path).  Members must index states
+    with :class:`CCStateIndexer` and share a positive temperature (greedy
+    one-hot outputs would make disagreement degenerate).
     """
 
     def __init__(self, agents: list[QLearningAgent], trim: int = 1) -> None:
@@ -352,12 +341,29 @@ class TabularEnsembleSignal(PolicyEnsembleSignal):
             raise ConfigError(
                 "ensemble members need temperature > 0 for smooth distributions"
             )
-        if any(agent.state_indexer is not first.state_indexer for agent in agents):
-            if any(
-                agent.state_indexer != first.state_indexer for agent in agents
-            ):
-                raise ConfigError("ensemble members must share one state indexer")
-        self._stacked = _StackedTabularPolicies(self.agents)
+        if any(agent.state_indexer != CCStateIndexer() for agent in agents):
+            raise ConfigError("ensemble members must index states with CCStateIndexer")
+        self._indexer = CCStateIndexer()
+        self._values = np.array(
+            [
+                policy_disagreement(
+                    np.stack([agent.state_probabilities(state) for agent in agents]),
+                    trim,
+                )
+                for state in range(NUM_STATES)
+            ]
+        )
+
+    def measure(self, observation: np.ndarray) -> float:
+        if not fast_paths_enabled():
+            return super().measure(observation)
+        return float(self._values[self._indexer(observation)])
+
+    def measure_batch(self, observations: np.ndarray) -> np.ndarray:
+        """``U_pi`` for one observation per concurrent session."""
+        if not fast_paths_enabled():
+            return super().measure_batch(observations)
+        return self._values[self._indexer.batch(observations)]
 
 
 class _CyclingTraceEnv:

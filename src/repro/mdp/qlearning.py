@@ -60,7 +60,11 @@ class QLearningAgent:
 
     def action_probabilities(self, observation: np.ndarray) -> np.ndarray:
         """One-hot greedy distribution (softmax when temperature > 0)."""
-        values = self.q_table[self.state_indexer(observation)]
+        return self.state_probabilities(self.state_indexer(observation))
+
+    def state_probabilities(self, state: int) -> np.ndarray:
+        """:meth:`action_probabilities` of an already-indexed *state*."""
+        values = self.q_table[state]
         if self.temperature == 0.0:
             probabilities = np.zeros(self.num_actions)
             probabilities[int(np.argmax(values))] = 1.0
@@ -71,10 +75,10 @@ class QLearningAgent:
 
     def act(self, observation: np.ndarray, rng: np.random.Generator) -> int:
         """Greedy action (or a softmax sample when temperature > 0)."""
-        probabilities = self.action_probabilities(observation)
+        state = self.state_indexer(observation)
         if self.temperature == 0.0:
-            return int(np.argmax(probabilities))
-        return int(rng.choice(self.num_actions, p=probabilities))
+            return int(np.argmax(self.q_table[state]))
+        return int(rng.choice(self.num_actions, p=self.state_probabilities(state)))
 
     def reset(self) -> None:
         """Stateless between episodes."""

@@ -8,12 +8,15 @@ to the conservative fallback shortly after an abrupt capacity shift.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from repro.domains import SessionSpec, apply_scenario, get_domain
 from repro.domains.cc import (
     DEFAULT_HORIZON,
+    DELAY_SCALE,
     NUM_STATES,
     RATE_LADDER_MBPS,
     RATE_SCALE,
@@ -27,6 +30,29 @@ from repro.domains.cc import (
 from repro.domains.runner import run_monitored_session
 from repro.errors import ConfigError, SimulationError
 from repro.mdp.qlearning import QLearningAgent
+from repro.perf import fast_paths
+from repro.serve import ServeEngine
+
+
+def _observation(delivered=0.0, loss=0.0, delay=0.0):
+    """A CC observation whose newest sample is (delivered, loss, delay),
+    in the observation's own normalized units."""
+    observation = np.zeros((4, 8))
+    observation[1:, -1] = delivered, loss, delay
+    return observation
+
+
+def _observation_of_state(state):
+    """An observation :class:`CCStateIndexer` maps to *state*."""
+    throughput_bin, rest = divmod(state, 9)
+    loss_bin, delay_bin = divmod(rest, 3)
+    rungs = (0.0,) + tuple(RATE_LADDER_MBPS)
+    delivered = rungs[throughput_bin] + 0.05
+    return _observation(
+        delivered / RATE_SCALE,
+        (0.0, 0.05, 0.5)[loss_bin],
+        (0.0, 0.5, 1.0)[delay_bin] / DELAY_SCALE,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +147,45 @@ class TestFactoryAndIndexer:
         indexer = CCStateIndexer()
         assert indexer(clear) != indexer(congested)
 
+    def test_batch_matches_scalar_on_random_rows_and_bin_edges(self):
+        rng = np.random.default_rng(5)
+        rows = [
+            _observation(*sample)
+            for sample in rng.uniform(0.0, [1.2, 1.0, 0.6], size=(500, 3))
+        ]
+        # Every bin edge in observation units, with its float neighbours.
+        edges = [(rate / RATE_SCALE, 0.0, 0.0) for rate in RATE_LADDER_MBPS]
+        edges += [(0.5, loss, 0.0) for loss in (1e-9, 0.1)]
+        edges += [(0.5, 0.0, delay / DELAY_SCALE) for delay in (0.3, 0.75)]
+        for edge in np.array(edges):
+            for field in range(3):
+                neighbours = np.nextafter(edge[field], [-np.inf, np.inf])
+                for value in (edge[field], *neighbours):
+                    sample = edge.copy()
+                    sample[field] = value
+                    rows.append(_observation(*sample))
+        # Finite rates whose scaling overflows to +-inf still bin.
+        rows += [_observation(sign * 1e308, 0.5, sign * 1e308) for sign in (1, -1)]
+        rows = np.stack(rows)
+        indexer = CCStateIndexer()
+        expected = np.array([indexer(row) for row in rows])
+        states = indexer.batch(rows)
+        assert states.dtype == np.intp
+        np.testing.assert_array_equal(states, expected)
+
+    @pytest.mark.parametrize("field", range(3))
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_are_rejected(self, field, value):
+        sample = [0.5, 0.0, 0.0]
+        sample[field] = value
+        observation = _observation(*sample)
+        name = ("delivered rate", "loss fraction", "queue delay")[field]
+        indexer = CCStateIndexer()
+        with pytest.raises(SimulationError, match=f"non-finite {name}"):
+            indexer(observation)
+        with pytest.raises(SimulationError, match=f"non-finite {name}"):
+            indexer.batch(np.stack([_observation(), observation]))
+
 
 class TestConservativeRatePolicy:
     def test_cold_start_picks_the_lowest_rung(self):
@@ -172,6 +237,30 @@ class TestTabularEnsembleSignal:
         scalar = np.array([signal.measure(o) for o in observations])
         np.testing.assert_array_equal(batch, scalar)
 
+    def test_state_table_is_bitwise_equal_to_the_reference_path(self):
+        signal = TabularEnsembleSignal(self._agents(), trim=1)
+        observations = [_observation_of_state(state) for state in range(NUM_STATES)]
+        indexer = CCStateIndexer()
+        assert [indexer(o) for o in observations] == list(range(NUM_STATES))
+        table = np.array([signal.measure(o) for o in observations])
+        batch = signal.measure_batch(np.stack(observations))
+        with fast_paths(False):
+            reference = np.array([signal.measure(o) for o in observations])
+            reference_batch = signal.measure_batch(np.stack(observations))
+        assert table.tobytes() == reference.tobytes()
+        assert batch.tobytes() == reference.tobytes()
+        assert reference_batch.tobytes() == reference.tobytes()
+
+    def test_greedy_act_takes_the_first_tied_maximum(self):
+        q_table = np.array([[1.0, 3.0, 3.0, 0.0], [2.0, 2.0, 2.0, 2.0]])
+        agent = QLearningAgent(q_table, lambda observation: int(observation))
+        rng = np.random.default_rng(0)
+        for state, expected in ((0, 1), (1, 0)):
+            assert agent.act(state, rng) == expected
+            assert agent.act(state, rng) == int(
+                np.argmax(agent.action_probabilities(state))
+            )
+
     def test_validation(self):
         agents = self._agents()
         with pytest.raises(ConfigError, match="temperature"):
@@ -179,6 +268,12 @@ class TestTabularEnsembleSignal:
         mixed = agents[:2] + self._agents(temperature=0.9, size=1)
         with pytest.raises(ConfigError, match="temperature"):
             TabularEnsembleSignal(mixed, trim=1)
+        foreign = [
+            QLearningAgent(agent.q_table, lambda o: 0, temperature=0.5)
+            for agent in agents
+        ]
+        with pytest.raises(ConfigError, match="CCStateIndexer"):
+            TabularEnsembleSignal(foreign, trim=1)
 
 
 class TestDemoSchemeOSAP:
@@ -209,5 +304,34 @@ class TestDemoSchemeOSAP:
         # Sticky handoff: once defaulted, the session stays defaulted.
         assert defaulted == list(range(defaulted[0], len(result.chunks)))
 
+    def test_non_finite_observation_fails_loudly(self, scheme, split):
+        factory = _NaNInjectingFactory(horizon=12)
+        spec = SessionSpec(trace=split.test[0], seed=0)
+        with pytest.raises(SimulationError, match="non-finite delivered rate"):
+            run_monitored_session(
+                factory, spec, scheme.learned, scheme.default, scheme.monitor()
+            )
+        engine = ServeEngine(
+            factory, scheme.learned, scheme.default, scheme.signal, scheme.trigger
+        )
+        with pytest.raises(SimulationError, match="non-finite delivered rate"):
+            engine.run_inprocess([spec, SessionSpec(trace=split.test[1], seed=1)])
+
     def test_scheme_build_is_cached(self, domain, scheme):
         assert domain.demo_scheme().learned.q_table is scheme.learned.q_table
+
+
+class _NaNDeliveryEnv(CCEnv):
+    """A CC link whose delivered-rate report turns NaN after a few steps."""
+
+    def step(self, action):
+        result = super().step(action)
+        if self._step_index > 4:
+            result.observation[1, -1] = np.nan
+        return result
+
+
+@dataclass(frozen=True)
+class _NaNInjectingFactory(CCSessionFactory):
+    def new_env(self, spec):
+        return _NaNDeliveryEnv(spec.trace, start_offset_s=spec.start_offset_s)
