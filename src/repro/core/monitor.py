@@ -159,10 +159,10 @@ class SafetyMonitor:
         """Fold one decision step in and say who should decide it.
 
         *signal_value*, when given, is used instead of measuring the
-        signal — for callers that computed the identical value through a
-        batched path (the serve engine).  Only valid for stateless
-        signals: a stateful signal skipped this way would desynchronize
-        from the stream.
+        signal — for callers that computed the identical value through
+        another path (the table-equivalence tests feed value streams this
+        way).  Only valid for stateless signals: a stateful signal
+        skipped this way would desynchronize from the stream.
         """
         if not self.will_measure():
             # Sticky hand-off: the signal can never change another decision
@@ -360,8 +360,8 @@ class MonitorTable:
 
         The vectorized form of ``not SafetyMonitor.will_measure()``:
         defaulted rows of a non-revertible bank are settled for the rest
-        of their session.  (The kernel only runs with fast paths on, so
-        the global switch is not re-checked per wave.)
+        of their session.  (The global fast-path switch is not consulted;
+        callers serving with fast paths off keep measuring such rows.)
         """
         if self.allow_revert:
             return rows[:0]

@@ -13,7 +13,7 @@ policy because of sporadic or noisy data points":
 :class:`VarianceTrigger` composes (1) and (2) for continuous signals, with
 the variance bar ``alpha`` being the calibrated quantity.
 
-Vectorized banks: a trigger can additionally expose a
+Vectorized banks: every trigger the serve engine runs exposes a
 :class:`TriggerTable` (:meth:`DefaultTrigger.make_table`) — the same
 decision rule over *rows* of independent sessions, updated with one
 vectorized operation per serving wave instead of one Python call per
@@ -86,8 +86,10 @@ class DefaultTrigger:
     def make_table(self, capacity: int) -> TriggerTable | None:
         """A :class:`TriggerTable` of *capacity* rows of this rule.
 
-        Returns ``None`` when no vectorized equivalent exists (the serve
-        engine then falls back to per-session scalar triggers).
+        Part of the trigger contract: the serve engine folds every wave
+        through the table, and rejects a trigger whose table is ``None``
+        (this base answer) when it is constructed.  Scalar-only users
+        (:class:`~repro.core.monitor.SafetyMonitor`) never call it.
         """
         return None
 

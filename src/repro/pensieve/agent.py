@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.errors import ModelError
 from repro.pensieve.model import ActorNetwork, CriticNetwork
+from repro.perf import fast_paths_enabled
 from repro.policies.base import ABRPolicy
 
 __all__ = ["PensieveAgent", "PensieveValueFunction"]
@@ -53,6 +54,25 @@ class PensieveAgent(ABRPolicy):
         if self.greedy:
             return int(np.argmax(probabilities))
         return int(rng.choice(self.num_actions, p=probabilities))
+
+    def act_batch(
+        self, observations: np.ndarray, rngs: list[np.random.Generator]
+    ) -> list[int]:
+        """Exactly ``[act(o, r) for o, r in zip(observations, rngs)]``.
+
+        A greedy agent takes the argmax of one row-stable forward; a
+        sampling agent, or any agent with fast paths off, acts row by row
+        so each session's RNG is drawn exactly as :meth:`act` draws it.
+        """
+        if not self.greedy or not fast_paths_enabled():
+            return [
+                self.act(observation, rng)
+                for observation, rng in zip(observations, rngs)
+            ]
+        probabilities = self.actor.probabilities_inference(
+            observations, row_stable=True
+        )
+        return probabilities.argmax(axis=1).tolist()
 
     def value(self, observation: np.ndarray) -> float:
         """The built-in critic's value estimate (actor-critic agents have

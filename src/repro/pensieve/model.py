@@ -139,7 +139,9 @@ class PensieveTrunk:
         for branch, piece in zip(self._branches, pieces):
             branch.backward(piece)
 
-    def features_inference(self, observations: np.ndarray) -> np.ndarray:
+    def features_inference(
+        self, observations: np.ndarray, row_stable: bool = False
+    ) -> np.ndarray:
         """Gradient-free forward pass, bitwise-identical to :meth:`forward`.
 
         Performs the same arithmetic as the layer objects but fused into
@@ -148,6 +150,11 @@ class PensieveTrunk:
         (a one-term sum, so the floats are exactly those of the einsum).
         Reads the live weights on every call, so it never goes stale under
         in-situ adaptation.
+
+        ``row_stable=True`` makes each output row bitwise-equal to that
+        observation's features computed alone: the merge matmul runs as
+        stacked ``(batch, 1, n) @ (n, m)`` single-row products, where a 2-D
+        matmul's accumulation order may depend on the batch size.
         """
         obs = np.asarray(observations, dtype=float)
         if obs.ndim == 2:
@@ -203,7 +210,9 @@ class PensieveTrunk:
             obs[:, 4, : self.num_bitrates].reshape(batch, 1, self.num_bitrates),
             self._conv_sizes,
         )
-        return _dense_relu(np.concatenate([ys, out, sizes], axis=1), self._merge)
+        return _dense_relu(
+            np.concatenate([ys, out, sizes], axis=1), self._merge, row_stable
+        )
 
 
 def _export_params(params: list[np.ndarray]) -> dict[str, np.ndarray]:
@@ -225,10 +234,18 @@ def _import_params(params: list[np.ndarray], arrays) -> None:
         param[...] = value
 
 
-def _dense_relu(x: np.ndarray, branch: Sequential) -> np.ndarray:
+def _matmul(x: np.ndarray, weight: np.ndarray, row_stable: bool) -> np.ndarray:
+    """``x @ weight``; with *row_stable*, one stacked single-row product
+    per row, so each row's floats do not depend on the batch size."""
+    if row_stable:
+        return (x[:, None, :] @ weight)[:, 0, :]
+    return x @ weight
+
+
+def _dense_relu(x: np.ndarray, branch: Sequential, row_stable: bool) -> np.ndarray:
     """Fused Dense->ReLU with the exact arithmetic of the layer objects."""
     dense = branch.layers[0]
-    y = x @ dense.weight + dense.bias
+    y = _matmul(x, dense.weight, row_stable) + dense.bias
     return np.where(y > 0, y, 0.0)
 
 
@@ -281,17 +298,23 @@ class ActorNetwork:
         """Action distribution per observation."""
         return softmax(self.logits(observations))
 
-    def probabilities_inference(self, observations: np.ndarray) -> np.ndarray:
+    def probabilities_inference(
+        self, observations: np.ndarray, row_stable: bool = False
+    ) -> np.ndarray:
         """Gradient-free action distribution, bitwise-identical to
         :meth:`probabilities` but through the fused trunk forward.
 
+        ``row_stable=True`` makes each row bitwise-equal to a
+        single-observation call (see :meth:`PensieveTrunk.features_inference`).
         Falls back to the layer-by-layer path when the fast paths are
         globally disabled (see :mod:`repro.perf`).
         """
         if not fast_paths_enabled():
             return self.probabilities(observations)
-        features = self.trunk.features_inference(observations)
-        return softmax(features @ self.head.weight + self.head.bias)
+        features = self.trunk.features_inference(observations, row_stable)
+        return softmax(
+            _matmul(features, self.head.weight, row_stable) + self.head.bias
+        )
 
     def backward(self, grad_logits: np.ndarray) -> None:
         """Backpropagate a gradient on the logits through head and trunk."""

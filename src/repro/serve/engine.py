@@ -7,17 +7,20 @@ stacked observations of every measuring row, answers all of their
 uncertainty signals with **one** batched ensemble forward
 (:meth:`UncertaintySignal.measure_batch`), folds the whole wave of
 monitor decisions with vectorized trigger/monitor banks
-(:class:`~repro.core.monitor.MonitorTable`), and then advances each live
-row one decision.  Sessions join and leave waves without draining the
-batch: a finished session's slot goes back to a free-list and the next
-queued spec is admitted into it immediately (continuous batching), so
-``max_slots`` bounds memory while waves stay full.  A row that settles
-on the sticky default (``will_measure() == False`` for good) is served
-to completion in a tight per-session loop on the spot — its remaining
-trajectory is fully determined, so waves would only add bookkeeping —
-and its slot is recycled immediately; stateful signals (``U_S``) opt
-out of batching entirely and are served to completion one session at a
-time for the same reason.
+(:class:`~repro.core.monitor.MonitorTable`), answers the wave's learned
+rows with one batched policy forward when the learned policy has an
+``act_batch``, and then advances each live row one decision.  Sessions
+join and leave waves without draining the batch: a finished session's
+slot goes back to a free-list and the next queued spec is admitted into
+it immediately (continuous batching), so ``max_slots`` bounds memory
+while waves stay full.  A row that settles on the sticky default
+(``will_measure() == False`` for good) is served to completion in a
+tight per-session loop on the spot — its remaining trajectory is fully
+determined, so waves would only add bookkeeping — and its slot is
+recycled immediately.  Stateful signals (``U_S``) run through the same
+kernel: each slot owns a copy of the signal and measures its own row
+with the scalar ``measure``, and only the fold, the act and the slot
+bookkeeping are shared.
 
 The workload enters only through the
 :class:`~repro.domains.SessionFactory` the engine is constructed with:
@@ -25,17 +28,21 @@ it builds environments, sizes sessions, and produces per-step records.
 The engine itself is domain-agnostic — ABR video sessions and
 congestion-control sessions run through the same kernel.
 
-Numerics: policy actions are always computed per session through the
-exact single-observation path, so a session's *trajectory* matches the
-serial :func:`repro.domains.runner.run_monitored_session` bitwise as
-long as its monitor decisions match.  Batched signal values can differ
-from the per-session path in the last ulp (BLAS accumulation order
-depends on the batch shape), which could in principle flip a trigger
-comparison exactly at the threshold; ``batch_signals=False`` disables
-batching and makes the engine bitwise-exact unconditionally.  The
-vectorized trigger banks themselves are bitwise-exact
-(:mod:`repro.core.thresholding`); a trigger without a vectorized table
-falls back to the object-per-session wave loop.
+Numerics: a batched policy act must return exactly the actions its
+per-row ``act`` would (``PensieveAgent.act_batch`` runs a row-stable
+forward whose every row is bitwise-equal to a single-observation
+forward), so a session's *trajectory* matches the serial
+:func:`repro.domains.runner.run_monitored_session` bitwise as long as
+its monitor decisions match.  Batched signal values can differ from the
+per-session path in the last ulp (BLAS accumulation order depends on
+the batch shape), which could in principle flip a trigger comparison
+exactly at the threshold; ``batch_signals=False`` measures row by row
+with the scalar ``measure`` and makes the engine bitwise-exact
+unconditionally, as does running with fast paths off, which also acts
+row by row and keeps measuring settled rows like the scalar monitor.
+The vectorized trigger banks themselves are bitwise-exact
+(:mod:`repro.core.thresholding`); every trigger the engine serves must
+provide one (:meth:`~repro.core.thresholding.DefaultTrigger.make_table`).
 
 Sharding: ``run(specs, max_workers=W)`` splits the sessions into W
 contiguous shards and serves each shard in its own worker process
@@ -48,6 +55,7 @@ to fall back to plain pickling.
 
 from __future__ import annotations
 
+import copy
 import time
 
 import numpy as np
@@ -57,12 +65,12 @@ from repro.core.monitor import MonitorTable, SafetyController, SafetyMonitor
 from repro.core.signals import UncertaintySignal
 from repro.core.thresholding import DefaultTrigger
 from repro.domains import MonitoredSessionResult, SessionFactory
-from repro.errors import SafetyError
+from repro.errors import ConfigError, SafetyError
 from repro.mdp.interfaces import Policy
 from repro.parallel import in_worker, parallel_map, resolve_max_workers
 from repro.parallel.shm import publish_payload, shm_enabled
 from repro.perf import fast_paths_enabled
-from repro.serve.session import ServeSession, SessionSpec
+from repro.serve.session import SessionSpec
 from repro.serve.table import SessionTable
 from repro.util.rng import rng_from_seed
 
@@ -77,11 +85,11 @@ class ServeEngine:
     and turns env steps into per-step records.  *signal* is shared
     across all sessions when it is stateless (the ensemble signals — one
     stacked forward answers everyone); a stateful signal (``U_S``) is
-    deep-copied per session so each keeps its own rolling windows.
-    *trigger* is a prototype: the continuous kernel expands it into a
-    vectorized row bank
-    (:meth:`~repro.core.thresholding.DefaultTrigger.make_table`), and the
-    fallback paths copy it per session.  ``max_slots`` caps how many
+    deep-copied per slot and reset at each admission, so each session
+    keeps its own rolling windows.  *trigger* is a prototype: the kernel
+    expands it into a vectorized row bank
+    (:meth:`~repro.core.thresholding.DefaultTrigger.make_table`), so a
+    trigger without one is rejected here.  ``max_slots`` caps how many
     sessions are live at once (``None`` — all of them); finished
     sessions free their slot for the next queued spec mid-run.
     """
@@ -102,6 +110,12 @@ class ServeEngine:
             raise SafetyError("learned and default policies must be distinct")
         if max_slots is not None and max_slots < 1:
             raise SafetyError(f"max_slots must be >= 1, got {max_slots}")
+        if trigger.make_table(1) is None:
+            raise ConfigError(
+                f"{type(trigger).__name__} has no vectorized TriggerTable "
+                "(make_table returned None); the serve kernel folds every "
+                "wave through one"
+            )
         self.factory = factory
         self.learned = learned
         self.default = default
@@ -142,13 +156,6 @@ class ServeEngine:
             name=self.name,
         )
         return prototype.fork()
-
-    def _batching_enabled(self) -> bool:
-        return (
-            self.batch_signals
-            and self.signal.stateless
-            and fast_paths_enabled()
-        )
 
     def run(
         self,
@@ -220,42 +227,19 @@ class ServeEngine:
     def run_inprocess(
         self, specs: list[SessionSpec]
     ) -> list[MonitoredSessionResult]:
-        """Serve *specs* in this process, batching signal measurements.
+        """Serve *specs* in this process through the continuous kernel.
 
-        Dispatches to the continuous-batching SoA kernel when signal
-        batching is on and the trigger vectorizes; to the legacy
-        object-per-session wave loop for batchable-but-unvectorizable
-        triggers; and to a sequential per-session loop otherwise
-        (stateful signals, ``batch_signals=False``, fast paths off) —
-        the unconditional bitwise-exact path.
+        Stateful signals (``U_S``), ``batch_signals=False`` and fast
+        paths off measure each row alone with the scalar ``measure``:
+        the unconditionally bitwise-exact mode.
         """
         specs = list(specs)
         watching = obs.enabled()
         start = time.perf_counter() if watching else 0.0
-        if self._batching_enabled():
-            capacity = len(specs) if self.max_slots is None else self.max_slots
-            capacity = max(min(capacity, len(specs)), 1)
-            trigger_table = self.trigger.make_table(capacity)
-            if trigger_table is not None:
-                mode = "continuous"
-            else:
-                mode = "waves"
-        else:
-            mode = "sequential"
         with obs.span(
-            "serve.run_inprocess",
-            engine=self.name,
-            mode=mode,
-            sessions=len(specs),
+            "serve.run_inprocess", engine=self.name, sessions=len(specs)
         ):
-            if mode == "continuous":
-                results, total_steps = self._run_continuous(
-                    specs, trigger_table, capacity, watching
-                )
-            elif mode == "waves":
-                results, total_steps = self._run_waves(specs, watching)
-            else:
-                results, total_steps = self._run_sequential(specs, watching)
+            results, total_steps = self._run_continuous(specs, watching)
         if watching:
             wall = time.perf_counter() - start
             obs.inc("serve.steps", amount=float(total_steps), engine=self.name)
@@ -269,29 +253,38 @@ class ServeEngine:
         return results
 
     def _run_continuous(
-        self,
-        specs: list[SessionSpec],
-        trigger_table,
-        capacity: int,
-        watching: bool,
+        self, specs: list[SessionSpec], watching: bool
     ) -> tuple[list[MonitoredSessionResult], int]:
         """The continuous-batching step kernel over the SoA session table.
 
-        Per wave: answer every live row's signal with one batched
-        forward over the table's stacked observations, fold the wave
-        into the vectorized monitor bank, then advance each row one
-        decision (per-row policy action and env step — the exact
-        single-observation path).  A row that settles on the sticky
-        default is drained to completion in a tight loop; finished rows
-        release their slot and the next queued spec is admitted into it
-        immediately.
+        Per wave: measure every live row's signal (one batched forward
+        over the table's stacked observations, or the scalar measure row
+        by row), fold the wave into the vectorized monitor bank, answer
+        the learned rows with one ``act_batch`` call when the learned
+        policy has one, then advance each row one decision (per-row env
+        step).  A row that settles on the sticky default is drained to
+        completion in a tight loop; finished rows release their slot and
+        the next queued spec is admitted into it immediately.
         """
         factory = self.factory
         record = factory.record
         signal = self.signal
         learned = self.learned
         default = self.default
+        allow_revert = self.allow_revert
+        fast = fast_paths_enabled()
+        # A stateful signal is copied per slot and measured row by row.
+        batch_measure = fast and self.batch_signals and signal.stateless
+        # Probed once per run: a learned policy without ``act_batch``
+        # costs one check per wave and nothing per row.
+        act_batch = getattr(learned, "act_batch", None) if fast else None
+        # With fast paths off the scalar monitor keeps measuring after a
+        # sticky hand-off, so settled rows stay in the waves.
+        drain = fast and not allow_revert
         chunks_per_session = factory.steps_per_session()
+        capacity = len(specs) if self.max_slots is None else self.max_slots
+        capacity = max(min(capacity, len(specs)), 1)
+        slot_signals = [signal if signal.stateless else None] * capacity
         results: list[MonitoredSessionResult | None] = [None] * len(specs)
         # The table is allocated lazily from the first admitted session's
         # observation shape (probing the shape up front would need a
@@ -311,10 +304,6 @@ class ServeEngine:
                 spec = specs[index]
                 env = factory.new_env(spec)
                 rng = rng_from_seed(spec.seed)
-                # The serial reference resets the (shared, stateless)
-                # signal once per session construction; a no-op for every
-                # batchable signal, mirrored for strictness.
-                signal.reset()
                 observation = env.reset()
                 result = factory.new_result(spec, spec.name or self.name)
                 if chunks_per_session <= 0:
@@ -326,8 +315,8 @@ class ServeEngine:
                     )
                     monitors = MonitorTable(
                         capacity,
-                        trigger_table,
-                        allow_revert=self.allow_revert,
+                        self.trigger.make_table(capacity),
+                        allow_revert=allow_revert,
                         name=self.name,
                         signal_window=max(
                             int(getattr(self.trigger, "k", 1)), 1
@@ -337,6 +326,12 @@ class ServeEngine:
                     index, env, rng, result, observation, chunks_per_session
                 )
                 monitors.admit(slot)
+                # A reset signal per session, as the serial reference's
+                # monitor reset; stateful ones are copied like ``fork``.
+                slot_signal = slot_signals[slot]
+                if slot_signal is None:
+                    slot_signal = slot_signals[slot] = copy.deepcopy(signal)
+                slot_signal.reset()
                 return
 
         admit_one()
@@ -355,7 +350,8 @@ class ServeEngine:
         remaining = table.remaining
         spec_index = table.spec_index
         defaulted = monitors.defaulted
-        allow_revert = self.allow_revert
+        learned_act = learned.act
+        default_act = default.act
         total_steps = 0
         # Every live row measures every wave: a row of a sticky
         # (non-revertible) bank that fires is *drained* to completion in
@@ -391,7 +387,7 @@ class ServeEngine:
                     num_measuring / capacity,
                     engine=self.name,
                 )
-            if num_measuring > 1:
+            if batch_measure and num_measuring > 1:
                 # A full table measures straight off the stacked array —
                 # no gather copy.
                 batch = (
@@ -407,21 +403,40 @@ class ServeEngine:
                         engine=self.name,
                     )
             else:
-                # A batch of one goes through the scalar measure, exactly
-                # like the object wave loop (and the serial reference).
+                # A lone row, a stateful signal or unbatched measurement:
+                # each row's own signal through the scalar measure,
+                # exactly like the serial reference.
                 values = np.array(
-                    [float(signal.measure(obs_objects[rows_list[0]]))]
+                    [
+                        float(slot_signals[slot].measure(obs_objects[slot]))
+                        for slot in rows_list
+                    ]
                 )
             now = monitors.observe_measured(measuring, values)
             if allow_revert or now.any():
                 for slot, flag in zip(rows_list, now.tolist()):
                     default_flags[slot] = flag
             total_steps += num_measuring
+            act = learned_act
+            if act_batch is not None:
+                learned_rows = [s for s in rows_list if not default_flags[s]]
+                if len(learned_rows) > 1:
+                    # One batched forward for the wave's learned rows; a
+                    # full table of learned rows needs no gather copy.
+                    batch = (
+                        observations
+                        if len(learned_rows) == capacity
+                        else observations[learned_rows]
+                    )
+                    act = _replay(
+                        act_batch(batch, [rngs[slot] for slot in learned_rows])
+                    )
             for slot in rows_list:
                 observation = obs_objects[slot]
                 is_default = default_flags[slot]
-                policy = default if is_default else learned
-                action = policy.act(observation, rngs[slot])
+                action = (default_act if is_default else act)(
+                    observation, rngs[slot]
+                )
                 result = slot_results[slot]
                 # The env hands out a freshly copied observation array
                 # every step (the state builders copy out), so appending
@@ -432,12 +447,11 @@ class ServeEngine:
                 result.chunks.append(record(step, is_default))
                 remaining[slot] -= 1
                 finished = step.done or remaining[slot] == 0
-                if not finished and is_default and not allow_revert:
+                if not finished and is_default and drain:
                     # Settled for good: serve the rest of the session in
                     # a tight loop — byte-identical to the reference's
                     # sticky fast path (default action, no measurement)
                     # with the monitor bookkeeping credited in one call.
-                    default_act = default.act
                     env_step = envs[slot].step
                     rng = rngs[slot]
                     append_observation = result.observation_list.append
@@ -483,87 +497,16 @@ class ServeEngine:
             )
         return results, total_steps
 
-    def _run_sequential(
-        self, specs: list[SessionSpec], watching: bool
-    ) -> tuple[list[MonitoredSessionResult], int]:
-        """Serve each spec to completion, one session at a time.
 
-        The path for stateful signals and ``batch_signals=False``:
-        without batched measurement, interleaving sessions has no upside
-        — it only pays wave bookkeeping — so each session runs the plain
-        reference loop (bitwise-exact unconditionally).
-        """
-        results = []
-        total_steps = 0
-        for spec in specs:
-            session = ServeSession(
-                spec,
-                self.factory,
-                self.learned,
-                self.default,
-                self.spawn_monitor(),
-            )
-            stepped = not session.done
-            while not session.done:
-                session.step()
-                total_steps += 1
-            if stepped and watching:
-                obs.inc("serve.sessions", engine=self.name)
-            results.append(session.result)
-        return results, total_steps
+def _replay(actions: list[int]):
+    """An ``act``-shaped callable handing out *actions* in call order:
+    the wave's batched learned actions, consumed in row order."""
+    take = iter(actions).__next__
 
-    def _run_waves(
-        self, specs: list[SessionSpec], watching: bool
-    ) -> tuple[list[MonitoredSessionResult], int]:
-        """The object-per-session wave loop (legacy path).
+    def act(observation, rng) -> int:
+        return take()
 
-        Kept for batchable signals whose trigger provides no vectorized
-        table: signal measurement still batches per wave, but monitor
-        folds run per session through :class:`ServeSession`.
-        """
-        sessions = [
-            ServeSession(
-                spec,
-                self.factory,
-                self.learned,
-                self.default,
-                self.spawn_monitor(),
-            )
-            for spec in specs
-        ]
-        active = [session for session in sessions if not session.done]
-        total_steps = 0
-        while active:
-            values: dict[int, float] = {}
-            batchable = [
-                session for session in active if session.monitor.will_measure()
-            ]
-            if len(batchable) > 1:
-                batch = np.stack(
-                    [session.observation for session in batchable]
-                )
-                measured = self.signal.measure_batch(batch)
-                values = {
-                    id(session): float(value)
-                    for session, value in zip(batchable, measured)
-                }
-                if watching:
-                    obs.observe(
-                        "serve.batch_size",
-                        float(len(batchable)),
-                        engine=self.name,
-                    )
-            still_active = []
-            for session in active:
-                finished = session.step(signal_value=values.get(id(session)))
-                total_steps += 1
-                if finished:
-                    if watching:
-                        obs.inc("serve.sessions", engine=self.name)
-                else:
-                    still_active.append(session)
-            active = still_active
-        return [session.result for session in sessions], total_steps
+    return act
 
 
 def serve_sessions(

@@ -1,9 +1,9 @@
-"""One in-flight monitored session inside the serve engine.
+"""One in-flight monitored session, advanced one decision at a time.
 
 :class:`ServeSession` is
 :func:`repro.domains.runner.run_monitored_session` unrolled into a
-step-at-a-time object: the engine owns the loop so it can interleave
-many sessions and batch their signal measurements.  A single step
+step-at-a-time object, for callers that own the loop and want to
+suspend and resume a session's monitor between steps.  A single step
 performs exactly the reference sequence — monitor decides, chosen policy
 acts, environment advances, record appended — so a session driven to
 completion alone is bitwise identical to the one-call loop.
@@ -58,20 +58,16 @@ class ServeSession:
         self._remaining = factory.steps_per_session()
         self.done = self._remaining <= 0
 
-    def step(self, signal_value: float | None = None) -> bool:
+    def step(self) -> bool:
         """Advance one decision step; returns True when the session ends.
 
-        *signal_value* is the engine's externally batched measurement for
-        this session's current observation (None → the monitor measures
-        itself).  The step sequence mirrors the reference loop exactly.
+        The step sequence mirrors the reference loop exactly.
         """
         if self.done:
             raise SimulationError(
                 f"session {self.result.policy_name!r} already finished"
             )
-        decision = self.monitor.observe(
-            self.observation, signal_value=signal_value
-        )
+        decision = self.monitor.observe(self.observation)
         policy = self.default if decision.defaulted else self.learned
         action = policy.act(self.observation, self.rng)
         self.result.observation_list.append(

@@ -141,6 +141,10 @@ def _require_observation(message: dict) -> np.ndarray:
         raise ProtocolError(f"observation is not numeric: {exc}") from exc
     if array.size == 0:
         raise ProtocolError("observation must not be empty")
+    # json.loads accepts NaN/Infinity literals; one folded into a trigger
+    # window would keep that session's trigger from firing.
+    if not np.isfinite(array).all():
+        raise ProtocolError("observation must be finite (no NaN or Infinity)")
     return array
 
 

@@ -3,10 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.domains import SessionSpec, get_domain
+from repro.domains.runner import run_session
 from repro.errors import ModelError
 from repro.nn.gradcheck import numerical_gradient, relative_error
 from repro.nn.losses import softmax
+from repro.pensieve.agent import PensieveAgent
 from repro.pensieve.model import ActorNetwork, CriticNetwork, PensieveTrunk
+from repro.perf import fast_paths
+from repro.policies.buffer_based import BufferBasedPolicy
+from repro.traces.dataset import make_dataset
 
 RNG = np.random.default_rng(0)
 NUM_BITRATES = 6
@@ -111,3 +117,92 @@ class TestCriticNetwork:
         for param, grad in zip(critic.params, critic.grads):
             numeric = numerical_gradient(loss, param)
             assert relative_error(grad, numeric) < 1e-5
+
+
+@pytest.fixture(scope="module")
+def abr_observations(manifest):
+    """Observations of real ABR sessions (two traces under BB)."""
+    factory = get_domain("abr").session_factory(manifest=manifest)
+    traces = make_dataset("gamma_1_2", num_traces=2, duration_s=200.0, seed=1).traces
+    policy = BufferBasedPolicy(manifest.bitrates_kbps)
+    return np.concatenate(
+        [
+            run_session(factory, SessionSpec(trace=trace, seed=0), policy).observations
+            for trace in traces
+        ]
+    )
+
+
+def _abr_actor(manifest, seed=0):
+    return ActorNetwork(
+        len(manifest.bitrates_kbps), np.random.default_rng(seed), filters=8, hidden=32
+    )
+
+
+class TestRowStableForward:
+    @pytest.mark.parametrize("batch", [1, 2, 3, 4, 7, 16])
+    def test_every_row_equals_single_observation_forward(
+        self, manifest, abr_observations, batch
+    ):
+        actor = _abr_actor(manifest)
+        single = [
+            actor.probabilities_inference(observation)[0].tobytes()
+            for observation in abr_observations
+        ]
+        for start in range(0, len(abr_observations) - batch + 1, batch):
+            rows = actor.probabilities_inference(
+                abr_observations[start : start + batch], row_stable=True
+            )
+            assert rows.shape == (batch, len(manifest.bitrates_kbps))
+            for offset in range(batch):
+                assert rows[offset].tobytes() == single[start + offset]
+
+    def test_features_match_plain_forward_values(self, manifest, abr_observations):
+        trunk = _abr_actor(manifest).trunk
+        stable = trunk.features_inference(abr_observations, row_stable=True)
+        assert np.allclose(stable, trunk.features_inference(abr_observations))
+
+
+class TestActBatch:
+    def test_greedy_equals_per_row_act(self, manifest, abr_observations):
+        agent = PensieveAgent(manifest.bitrates_kbps, _abr_actor(manifest, 3))
+        rngs = [np.random.default_rng(index) for index in range(len(abr_observations))]
+        expected = [
+            agent.act(observation, rng)
+            for observation, rng in zip(abr_observations, rngs)
+        ]
+        for batch in (2, 5, 16):
+            actions = []
+            for start in range(0, len(abr_observations), batch):
+                chunk = abr_observations[start : start + batch]
+                actions += agent.act_batch(chunk, rngs[start : start + len(chunk)])
+            assert actions == expected
+            assert all(type(action) is int for action in actions)
+
+    def test_sampling_draws_each_rng_as_per_row_act(self, manifest, abr_observations):
+        agent = PensieveAgent(
+            manifest.bitrates_kbps, _abr_actor(manifest, 4), greedy=False
+        )
+        observations = abr_observations[:12]
+        batched_rngs = [np.random.default_rng(50 + index) for index in range(12)]
+        solo_rngs = [np.random.default_rng(50 + index) for index in range(12)]
+        actions = agent.act_batch(observations, batched_rngs)
+        expected = [
+            agent.act(observation, rng)
+            for observation, rng in zip(observations, solo_rngs)
+        ]
+        assert actions == expected
+        for batched, solo in zip(batched_rngs, solo_rngs):
+            assert batched.bit_generator.state == solo.bit_generator.state
+
+    def test_fast_paths_off_equals_per_row_act(self, manifest, abr_observations):
+        agent = PensieveAgent(manifest.bitrates_kbps, _abr_actor(manifest, 5))
+        observations = abr_observations[:8]
+        rngs = [np.random.default_rng(index) for index in range(8)]
+        with fast_paths(False):
+            actions = agent.act_batch(observations, rngs)
+            expected = [
+                agent.act(observation, rng)
+                for observation, rng in zip(observations, rngs)
+            ]
+        assert actions == expected

@@ -20,16 +20,29 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.abr.session import run_monitored_session
-from repro.core.monitor import SafetyMonitor
+from repro.core.monitor import MonitorTable, SafetyMonitor
 from repro.core.strategies import CusumTrigger, EWMATrigger, HysteresisTrigger
-from repro.core.thresholding import ConsecutiveTrigger, VarianceTrigger
+from repro.core.thresholding import (
+    ConsecutiveTrigger,
+    DefaultTrigger,
+    VarianceTrigger,
+)
 from repro.domains import get_domain
-from repro.errors import SafetyError
+from repro.errors import ConfigError, SafetyError
+from repro.pensieve.agent import PensieveAgent
+from repro.pensieve.model import ActorNetwork
+from repro.perf import fast_paths
 from repro.policies.buffer_based import BufferBasedPolicy
 from repro.serve import ServeEngine, SessionSpec
 from repro.traces.dataset import make_dataset
 
-from tests.test_serve_engine import _ObsPolicy, _fingerprint
+from tests.test_serve_engine import (
+    SCHEMES,
+    _ObsPolicy,
+    _engine as _scheme_engine,
+    _fingerprint,
+    _serial_reference,
+)
 
 
 class _RowwiseSignal:
@@ -193,3 +206,123 @@ class TestContinuousMetrics:
         # refill immediately, so waves with queued work run at 100%
         # occupancy — the distribution's max must hit exactly 1.0.
         assert samples["max"] == 1.0
+
+
+class _SpyBatchPolicy(_ObsPolicy):
+    """An ``_ObsPolicy`` that counts its per-row and batched acts."""
+
+    def __init__(self, seed: int, num_actions: int) -> None:
+        super().__init__(seed, num_actions)
+        self.batches: list[int] = []
+        self.single_acts = 0
+
+    def act(self, observation, rng) -> int:
+        self.single_acts += 1
+        return super().act(observation, rng)
+
+    def act_batch(self, observations, rngs) -> list[int]:
+        self.batches.append(len(observations))
+        return [
+            _ObsPolicy.act(self, observation, rng)
+            for observation, rng in zip(observations, rngs)
+        ]
+
+
+class TestBatchedAct:
+    @pytest.mark.parametrize("allow_revert", [False, True])
+    def test_one_act_batch_per_wave_with_two_learned_rows(
+        self, manifest, traces, monkeypatch, allow_revert
+    ):
+        # The oracle: the learned-row count of every wave, read off the
+        # monitor fold that decides it.
+        learned_per_wave = []
+        fold = MonitorTable.observe_measured
+
+        def spy_fold(self, rows, values):
+            now = fold(self, rows, values)
+            learned_per_wave.append(int(np.count_nonzero(~now)))
+            return now
+
+        monkeypatch.setattr(MonitorTable, "observe_measured", spy_fold)
+        specs = [
+            SessionSpec(trace=traces[index % len(traces)], seed=index, name=f"b{index}")
+            for index in range(6)
+        ]
+        engine = _engine(
+            manifest,
+            # This signal reads 2.6-5.8 on these traces: rows hand off
+            # mid-session at different waves.
+            HysteresisTrigger(high=4.6, low=3.5),
+            max_slots=4,
+            allow_revert=allow_revert,
+        )
+        spy = engine.learned = _SpyBatchPolicy(1, len(manifest.bitrates_kbps))
+        served = [_fingerprint(r) for r in engine.run_inprocess(specs)]
+        batches, single_acts = spy.batches, spy.single_acts
+        assert batches == [n for n in learned_per_wave if n >= 2]
+        assert single_acts == learned_per_wave.count(1)
+        assert served == [_fingerprint(r) for r in _solo_reference(engine, specs)]
+        # Both kinds of wave occurred: batched learned rows, and default
+        # rows that never reach act_batch.
+        assert batches
+        learned_chunks = sum(
+            not chunk[-1] for result in served for chunk in result[1]
+        )
+        total_chunks = sum(len(result[1]) for result in served)
+        assert sum(batches) + single_acts == learned_chunks < total_chunks
+
+
+def _pensieve_engine(manifest, scheme, **kwargs):
+    engine = _scheme_engine(manifest, scheme, **kwargs)
+    actor = ActorNetwork(
+        len(manifest.bitrates_kbps), np.random.default_rng(11), filters=8, hidden=32
+    )
+    engine.learned = PensieveAgent(manifest.bitrates_kbps, actor)
+    return engine
+
+
+class TestPensieveThroughKernel:
+    """A real Pensieve agent (batched acts) under every scheme and mode,
+    ND (stateful U_S) included."""
+
+    @pytest.fixture(scope="class")
+    def specs(self, traces):
+        return [
+            SessionSpec(trace=traces[index % len(traces)], seed=index, name=f"k{index}")
+            for index in range(6)
+        ]
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize(
+        "mode", ["batched", "slot-limited", "unbatched", "fast-paths-off"]
+    )
+    def test_matches_serial_reference(self, manifest, specs, scheme, mode):
+        kwargs = {
+            "slot-limited": {"max_slots": 2},
+            "unbatched": {"batch_signals": False},
+        }.get(mode, {})
+        engine = _pensieve_engine(manifest, scheme, **kwargs)
+        with fast_paths(mode != "fast-paths-off"):
+            reference = [_fingerprint(r) for r in _serial_reference(engine, specs)]
+            served = [_fingerprint(r) for r in engine.run_inprocess(specs)]
+        assert served == reference
+        flags = [chunk[-1] for result in served for chunk in result[1]]
+        assert any(flags) and not all(flags)
+
+    def test_stateful_signal_gets_a_copy_per_slot(self, manifest, specs):
+        engine = _pensieve_engine(manifest, "U_S", max_slots=2)
+        before = engine.signal.state_dict()
+        engine.run_inprocess(specs)
+        # The prototype never measured: every slot used its own copy.
+        assert engine.signal.state_dict() == before
+
+
+class _TablelessTrigger(DefaultTrigger):
+    def update(self, signal_value: float) -> bool:
+        return False
+
+
+class TestTriggerContract:
+    def test_trigger_without_table_rejected_at_construction(self, manifest):
+        with pytest.raises(ConfigError, match="_TablelessTrigger"):
+            _engine(manifest, _TablelessTrigger())

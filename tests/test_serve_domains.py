@@ -1,7 +1,7 @@
 """The serve engine over a non-ABR domain: CC through the SoA kernel.
 
 The acceptance property mirrors the ABR one: every engine path —
-continuous batching with slot reuse, the unbatched sequential loop —
+continuous batching with slot reuse, unbatched row-by-row measurement —
 must reproduce :func:`repro.domains.runner.run_monitored_session`
 chunk-for-chunk for the congestion-control domain.  The CC demo trigger
 is a CUSUM, which vectorizes (``make_table``), so the default engine

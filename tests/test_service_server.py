@@ -13,6 +13,7 @@ pressure.
 from __future__ import annotations
 
 import asyncio
+import json
 import socket
 import time
 
@@ -184,6 +185,55 @@ class TestDispatch:
                 },
             )
             assert not response["ok"] and response["code"] == "bad-request"
+
+    def test_non_finite_observation_rejected_before_the_monitor(
+        self, service, demo_manifest, traces
+    ):
+        # json.loads accepts NaN/Infinity literals: the poisoned line must
+        # get a bad-request and leave the session exactly as if it had
+        # never been sent, hand-off included.
+        def drive(session, poison_at):
+            _dispatch(
+                service,
+                {"op": "attach", "tenant": "t", "session": session,
+                 "scheme": "demo", "seed": 7},
+            )
+            env = ABREnv(manifest=demo_manifest, trace=traces[0])
+            observation = env.reset()
+            decisions = []
+            for index in range(demo_manifest.num_chunks - 1):
+                if index == poison_at:
+                    for bad in (np.nan, np.inf, -np.inf):
+                        rows = np.asarray(observation, dtype=float).tolist()
+                        rows[2][3] = bad
+                        # json.dumps writes the NaN/Infinity literals.
+                        line = json.dumps(
+                            {"op": "step", "tenant": "t", "session": session,
+                             "observation": rows}
+                        )
+                        message = protocol.decode_message(line.encode())
+                        assert not np.isfinite(message["observation"][2][3])
+                        response = _dispatch(service, message)
+                        assert not response["ok"], response
+                        assert response["code"] == "bad-request"
+                        assert "finite" in response["message"]
+                response = _dispatch(
+                    service,
+                    {"op": "step", "tenant": "t", "session": session,
+                     "observation": np.asarray(observation).tolist()},
+                )
+                assert response["ok"], response
+                decisions.append(response)
+                step = env.step(response["action"])
+                observation = step.observation
+                if step.done:
+                    break
+            return decisions
+
+        clean = drive("clean", poison_at=None)
+        poisoned = drive("poisoned", poison_at=3)
+        assert any(decision["handoff"] for decision in clean)
+        assert poisoned == clean
 
     def test_step_unknown_session(self, service):
         response = _dispatch(

@@ -25,8 +25,8 @@ schemes, and writes ``BENCH_serve.json`` at the repository root so the
 perf trajectory is tracked PR over PR (``tools/check_bench.py`` gates
 nightly runs against it).  Every run — smoke or full — asserts that all
 variants produce identical sessions, for the stateful ``ND`` scheme
-(served sequentially: without batched measurement, interleaving only
-adds bookkeeping — the wave loop used to make ND *slower* than serial,
+(served by the same kernel, each slot measuring its own copy of the
+signal row by row; an earlier wave loop made ND *slower* than serial,
 recorded in ``nd_batching_fix``) as well as the batched ensemble
 schemes; a slot-limited engine (``max_slots = sessions // 2``,
 exercising continuous admission through the slot free-list) must also
