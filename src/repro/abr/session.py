@@ -3,32 +3,36 @@
 :func:`run_session` is the evaluation primitive everything above it builds
 on — the figure harness runs it over every (policy, test trace) pair and
 aggregates the session QoE values.  :func:`run_monitored_session` is the
-same loop driven through the explicit
+same session driven through the explicit
 :class:`~repro.core.monitor.SafetyMonitor` API — the monitor decides who
-acts at every step — and is bitwise-identical to wrapping the policies in
-a :class:`~repro.core.monitor.SafetyController` (asserted by the
-equivalence sweep).
+acts at every step.  Both are one call into the session loop of
+:mod:`repro.core.runner` with an :class:`ABRSessionFactory`, the ABR
+wiring (``ABREnv`` construction, ``ChunkRecord`` extraction) every other
+path — the serve engine, the service, the tools — uses too.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro import obs
 from repro.abr.env import ABREnv
+from repro.core import runner
 from repro.core.monitor import SafetyMonitor
-from repro.errors import SimulationError
-from repro.mdp.interfaces import Policy
+from repro.core.runner import MonitoredSessionResult, SessionFactory, SessionSpec
+from repro.mdp.interfaces import Policy, StepResult
 from repro.traces.trace import Trace
-from repro.util.rng import rng_from_seed
 from repro.video.manifest import VideoManifest
 from repro.video.qoe import QoEMetric
 
-__all__ = ["ChunkRecord", "SessionResult", "run_monitored_session", "run_session"]
+__all__ = [
+    "ABRSessionFactory",
+    "ChunkRecord",
+    "SessionResult",
+    "run_monitored_session",
+    "run_session",
+]
 
 
 @dataclass(frozen=True)
@@ -46,44 +50,12 @@ class ChunkRecord:
     defaulted: bool = False
 
 
-@dataclass
-class SessionResult:
-    """Aggregated outcome of a streaming session."""
+class SessionResult(MonitoredSessionResult):
+    """Aggregated outcome of a streaming session.
 
-    trace_name: str
-    policy_name: str
-    chunks: list[ChunkRecord] = field(default_factory=list)
-    observation_list: list[np.ndarray] = field(default_factory=list)
-    _observations_cache: np.ndarray | None = field(
-        default=None, repr=False, compare=False
-    )
-    _observations_cache_length: int = field(default=-1, repr=False, compare=False)
-
-    def __len__(self) -> int:
-        return len(self.chunks)
-
-    @property
-    def observations(self) -> np.ndarray:
-        """The observations the policy acted on, stacked ``(T, 6, 8)``.
-
-        The stack is cached and rebuilt only when observations have been
-        appended since the last access (value-target collection reads this
-        repeatedly for sessions that are no longer growing).
-        """
-        if not self.observation_list:
-            raise SimulationError("session recorded no observations")
-        if (
-            self._observations_cache is None
-            or self._observations_cache_length != len(self.observation_list)
-        ):
-            self._observations_cache = np.stack(self.observation_list)
-            self._observations_cache_length = len(self.observation_list)
-        return self._observations_cache
-
-    @property
-    def qoe(self) -> float:
-        """Total session QoE (equals the sum of per-chunk rewards)."""
-        return float(sum(record.reward for record in self.chunks))
+    One :class:`ChunkRecord` per agent-controlled chunk; adds the
+    ABR-specific aggregates to the generic result.
+    """
 
     @property
     def bitrates_mbps(self) -> np.ndarray:
@@ -101,76 +73,44 @@ class SessionResult:
         indices = [r.bitrate_index for r in self.chunks]
         return int(sum(1 for a, b in zip(indices, indices[1:]) if a != b))
 
-    @property
-    def default_fraction(self) -> float:
-        """Fraction of decisions delegated to the default policy (safety
-        controllers only; 0 for plain policies)."""
-        if not self.chunks:
-            return 0.0
-        return sum(1 for r in self.chunks if r.defaulted) / len(self.chunks)
 
+@dataclass(frozen=True)
+class ABRSessionFactory(SessionFactory):
+    """Session wiring for ABR: one video manifest, one QoE metric."""
 
-def _stream_session(
-    select: Callable[[np.ndarray, np.random.Generator], tuple[int, bool | None]],
-    manifest: VideoManifest,
-    trace: Trace,
-    qoe_metric: QoEMetric | None,
-    seed: int | np.random.Generator | None,
-    policy_name: str,
-    start_offset_s: float,
-) -> SessionResult:
-    """The shared session loop behind both entry points.
+    manifest: VideoManifest
+    qoe_metric: QoEMetric | None = None
 
-    *select* makes one decision: it receives the observation and the
-    session RNG and returns ``(action, defaulted)``, where ``defaulted``
-    may be ``None`` to fall back to the environment's own flag.
-    """
-    watching = obs.enabled()
-    start = time.perf_counter() if watching else 0.0
-    env = ABREnv(
-        manifest=manifest,
-        trace=trace,
-        qoe_metric=qoe_metric,
-        start_offset_s=start_offset_s,
-    )
-    rng = rng_from_seed(seed)
-    observation = env.reset()
-    result = SessionResult(trace_name=trace.name, policy_name=policy_name)
-    for _ in range(manifest.num_chunks - 1):
-        action, defaulted = select(observation, rng)
-        result.observation_list.append(np.asarray(observation, dtype=float).copy())
-        step = env.step(action)
-        if defaulted is None:
-            defaulted = bool(step.info.get("defaulted", False))
-        result.chunks.append(
-            ChunkRecord(
-                chunk_index=step.info["chunk_index"],
-                bitrate_index=step.info["bitrate_index"],
-                bitrate_mbps=step.info["bitrate_mbps"],
-                rebuffer_s=step.info["rebuffer_s"],
-                download_time_s=step.info["download_time_s"],
-                throughput_mbps=step.info["throughput_mbps"],
-                buffer_s=step.info["buffer_s"],
-                reward=step.reward,
-                defaulted=defaulted,
-            )
+    domain = "abr"
+
+    def steps_per_session(self) -> int:
+        """Agent-controlled chunks: the first is fetched at the lowest rung."""
+        return self.manifest.num_chunks - 1
+
+    def new_env(self, spec: SessionSpec) -> ABREnv:
+        return ABREnv(
+            manifest=self.manifest,
+            trace=spec.trace,
+            qoe_metric=self.qoe_metric,
+            start_offset_s=spec.start_offset_s,
         )
-        observation = step.observation
-        if step.done:
-            break
-    if not result.chunks:
-        raise SimulationError("session produced no agent-controlled chunks")
-    if watching:
-        wall = time.perf_counter() - start
-        obs.inc("session.runs", policy=result.policy_name)
-        obs.observe("session.wall_seconds", wall, policy=result.policy_name)
-        if wall > 0:
-            obs.observe(
-                "session.steps_per_second",
-                len(result.chunks) / wall,
-                policy=result.policy_name,
-            )
-    return result
+
+    def new_result(self, spec: SessionSpec, policy_name: str) -> SessionResult:
+        return SessionResult(trace_name=spec.trace.name, policy_name=policy_name)
+
+    def record(self, step: StepResult, defaulted: bool) -> ChunkRecord:
+        info = step.info
+        return ChunkRecord(
+            chunk_index=info["chunk_index"],
+            bitrate_index=info["bitrate_index"],
+            bitrate_mbps=info["bitrate_mbps"],
+            rebuffer_s=info["rebuffer_s"],
+            download_time_s=info["download_time_s"],
+            throughput_mbps=info["throughput_mbps"],
+            buffer_s=info["buffer_s"],
+            reward=step.reward,
+            defaulted=defaulted,
+        )
 
 
 def run_session(
@@ -188,24 +128,11 @@ def run_session(
     behaviour); the policy then decides every remaining chunk.  Returns the
     complete per-chunk record.
     """
-    policy.reset()
-
-    def select(
-        observation: np.ndarray, rng: np.random.Generator
-    ) -> tuple[int, bool | None]:
-        action = policy.act(observation, rng)
-        if hasattr(policy, "last_decision_defaulted"):
-            return action, bool(policy.last_decision_defaulted)
-        return action, None
-
-    return _stream_session(
-        select,
-        manifest,
-        trace,
-        qoe_metric,
-        seed,
-        policy_name or type(policy).__name__,
-        start_offset_s,
+    return runner.run_session(
+        ABRSessionFactory(manifest, qoe_metric),
+        SessionSpec(trace, seed, start_offset_s=start_offset_s),
+        policy,
+        policy_name,
     )
 
 
@@ -228,23 +155,11 @@ def run_monitored_session(
     identical to the controller path (asserted by the equivalence sweep);
     the serve engine multiplexes many of these loops concurrently.
     """
-    learned.reset()
-    default.reset()
-    monitor.reset()
-
-    def select(
-        observation: np.ndarray, rng: np.random.Generator
-    ) -> tuple[int, bool | None]:
-        decision = monitor.observe(observation)
-        policy = default if decision.defaulted else learned
-        return policy.act(observation, rng), decision.defaulted
-
-    return _stream_session(
-        select,
-        manifest,
-        trace,
-        qoe_metric,
-        seed,
-        policy_name or monitor.name,
-        start_offset_s,
+    return runner.run_monitored_session(
+        ABRSessionFactory(manifest, qoe_metric),
+        SessionSpec(trace, seed, start_offset_s=start_offset_s),
+        learned,
+        default,
+        monitor,
+        policy_name,
     )

@@ -16,6 +16,12 @@ its training distribution, and default to a safe policy when it is:
   the serializable step-stream state machine, and
   :class:`~repro.core.monitor.SafetyController`, its policy-facing
   adapter (re-exported from :mod:`repro.core.controller`).
+* :mod:`repro.core.runner` — the one session loop (the monitor decides,
+  then the chosen policy acts) and the interface a workload plugs into
+  it: :class:`~repro.core.runner.SessionSpec`,
+  :class:`~repro.core.runner.SessionFactory` and
+  :class:`~repro.core.runner.MonitoredSessionResult`.  Every one-call
+  session function (ABR's included) runs through it.
 * :mod:`repro.core.calibration` — the domain-agnostic threshold-selection
   rule (Section 2.5); the session-running half lives in
   :mod:`repro.abr.calibration`.

@@ -14,6 +14,7 @@ training sessions, producing the OC-SVM's training set.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Callable
 
@@ -165,6 +166,8 @@ class StateNoveltySignal(UncertaintySignal):
 
     def measure(self, observation: np.ndarray) -> float:
         latest = self.throughput_of(observation)
+        if not math.isfinite(latest):
+            raise SafetyError(f"non-finite throughput {latest}")
         if latest > 0:
             self._throughputs.append(latest)
         # Warm-up: wait for a full throughput window before producing

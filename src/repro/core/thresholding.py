@@ -24,6 +24,7 @@ engine's continuous-batching kernel is built on this equivalence.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
@@ -114,7 +115,7 @@ def check_finite_values(values: np.ndarray) -> None:
     runs *before* any row state is touched so a poisoned wave never
     half-updates the bank.
     """
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         bad = values[~np.isfinite(values)][0]
         raise SafetyError(f"non-finite signal value {bad}")
 
@@ -137,6 +138,8 @@ class ConsecutiveTrigger(DefaultTrigger):
         self._streak = 0
 
     def update(self, signal_value: float) -> bool:
+        if not math.isfinite(signal_value):
+            raise SafetyError(f"non-finite signal value {signal_value}")
         if signal_value > 0:
             self._streak += 1
         else:
@@ -176,6 +179,7 @@ class ConsecutiveTriggerTable(TriggerTable):
 
     def update_rows(self, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
         """One value per row: streak+1 where value > 0, else reset to 0."""
+        check_finite_values(values)
         streak = np.where(values > 0, self._streak[rows] + 1, 0)
         self._streak[rows] = streak
         return streak >= self.l

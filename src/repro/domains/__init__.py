@@ -8,23 +8,32 @@ above (``serve``, ``service``, the tools) dispatch on a domain key and
 never import a workload module directly — ``tools/check_layers.py``
 enforces that they reach this package only through its root.
 
+The session loop and its interface (:class:`SessionSpec`,
+:class:`SessionFactory`, :class:`MonitoredSessionResult`,
+:func:`run_session`, :func:`run_monitored_session`) live in
+:mod:`repro.core.runner` and are re-exported here, so the layers above
+reach everything a session needs through this root.
+
 Importing this package registers the built-in domains (``abr``, ``cc``)
 and the distribution-shift scenario corpus; look them up with
 :func:`get_domain` / :func:`repro.domains.scenarios.apply_scenario`.
 """
 
+from repro.core.runner import (
+    MonitoredSessionResult,
+    SessionFactory,
+    SessionSpec,
+    run_monitored_session,
+    run_session,
+)
 from repro.domains.base import (
     DOMAINS,
     DemoScheme,
     Domain,
     LinearSoftmaxPolicy,
-    MonitoredSessionResult,
-    SessionFactory,
-    SessionSpec,
     domain_keys,
     get_domain,
 )
-from repro.domains.runner import run_monitored_session, run_session
 from repro.domains.scenarios import (
     SCENARIOS,
     ShiftedTrace,

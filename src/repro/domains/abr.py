@@ -3,85 +3,32 @@
 The original workload of this reproduction, wrapped behind the
 :class:`~repro.domains.base.Domain` interface so the serve engine, the
 service, and the tools reach it the same way they reach every other
-domain.  :class:`ABRSessionFactory` reproduces exactly the per-session
-wiring the serve engine used to inline (``ABREnv`` construction order,
-``SessionResult``/``ChunkRecord`` field extraction), which is what keeps
-post-refactor ABR trajectories bitwise-identical to the pre-refactor
-engine (asserted by the equivalence sweep).
+domain.  Its session factory is
+:class:`repro.abr.session.ABRSessionFactory`, the same wiring
+:func:`repro.abr.session.run_session` streams through, so an ABR session
+served by any path matches the one-call functions bitwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.abr.env import ABREnv
-from repro.abr.session import ChunkRecord, SessionResult
+from repro.abr.session import ABRSessionFactory
 from repro.core.ensemble_signals import PolicyEnsembleSignal
 from repro.core.thresholding import VarianceTrigger
-from repro.domains.base import (
-    DOMAINS,
-    DemoScheme,
-    Domain,
-    LinearSoftmaxPolicy,
-    SessionFactory,
-    SessionSpec,
-)
+from repro.domains.base import DOMAINS, DemoScheme, Domain, LinearSoftmaxPolicy
 from repro.errors import ConfigError
-from repro.mdp.interfaces import StepResult
 from repro.policies.buffer_based import BufferBasedPolicy
 from repro.traces.dataset import DATASET_NAMES, DatasetSplit, make_dataset
 from repro.video.envivio import envivio_dash3_manifest
 from repro.video.manifest import VideoManifest
 from repro.video.qoe import QoEMetric
 
-__all__ = ["ABRDomain", "ABRSessionFactory"]
+__all__ = ["ABRDomain"]
 
 #: The demo scheme's calibrated variance threshold (the historical
 #: ``build_demo_scheme`` default).
 _DEMO_ALPHA = 0.12
-
-
-@dataclass(frozen=True)
-class ABRSessionFactory(SessionFactory):
-    """Session wiring for ABR: one video manifest, one QoE metric."""
-
-    manifest: VideoManifest
-    qoe_metric: QoEMetric | None = None
-
-    domain = "abr"
-
-    def steps_per_session(self) -> int:
-        """Agent-controlled chunks: the first is fetched at the lowest rung."""
-        return self.manifest.num_chunks - 1
-
-    def new_env(self, spec: SessionSpec) -> ABREnv:
-        return ABREnv(
-            manifest=self.manifest,
-            trace=spec.trace,
-            qoe_metric=self.qoe_metric,
-            start_offset_s=spec.start_offset_s,
-        )
-
-    def new_result(self, spec: SessionSpec, policy_name: str) -> SessionResult:
-        return SessionResult(
-            trace_name=spec.trace.name, policy_name=policy_name
-        )
-
-    def record(self, step: StepResult, defaulted: bool) -> ChunkRecord:
-        info = step.info
-        return ChunkRecord(
-            chunk_index=info["chunk_index"],
-            bitrate_index=info["bitrate_index"],
-            bitrate_mbps=info["bitrate_mbps"],
-            rebuffer_s=info["rebuffer_s"],
-            download_time_s=info["download_time_s"],
-            throughput_mbps=info["throughput_mbps"],
-            buffer_s=info["buffer_s"],
-            reward=step.reward,
-            defaulted=defaulted,
-        )
 
 
 @DOMAINS.register("abr")

@@ -6,12 +6,17 @@ repository states, in code, what a workload must provide for the whole
 stack above :mod:`repro.core` — the serve engine, the multi-tenant
 service, the experiment harnesses, the CLI — to run it unmodified:
 
-* :class:`SessionSpec` — what one monitored session streams (a trace, a
-  seed, a name).  Pure data, picklable, shared by every domain.
-* :class:`SessionFactory` — the per-session wiring: build the seeded
-  environment for a spec, produce the per-step record type, say how many
-  decision steps a session has.  This is the only object the serve
-  engine needs; it never sees an environment class directly.
+* :class:`~repro.core.runner.SessionSpec` — what one monitored session
+  streams (a trace, a seed, a name).  Pure data, picklable, shared by
+  every domain.
+* :class:`~repro.core.runner.SessionFactory` — the per-session wiring:
+  build the seeded environment for a spec, produce the per-step record
+  type, say how many decision steps a session has.  This is the only
+  object the session loop (:mod:`repro.core.runner`) and the serve
+  engine need; they never see an environment class directly.  Both
+  live in :mod:`repro.core` so the workload substrates (``abr``) can
+  define their factories below this package; :mod:`repro.domains`
+  re-exports them.
 * :class:`Domain` — the full workload description: dataset enumeration,
   split loading, a session factory, a self-contained demo scheme
   (learned policy + safe fallback + uncertainty signal + trigger), and
@@ -35,130 +40,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.monitor import SafetyMonitor
+from repro.core.runner import SessionFactory
 from repro.core.signals import ComponentRegistry, UncertaintySignal
 from repro.core.thresholding import DefaultTrigger
-from repro.errors import SimulationError
-from repro.mdp.interfaces import Environment, Policy, StepResult
+from repro.mdp.interfaces import Policy
 from repro.traces.dataset import DatasetSplit
-from repro.traces.trace import Trace
 
 __all__ = [
     "DOMAINS",
     "DemoScheme",
     "Domain",
     "LinearSoftmaxPolicy",
-    "MonitoredSessionResult",
-    "SessionFactory",
-    "SessionSpec",
     "domain_keys",
     "get_domain",
 ]
-
-
-class SessionSpec:
-    """What one monitored session streams: a trace, a seed, a name.
-
-    Pure data (picklable), so a spec can be shipped to a worker process
-    and produce the same floats there as in-process.  Domain-agnostic:
-    every domain's factory interprets the same spec fields.
-    """
-
-    def __init__(
-        self,
-        trace: Trace,
-        seed: int = 0,
-        name: str | None = None,
-        start_offset_s: float = 0.0,
-    ) -> None:
-        self.trace = trace
-        self.seed = seed
-        self.name = name
-        self.start_offset_s = start_offset_s
-
-    def __repr__(self) -> str:
-        return (
-            f"SessionSpec(trace={self.trace.name!r}, seed={self.seed}, "
-            f"name={self.name!r})"
-        )
-
-
-class MonitoredSessionResult:
-    """A generic per-session record: one entry in ``chunks`` per decision.
-
-    The attribute names intentionally match
-    :class:`repro.abr.session.SessionResult` (``chunks``,
-    ``observation_list``, ``observations``, ``qoe``,
-    ``default_fraction``) so the serve engine, the benchmarks, and the
-    reporting tools read any domain's results through one surface.  The
-    per-step record type is the domain's own (it only needs ``reward``
-    and ``defaulted`` fields for the aggregates here).
-    """
-
-    def __init__(self, trace_name: str, policy_name: str) -> None:
-        self.trace_name = trace_name
-        self.policy_name = policy_name
-        self.chunks: list = []
-        self.observation_list: list[np.ndarray] = []
-        self._observations_cache: np.ndarray | None = None
-        self._observations_cache_length = -1
-
-    def __len__(self) -> int:
-        return len(self.chunks)
-
-    @property
-    def observations(self) -> np.ndarray:
-        """The observations the policy acted on, stacked ``(T, ...)``."""
-        if not self.observation_list:
-            raise SimulationError("session recorded no observations")
-        if (
-            self._observations_cache is None
-            or self._observations_cache_length != len(self.observation_list)
-        ):
-            self._observations_cache = np.stack(self.observation_list)
-            self._observations_cache_length = len(self.observation_list)
-        return self._observations_cache
-
-    @property
-    def qoe(self) -> float:
-        """Total session reward (the domain's QoE analogue)."""
-        return float(sum(record.reward for record in self.chunks))
-
-    @property
-    def default_fraction(self) -> float:
-        """Fraction of decisions delegated to the default policy."""
-        if not self.chunks:
-            return 0.0
-        return sum(1 for r in self.chunks if r.defaulted) / len(self.chunks)
-
-
-class SessionFactory(ABC):
-    """Per-session wiring for one domain: env, result, record, length.
-
-    The serve engine and the generic runners are written against this
-    interface alone — they construct environments and records without
-    knowing the domain.  Factories must be picklable (they ship to shard
-    worker processes inside the serving context) and stateless across
-    sessions (one factory serves any number of concurrent sessions).
-    """
-
-    #: Registry key of the owning domain (``"abr"``, ``"cc"``, ...).
-    domain: str = ""
-
-    @abstractmethod
-    def steps_per_session(self) -> int:
-        """How many agent-controlled decision steps one session has."""
-
-    @abstractmethod
-    def new_env(self, spec: SessionSpec) -> Environment:
-        """A fresh environment streaming *spec*'s trace."""
-
-    @abstractmethod
-    def new_result(self, spec: SessionSpec, policy_name: str):
-        """An empty per-session result (``chunks``/``observation_list``)."""
-
-    @abstractmethod
-    def record(self, step: StepResult, defaulted: bool):
-        """The domain's per-step record for one environment step."""
 
 
 class LinearSoftmaxPolicy:

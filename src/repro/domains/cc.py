@@ -44,15 +44,9 @@ from functools import lru_cache
 import numpy as np
 
 from repro.core.ensemble_signals import PolicyEnsembleSignal, policy_disagreement
+from repro.core.runner import MonitoredSessionResult, SessionFactory, SessionSpec
 from repro.core.strategies import CusumTrigger
-from repro.domains.base import (
-    DOMAINS,
-    DemoScheme,
-    Domain,
-    MonitoredSessionResult,
-    SessionFactory,
-    SessionSpec,
-)
+from repro.domains.base import DOMAINS, DemoScheme, Domain
 from repro.errors import ConfigError, SimulationError
 from repro.mdp.interfaces import StepResult
 from repro.mdp.qlearning import QLearningAgent, train_q_learning

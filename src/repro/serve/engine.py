@@ -31,9 +31,10 @@ congestion-control sessions run through the same kernel.
 Numerics: a batched policy act must return exactly the actions its
 per-row ``act`` would (``PensieveAgent.act_batch`` runs a row-stable
 forward whose every row is bitwise-equal to a single-observation
-forward), so a session's *trajectory* matches the serial
-:func:`repro.domains.runner.run_monitored_session` bitwise as long as
-its monitor decisions match.  Batched signal values can differ from the
+forward), so a session's *trajectory* matches the serial session loop
+(:func:`repro.core.runner.run_monitored_session`, the one loop every
+one-call session function runs through) bitwise as long as its monitor
+decisions match.  Batched signal values can differ from the
 per-session path in the last ulp (BLAS accumulation order depends on
 the batch shape), which could in principle flip a trigger comparison
 exactly at the threshold; ``batch_signals=False`` measures row by row
@@ -64,13 +65,12 @@ from repro import obs
 from repro.core.monitor import MonitorTable, SafetyController, SafetyMonitor
 from repro.core.signals import UncertaintySignal
 from repro.core.thresholding import DefaultTrigger
-from repro.domains import MonitoredSessionResult, SessionFactory
+from repro.domains import MonitoredSessionResult, SessionFactory, SessionSpec
 from repro.errors import ConfigError, SafetyError
 from repro.mdp.interfaces import Policy
 from repro.parallel import in_worker, parallel_map, resolve_max_workers
 from repro.parallel.shm import publish_payload, shm_enabled
 from repro.perf import fast_paths_enabled
-from repro.serve.session import SessionSpec
 from repro.serve.table import SessionTable
 from repro.util.rng import rng_from_seed
 

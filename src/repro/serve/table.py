@@ -12,7 +12,7 @@ slot number.
 
 Slots are recycled through a LIFO free-list: when a session finishes,
 its slot is released and the next queued
-:class:`~repro.serve.session.SessionSpec` is admitted into it without
+:class:`~repro.domains.SessionSpec` is admitted into it without
 draining the wave — LLM-style continuous batching, so heterogeneous
 session mixes keep the batch full.  ``slots_reused`` counts admissions
 into previously-used slots (exported as the ``serve.slot_reuse``

@@ -1,5 +1,7 @@
 """Tests for repro.core.novelty_signal: the U_S state-uncertainty signal."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,21 @@ class TestStateNoveltySignal:
         signal.reset()
         fresh = observation_stream([30.0])[0]
         assert signal.measure(fresh) == 0.0
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_throughput_raises_before_touching_windows(self, value):
+        signal = fitted_signal(k=3)
+        observations = observation_stream([3.0] * 8)
+        for obs in observations[:-1]:
+            signal.measure(obs)
+        before = signal.state_dict()
+        poisoned = observations[-1].copy()
+        poisoned[2, -1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SafetyError, match="non-finite throughput"):
+                signal.measure(poisoned)
+        assert signal.state_dict() == before
 
     def test_bad_parameters_rejected(self):
         detector = OneClassSVM(nu=0.5)

@@ -8,12 +8,19 @@ to the conservative fallback shortly after an abrupt capacity shift.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from repro.domains import SessionSpec, apply_scenario, get_domain
+from repro.domains import (
+    SessionSpec,
+    apply_scenario,
+    get_domain,
+    run_monitored_session,
+)
 from repro.domains.cc import (
     DEFAULT_HORIZON,
     DELAY_SCALE,
@@ -27,7 +34,6 @@ from repro.domains.cc import (
     ConservativeRatePolicy,
     TabularEnsembleSignal,
 )
-from repro.domains.runner import run_monitored_session
 from repro.errors import ConfigError, SimulationError
 from repro.mdp.qlearning import QLearningAgent
 from repro.perf import fast_paths
@@ -316,6 +322,23 @@ class TestDemoSchemeOSAP:
         )
         with pytest.raises(SimulationError, match="non-finite delivered rate"):
             engine.run_inprocess([spec, SessionSpec(trace=split.test[1], seed=1)])
+
+    #: sha256 of each session's records and observation stack, computed
+    #: when the runner lived in :mod:`repro.domains.runner`.
+    GOLDEN = {
+        "logistic-006": "6b496371962f24730a87310f1798c1f5b8886360695bfdc56858cc928b8e004f",
+        "logistic-006+abrupt_shift@1": "876975b30cd87fb0e03311e243dee76d0fd56c22128c8f5a9845fe04cbb4507e",
+    }
+
+    def test_golden_fingerprints(self, scheme, split):
+        shifted = apply_scenario("abrupt_shift", split.test[0], seed=1)
+        for trace in (split.test[0], shifted.trace):
+            result = self._run(scheme, trace)
+            digest = hashlib.sha256()
+            for record in result.chunks:
+                digest.update(repr(dataclasses.astuple(record)).encode())
+            digest.update(result.observations.tobytes())
+            assert digest.hexdigest() == self.GOLDEN[trace.name]
 
     def test_scheme_build_is_cached(self, domain, scheme):
         assert domain.demo_scheme().learned.q_table is scheme.learned.q_table

@@ -14,6 +14,8 @@ serial-vs-parallel checks that previously covered one axis each.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import itertools
 
 import numpy as np
@@ -36,6 +38,7 @@ from repro.pensieve.training import (
 )
 from repro.perf import fast_paths
 from repro.policies.buffer_based import BufferBasedPolicy
+from repro.policies.random_policy import RandomPolicy
 from repro.traces.dataset import make_dataset
 from repro.video.envivio import envivio_dash3_manifest
 
@@ -252,53 +255,77 @@ class TestMonitorPathEquivalence:
             assert monitor.default_fraction == controller.default_fraction
 
 
-class TestDomainBoundaryEquivalence:
-    """The domain-generic runner vs. the ABR reference loop.
+def _golden_fingerprint(result) -> str:
+    """sha256 over every chunk record's fields and the observation stack."""
+    digest = hashlib.sha256()
+    for chunk in result.chunks:
+        digest.update(repr(dataclasses.astuple(chunk)).encode())
+    digest.update(result.observations.tobytes())
+    return digest.hexdigest()
 
-    The tentpole refactor routes every serving and experiment path
-    through :mod:`repro.domains`; this class pins the boundary: driving
-    a session through the generic
-    :func:`repro.domains.runner.run_monitored_session` with the
-    registered ABR domain's :class:`~repro.domains.SessionFactory` must
-    be bitwise identical to the historical
-    :func:`repro.abr.session.run_monitored_session`, for all three
-    schemes, on in-distribution *and* shifted test traces.
+
+class TestGoldenSessions:
+    """ABR session trajectories pinned as sha256 fingerprints.
+
+    The constants were computed when :mod:`repro.abr.session` still ran
+    its own copy of the session loop, so they pin the one remaining loop
+    (:mod:`repro.core.runner`) to the trajectories the ABR loop produced:
+    the demo ``U_pi`` scheme through both entry points, a plain
+    deterministic policy (whose ``defaulted`` flag comes from the
+    environment), and a random policy drawing from one ``Generator``
+    shared across sessions (the value-target collection seed stream).
     """
 
-    @pytest.mark.parametrize("scheme", ["ND", "A-ensemble", "V-ensemble"])
-    @pytest.mark.parametrize("test_split", ["split", "second_split"])
-    def test_generic_runner_matches_abr_reference(
-        self, scheme, test_split, request, agents, value_functions, nd_detector, manifest
-    ):
-        from repro.domains import get_domain
-        from repro.domains import runner as domain_runner
+    DEMO = {
+        "gamma_1_2-003": "bc07ec771d7ce52bf7510aa16c0cf877c0b1c511671665880f83c797bd084697",
+        "exponential-003": "97a4c775b57338c71e9a1425860681ed4c3c30fabb4ab22745397245f364ee65",
+    }
+    BUFFER_BASED = {
+        "gamma_1_2-003": "c2b8d987a8ab363f3575f9ddef356ba97bf92b074f3da1a99f64a0bc796cb938",
+        "exponential-003": "b0185864071e04fceb5b575b056a34e96836030d420b3c314c19d0c41f29e215",
+    }
+    RANDOM_SHARED_RNG = {
+        "gamma_1_2-003": "3dbe05fbb6dcd98419e82307edb7970511be96a9c972ece41715759e57915c56",
+        "exponential-003": "21bb0fbfba1b443830dd044e15cac6553ca76f68e8a0edb05b7453f5fdf1d8ae",
+    }
 
-        factory = get_domain("abr").session_factory(manifest=manifest)
-        traces = request.getfixturevalue(test_split).test
-        default = BufferBasedPolicy(manifest.bitrates_kbps)
+    @pytest.fixture()
+    def traces(self, split, second_split):
+        return [split.test[0], second_split.test[0]]
+
+    def test_demo_scheme_through_both_entry_points(self, manifest, traces):
+        from repro.domains import SessionSpec, get_domain
+        from repro.domains import run_monitored_session as run_runner
+
+        scheme = get_domain("abr").demo_scheme()
         for trace in traces:
-            signal, trigger = _scheme_parts(
-                scheme, agents, value_functions, nd_detector, manifest
+            abr = run_monitored_session(
+                scheme.learned, scheme.default, scheme.monitor(), manifest, trace
             )
-            monitor = SafetyMonitor(signal, trigger, name=scheme)
-            reference = run_monitored_session(
-                agents[0], default, monitor, manifest, trace, seed=0
-            )
-            signal, trigger = _scheme_parts(
-                scheme, agents, value_functions, nd_detector, manifest
-            )
-            monitor = SafetyMonitor(signal, trigger, name=scheme)
-            from repro.domains import SessionSpec
-
-            generic = domain_runner.run_monitored_session(
-                factory,
+            runner = run_runner(
+                scheme.factory,
                 SessionSpec(trace=trace, seed=0),
-                agents[0],
-                default,
-                monitor,
+                scheme.learned,
+                scheme.default,
+                scheme.monitor(),
             )
-            assert _session_fingerprint(generic) == _session_fingerprint(
-                reference
+            assert 0.0 < abr.default_fraction < 1.0
+            assert _golden_fingerprint(abr) == self.DEMO[trace.name]
+            assert _golden_fingerprint(runner) == self.DEMO[trace.name]
+
+    def test_plain_policy_session(self, manifest, traces):
+        policy = BufferBasedPolicy(manifest.bitrates_kbps)
+        for trace in traces:
+            result = run_session(policy, manifest, trace, seed=0)
+            assert _golden_fingerprint(result) == self.BUFFER_BASED[trace.name]
+
+    def test_shared_generator_seed_stream(self, manifest, traces):
+        policy = RandomPolicy(manifest.bitrates_kbps)
+        rng = np.random.default_rng(7)
+        for trace in traces:
+            result = run_session(policy, manifest, trace, seed=rng)
+            assert (
+                _golden_fingerprint(result) == self.RANDOM_SHARED_RNG[trace.name]
             )
 
 

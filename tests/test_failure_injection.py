@@ -88,9 +88,10 @@ class TestCorruptArtifacts:
 class TestRuntimeInvalidValues:
     def test_nan_signal_rejected_by_triggers(self):
         from repro.core.strategies import CusumTrigger, EWMATrigger
-        from repro.core.thresholding import VarianceTrigger
+        from repro.core.thresholding import ConsecutiveTrigger, VarianceTrigger
 
         for trigger in (
+            ConsecutiveTrigger(l=1),
             VarianceTrigger(alpha=1.0, k=3, l=1),
             EWMATrigger(bar=1.0),
             CusumTrigger(threshold=1.0, drift=0.1),

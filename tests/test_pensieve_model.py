@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.domains import SessionSpec, get_domain
-from repro.domains.runner import run_session
+from repro.domains import SessionSpec, get_domain, run_session
 from repro.errors import ModelError
 from repro.nn.gradcheck import numerical_gradient, relative_error
 from repro.nn.losses import softmax

@@ -2,7 +2,7 @@
 
 The acceptance property mirrors the ABR one: every engine path —
 continuous batching with slot reuse, unbatched row-by-row measurement —
-must reproduce :func:`repro.domains.runner.run_monitored_session`
+must reproduce :func:`repro.core.runner.run_monitored_session`
 chunk-for-chunk for the congestion-control domain.  The CC demo trigger
 is a CUSUM, which vectorizes (``make_table``), so the default engine
 path here is the continuous-batching kernel; the tabular signal's fused
@@ -14,8 +14,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.domains import SessionSpec, apply_scenario, get_domain
-from repro.domains.runner import run_monitored_session
+from repro.domains import (
+    SessionSpec,
+    apply_scenario,
+    get_domain,
+    run_monitored_session,
+)
 from repro.serve import ServeEngine
 
 

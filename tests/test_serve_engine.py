@@ -18,11 +18,11 @@ from repro.core.monitor import SafetyController
 from repro.core.novelty_signal import StateNoveltySignal, throughput_window_samples
 from repro.core.thresholding import ConsecutiveTrigger, VarianceTrigger
 from repro.domains import get_domain
-from repro.errors import SafetyError, SimulationError
+from repro.errors import SafetyError
 from repro.novelty.ocsvm import OneClassSVM
 from repro.perf import fast_paths
 from repro.policies.buffer_based import BufferBasedPolicy
-from repro.serve import ServeEngine, ServeSession, SessionSpec, serve_sessions
+from repro.serve import ServeEngine, SessionSpec, serve_sessions
 from repro.traces.dataset import make_dataset
 
 
@@ -235,53 +235,3 @@ class TestEngineContract:
             for r in serve_sessions(controller, engine.factory, specs)
         ]
         assert via_helper == direct
-
-
-class TestServeSession:
-    def test_finished_session_rejects_step(self, manifest, traces):
-        engine = _engine(manifest, "U_pi")
-        session = ServeSession(
-            SessionSpec(trace=traces[0], seed=0, name="one"),
-            engine.factory,
-            engine.learned,
-            engine.default,
-            engine.spawn_monitor(),
-        )
-        while not session.step():
-            pass
-        with pytest.raises(SimulationError, match="finished"):
-            session.step()
-
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_suspend_resume_restores_monitor(self, manifest, traces, scheme):
-        engine = _engine(manifest, scheme)
-        spec = SessionSpec(trace=traces[1], seed=3, name="migrated")
-        uninterrupted = ServeSession(
-            spec,
-            engine.factory,
-            engine.learned,
-            engine.default,
-            engine.spawn_monitor(),
-        )
-        while not uninterrupted.step():
-            pass
-
-        session = ServeSession(
-            spec,
-            engine.factory,
-            engine.learned,
-            engine.default,
-            engine.spawn_monitor(),
-        )
-        for _ in range(10):
-            session.step()
-        state = session.suspend()
-        # Wreck the monitor's session state, then restore the snapshot:
-        # the remaining decisions must be as if nothing happened.
-        session.monitor.reset()
-        session.resume(state)
-        while not session.step():
-            pass
-        assert _fingerprint(session.result) == _fingerprint(
-            uninterrupted.result
-        )

@@ -70,18 +70,20 @@ class TestTriggerTableEquivalence:
                 table.reset_rows(np.array([recycled]))
                 scalars[recycled].reset()
 
-    @pytest.mark.parametrize("kind", ["variance", "ewma", "cusum", "hysteresis"])
+    @pytest.mark.parametrize("kind", sorted(TRIGGER_FACTORIES))
     def test_non_finite_wave_raises(self, kind):
         table = TRIGGER_FACTORIES[kind]().make_table(3)
         with pytest.raises(SafetyError, match="non-finite"):
             table.update_rows(np.array([0, 2]), np.array([0.1, np.nan]))
 
-    def test_consecutive_tolerates_nan_like_scalar(self):
-        # The scalar rule treats a non-finite value as "not uncertain"
-        # (NaN > 0 is False); the table must not be stricter.
-        table = ConsecutiveTrigger(l=1).make_table(2)
-        fired = table.update_rows(np.array([0, 1]), np.array([np.nan, 1.0]))
-        assert fired.tolist() == [False, True]
+    def test_consecutive_rejects_poisoned_wave_before_updating(self):
+        table = ConsecutiveTrigger(l=2).make_table(2)
+        table.update_rows(np.array([0, 1]), np.array([1.0, 1.0]))
+        with pytest.raises(SafetyError, match="non-finite"):
+            table.update_rows(np.array([0, 1]), np.array([1.0, np.nan]))
+        # Neither row's streak moved: the next positive wave fires both.
+        fired = table.update_rows(np.array([0, 1]), np.array([1.0, 1.0]))
+        assert fired.tolist() == [True, True]
 
     def test_variance_recent_values_matches_scalar_window(self):
         prototype = VarianceTrigger(alpha=0.5, k=4, l=1)

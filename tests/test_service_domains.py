@@ -12,9 +12,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.domains import SessionSpec, apply_scenario, get_domain
+from repro.domains import (
+    SessionSpec,
+    apply_scenario,
+    get_domain,
+    run_monitored_session,
+)
 from repro.domains.cc import CCEnv
-from repro.domains.runner import run_monitored_session
 from repro.service import (
     BackgroundService,
     SafetyService,

@@ -5,9 +5,9 @@ Serves the same 16 concurrent monitored sessions four ways and demands
 chunk-for-chunk identical trajectories:
 
 * ``legacy``  — per-session evaluation with fast paths disabled
-  (:func:`repro.domains.runner.run_monitored_session` over the
-  reference member-loop forwards — the pre-optimization deployment
-  pattern),
+  (:func:`repro.domains.run_monitored_session`, the one serial session
+  loop, over the reference member-loop forwards — the
+  pre-optimization deployment pattern),
 * ``serial``  — the same per-session loop with fast paths enabled
   (isolates the already-committed vectorization),
 * ``batched`` — :meth:`ServeEngine.run_inprocess`, the
@@ -65,8 +65,7 @@ import dataclasses
 
 from repro.abr.suite import build_safety_suite
 from repro.core.osap import SafetyConfig
-from repro.domains import apply_scenario, get_domain
-from repro.domains.runner import run_monitored_session
+from repro.domains import apply_scenario, get_domain, run_monitored_session
 from repro.parallel import resolve_max_workers
 from repro.pensieve.training import TrainingConfig
 from repro.perf import fast_paths

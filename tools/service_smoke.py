@@ -11,8 +11,9 @@ actual socket API and asserts the acceptance criteria end to end:
    ``overloaded`` rejection (and the service stays healthy).
 2. **Trajectory equality** — N sessions across multiple tenants, driven
    round-robin (every session's state machine advances interleaved with
-   the others), must be chunk-for-chunk identical to
-   :func:`repro.abr.session.run_monitored_session`.
+   the others), must be chunk-for-chunk identical to the serial session
+   loop, run through :func:`repro.abr.session.run_monitored_session`
+   (one call into :func:`repro.core.runner.run_monitored_session`).
 3. **TTL eviction + resume** — mid-session the harness goes idle past
    the TTL until the background loop has snapshotted every hot session
    to cold storage, forces ``reopen`` (a fresh store handle over the
