@@ -81,9 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=(
-            "process-pool size for session sharding (default: the "
-            "REPRO_MAX_WORKERS environment variable, else in-process); "
-            "results are identical at any setting"
+            "process-pool size for building the trained ABR suite "
+            "(default: the REPRO_MAX_WORKERS environment variable, else "
+            "serial); sessions are always served in-process and results "
+            "are identical at any setting"
         ),
     )
     serve.add_argument(
@@ -458,7 +459,7 @@ def _cmd_serve_demo(args, out) -> int:
             name=scheme.name,
             max_slots=max_slots,
         )
-        serve = lambda: engine.run(specs, max_workers=args.workers)  # noqa: E731
+        serve = lambda: engine.run(specs)  # noqa: E731
     else:
         if args.domain != "abr":
             raise ReproError(
@@ -491,12 +492,11 @@ def _cmd_serve_demo(args, out) -> int:
         controller = suite.controllers()[scheme_name]
         factory = domain.session_factory(manifest=manifest)
         serve = lambda: serve_sessions(  # noqa: E731
-            controller, factory, specs, max_workers=args.workers,
-            max_slots=max_slots,
+            controller, factory, specs, max_slots=max_slots
         )
     print(
         f"serving {args.sessions} concurrent sessions "
-        f"({len(split.test)} test traces, workers={args.workers or 'in-process'}"
+        f"({len(split.test)} test traces"
         + (f", continuous over {max_slots} slots" if max_slots else "")
         + ") ...",
         file=out,

@@ -9,6 +9,9 @@ three surviving outputs".
 
 Both signals are continuous; the k-window variance rule in
 :mod:`repro.core.thresholding` converts them into defaulting decisions.
+Both reject a non-finite observation with :class:`SafetyError` before
+any forward: a ReLU maps NaN to zero, so a poisoned feature would
+otherwise be scored as if it were a real one.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.signals import SIGNALS, UncertaintySignal
+from repro.core.thresholding import check_finite_values
 from repro.errors import ReproError, SafetyError
 from repro.nn.losses import kl_divergence
 from repro.perf import fast_paths_enabled
@@ -201,6 +205,7 @@ class PolicyEnsembleSignal(UncertaintySignal):
         self._stacked = _try_stack_actors(self.agents)
 
     def measure(self, observation: np.ndarray) -> float:
+        check_finite_values(observation, "observation value")
         if self._stacked is not None and fast_paths_enabled():
             distributions = self._stacked.probabilities(observation)
         else:
@@ -218,6 +223,7 @@ class PolicyEnsembleSignal(UncertaintySignal):
         batch-shape accumulation (see
         :meth:`repro.pensieve.stacked.StackedActorEnsemble.probabilities_batch`).
         """
+        check_finite_values(observations, "observation value")
         if self._stacked is None or not fast_paths_enabled():
             return super().measure_batch(observations)
         distributions = self._stacked.probabilities_batch(observations)
@@ -251,6 +257,7 @@ class ValueEnsembleSignal(UncertaintySignal):
         self._stacked = _try_stack_critics(self.value_functions)
 
     def measure(self, observation: np.ndarray) -> float:
+        check_finite_values(observation, "observation value")
         if self._stacked is not None and fast_paths_enabled():
             values = self._stacked.values(observation)
         else:
@@ -262,6 +269,7 @@ class ValueEnsembleSignal(UncertaintySignal):
     def measure_batch(self, observations: np.ndarray) -> np.ndarray:
         """``U_V`` for one observation per concurrent session (same
         contract as :meth:`PolicyEnsembleSignal.measure_batch`)."""
+        check_finite_values(observations, "observation value")
         if self._stacked is None or not fast_paths_enabled():
             return super().measure_batch(observations)
         values = self._stacked.values_batch(observations)

@@ -127,9 +127,8 @@ class SessionFactory(ABC):
 
     The serve engine and the runners here are written against this
     interface alone — they construct environments and records without
-    knowing the domain.  Factories must be picklable (they ship to shard
-    worker processes inside the serving context) and stateless across
-    sessions (one factory serves any number of concurrent sessions).
+    knowing the domain.  Factories must be stateless across sessions
+    (one factory serves any number of concurrent sessions).
     """
 
     #: Registry key of the owning domain (``"abr"``, ``"cc"``, ...).

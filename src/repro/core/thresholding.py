@@ -108,16 +108,17 @@ class DefaultTrigger:
             )
 
 
-def check_finite_values(values: np.ndarray) -> None:
+def check_finite_values(values: np.ndarray, what: str = "signal value") -> None:
     """Raise :class:`SafetyError` naming the first non-finite value.
 
     The vectorized counterpart of the scalar triggers' per-value check;
     runs *before* any row state is touched so a poisoned wave never
-    half-updates the bank.
+    half-updates the bank.  The ensemble signals run it over their
+    input observations (*what* names the values in the message).
     """
     if not np.isfinite(values).all():
         bad = values[~np.isfinite(values)][0]
-        raise SafetyError(f"non-finite signal value {bad}")
+        raise SafetyError(f"non-finite {what} {bad}")
 
 
 @TRIGGERS.register("consecutive")

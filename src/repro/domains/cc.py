@@ -240,8 +240,7 @@ class CCStateIndexer:
     Bins the newest (delivered throughput, loss fraction, queue delay)
     sample: 9 throughput bins (the ladder's rungs, left-side search)
     x 3 loss bins x 3 delay bins = 81 states; a non-finite sample raises
-    :class:`~repro.errors.SimulationError`.  A plain picklable object (no
-    closures) so trained agents ship to serve workers.
+    :class:`~repro.errors.SimulationError`.
     """
 
     def __call__(self, observation: np.ndarray) -> int:

@@ -12,10 +12,8 @@ pool is irrecoverable.  The :mod:`repro.parallel.chaos` harness injects
 deterministic faults at the executor's and the trainers' hook sites so
 all of the above is tested against real kills, raises, and stalls.
 
-:mod:`repro.parallel.shm` complements the executor with zero-copy
-context publication: one pickled-with-buffers copy of a heavyweight
-worker context (ensemble weights included) in a shared-memory block,
-mapped read-only by every worker instead of re-pickled per worker.
+Serving (:mod:`repro.serve`) never goes through the executor: the
+serve engine runs in-process whatever ``REPRO_MAX_WORKERS`` says.
 """
 
 from repro.parallel.executor import (
@@ -27,13 +25,6 @@ from repro.parallel.executor import (
     resolve_task_retries,
     resolve_task_timeout,
 )
-from repro.parallel.shm import (
-    PayloadHandle,
-    SharedPayload,
-    attach_payload,
-    publish_payload,
-    shm_enabled,
-)
 
 __all__ = [
     "parallel_map",
@@ -43,9 +34,4 @@ __all__ = [
     "resolve_pool_respawns",
     "backoff_delay",
     "in_worker",
-    "PayloadHandle",
-    "SharedPayload",
-    "attach_payload",
-    "publish_payload",
-    "shm_enabled",
 ]

@@ -29,10 +29,9 @@ Layering: this package sits above :mod:`repro.core` (monitors) and the
 :mod:`repro.experiments` — enforced by ``tools/check_layers.py``, which
 also pins this package to the registry root: no workload module
 (``repro.abr``, ``repro.pensieve``, …) is imported here directly.
-Sharding across worker processes reuses
-:mod:`repro.parallel`, publishing the serving context zero-copy through
-:mod:`repro.parallel.shm`; per-engine metrics flow through
-:mod:`repro.obs` (``serve.sessions``, ``serve.steps``,
+Serving runs in this process only — ``REPRO_MAX_WORKERS`` sizes the
+training and suite-build pools, never the engine; per-engine metrics
+flow through :mod:`repro.obs` (``serve.sessions``, ``serve.steps``,
 ``serve.batch_size``, ``serve.wall_seconds``, ``serve.wave_occupancy``,
 ``serve.slot_reuse``).
 """

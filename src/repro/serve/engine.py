@@ -37,21 +37,16 @@ one-call session function runs through) bitwise as long as its monitor
 decisions match.  Batched signal values can differ from the
 per-session path in the last ulp (BLAS accumulation order depends on
 the batch shape), which could in principle flip a trigger comparison
-exactly at the threshold; ``batch_signals=False`` measures row by row
-with the scalar ``measure`` and makes the engine bitwise-exact
-unconditionally, as does running with fast paths off, which also acts
-row by row and keeps measuring settled rows like the scalar monitor.
-The vectorized trigger banks themselves are bitwise-exact
+exactly at the threshold; the serial runner measures one observation
+at a time and is the unconditionally bitwise-exact path, as is the
+engine with fast paths off, which also measures and acts row by row
+and keeps measuring settled rows like the scalar monitor.  The
+vectorized trigger banks themselves are bitwise-exact
 (:mod:`repro.core.thresholding`); every trigger the engine serves must
 provide one (:meth:`~repro.core.thresholding.DefaultTrigger.make_table`).
 
-Sharding: ``run(specs, max_workers=W)`` splits the sessions into W
-contiguous shards and serves each shard in its own worker process
-through :mod:`repro.parallel`.  The serving context — ensembles
-included — is published once into a shared-memory block
-(:mod:`repro.parallel.shm`) that workers map read-only, so sharded runs
-stop re-pickling ensemble weights per worker; set ``REPRO_DISABLE_SHM``
-to fall back to plain pickling.
+Serving is in-process only: ``REPRO_MAX_WORKERS`` sizes the training
+and suite-build pools (:mod:`repro.parallel`), never the engine.
 """
 
 from __future__ import annotations
@@ -68,8 +63,6 @@ from repro.core.thresholding import DefaultTrigger
 from repro.domains import MonitoredSessionResult, SessionFactory, SessionSpec
 from repro.errors import ConfigError, SafetyError
 from repro.mdp.interfaces import Policy
-from repro.parallel import in_worker, parallel_map, resolve_max_workers
-from repro.parallel.shm import publish_payload, shm_enabled
 from repro.perf import fast_paths_enabled
 from repro.serve.table import SessionTable
 from repro.util.rng import rng_from_seed
@@ -103,7 +96,6 @@ class ServeEngine:
         trigger: DefaultTrigger,
         allow_revert: bool = False,
         name: str = "serve",
-        batch_signals: bool = True,
         max_slots: int | None = None,
     ) -> None:
         if learned is default:
@@ -123,7 +115,6 @@ class ServeEngine:
         self.trigger = trigger
         self.allow_revert = allow_revert
         self.name = name
-        self.batch_signals = batch_signals
         self.max_slots = max_slots
 
     @classmethod
@@ -131,7 +122,6 @@ class ServeEngine:
         cls,
         controller: SafetyController,
         factory: SessionFactory,
-        batch_signals: bool = True,
         max_slots: int | None = None,
     ) -> "ServeEngine":
         """An engine that serves sessions under *controller*'s scheme."""
@@ -143,7 +133,6 @@ class ServeEngine:
             trigger=controller.trigger,
             allow_revert=controller.allow_revert,
             name=controller.name,
-            batch_signals=batch_signals,
             max_slots=max_slots,
         )
 
@@ -157,88 +146,17 @@ class ServeEngine:
         )
         return prototype.fork()
 
-    def run(
-        self,
-        specs: list[SessionSpec],
-        max_workers: int | None = None,
-    ) -> list[MonitoredSessionResult]:
-        """Serve every session in *specs*; results come back in order.
+    def run(self, specs: list[SessionSpec]) -> list[MonitoredSessionResult]:
+        """Serve *specs* in this process; results come back in order.
 
-        ``max_workers > 1`` shards the sessions into contiguous groups
-        and serves each group in its own worker process (one shared
-        context per worker, published through shared memory when
-        available); otherwise everything runs in-process.  A given
-        session's result is the same either way.
-        """
-        specs = list(specs)
-        if not specs:
-            return []
-        workers = resolve_max_workers(max_workers)
-        if workers <= 1 or len(specs) == 1 or in_worker():
-            return self.run_inprocess(specs)
-        from repro.serve import worker as serve_worker
-
-        shards = [
-            [int(i) for i in shard]
-            for shard in np.array_split(np.arange(len(specs)), min(workers, len(specs)))
-            if len(shard)
-        ]
-        context = dict(
-            factory=self.factory,
-            learned=self.learned,
-            default=self.default,
-            signal=self.signal,
-            trigger=self.trigger,
-            allow_revert=self.allow_revert,
-            name=self.name,
-            batch_signals=self.batch_signals,
-            max_slots=self.max_slots,
-            specs=specs,
-        )
-        shared = None
-        if shm_enabled():
-            try:
-                shared = publish_payload(context)
-            except Exception:
-                # Anything unexpected (exotic unpicklable buffer layouts,
-                # exhausted /dev/shm) falls back to plain pickling; the
-                # results are identical either way.
-                shared = None
-        if shared is not None and obs.enabled():
-            obs.observe(
-                "serve.shm_bytes", float(shared.size), engine=self.name
-            )
-        try:
-            shard_results = parallel_map(
-                serve_worker.serve_shard,
-                shards,
-                max_workers=workers,
-                initializer=serve_worker.init_serve,
-                initargs=(shared.handle if shared is not None else context,),
-                chunk_size=1,
-            )
-        finally:
-            # Unlink only after the pool is done: a respawned worker must
-            # still be able to attach by name mid-run.
-            if shared is not None:
-                shared.unlink()
-        return [result for shard in shard_results for result in shard]
-
-    def run_inprocess(
-        self, specs: list[SessionSpec]
-    ) -> list[MonitoredSessionResult]:
-        """Serve *specs* in this process through the continuous kernel.
-
-        Stateful signals (``U_S``), ``batch_signals=False`` and fast
-        paths off measure each row alone with the scalar ``measure``:
-        the unconditionally bitwise-exact mode.
+        Every session goes through the continuous kernel; stateful
+        signals (``U_S``) and fast paths off measure each row alone with
+        the scalar ``measure``.
         """
         specs = list(specs)
         watching = obs.enabled()
         start = time.perf_counter() if watching else 0.0
-        with obs.span(
-            "serve.run_inprocess", engine=self.name, sessions=len(specs)
-        ):
+        with obs.span("serve.run", engine=self.name, sessions=len(specs)):
             results, total_steps = self._run_continuous(specs, watching)
         if watching:
             wall = time.perf_counter() - start
@@ -251,6 +169,10 @@ class ServeEngine:
                     engine=self.name,
                 )
         return results
+
+    # perfbench/ calls the kernel by this name and is frozen under
+    # BENCHMARK.json's ``paths``.
+    run_inprocess = run
 
     def _run_continuous(
         self, specs: list[SessionSpec], watching: bool
@@ -274,7 +196,7 @@ class ServeEngine:
         allow_revert = self.allow_revert
         fast = fast_paths_enabled()
         # A stateful signal is copied per slot and measured row by row.
-        batch_measure = fast and self.batch_signals and signal.stateless
+        batch_measure = fast and signal.stateless
         # Probed once per run: a learned policy without ``act_batch``
         # costs one check per wave and nothing per row.
         act_batch = getattr(learned, "act_batch", None) if fast else None
@@ -403,8 +325,8 @@ class ServeEngine:
                         engine=self.name,
                     )
             else:
-                # A lone row, a stateful signal or unbatched measurement:
-                # each row's own signal through the scalar measure,
+                # A lone row, a stateful signal or fast paths off: each
+                # row's own signal through the scalar measure,
                 # exactly like the serial reference.
                 values = np.array(
                     [
@@ -513,15 +435,8 @@ def serve_sessions(
     controller: SafetyController,
     factory: SessionFactory,
     specs: list[SessionSpec],
-    max_workers: int | None = None,
-    batch_signals: bool = True,
     max_slots: int | None = None,
 ) -> list[MonitoredSessionResult]:
     """One-call serving: N sessions under *controller*'s scheme."""
-    engine = ServeEngine.from_controller(
-        controller,
-        factory,
-        batch_signals=batch_signals,
-        max_slots=max_slots,
-    )
-    return engine.run(specs, max_workers=max_workers)
+    engine = ServeEngine.from_controller(controller, factory, max_slots=max_slots)
+    return engine.run(specs)

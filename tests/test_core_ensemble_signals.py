@@ -13,6 +13,10 @@ from repro.core.ensemble_signals import (
     value_disagreement_batch,
 )
 from repro.errors import SafetyError
+from repro.pensieve.agent import PensieveAgent, PensieveValueFunction
+from repro.pensieve.model import ActorNetwork, CriticNetwork
+from repro.perf import fast_paths
+from repro.util.rng import rng_from_seed
 
 
 class _FixedPolicy:
@@ -38,6 +42,30 @@ class _FixedValue:
 
 
 OBS = np.zeros((6, 8))
+BITRATES = [300.0, 750.0, 1200.0, 1850.0, 2850.0, 4300.0]
+
+
+def _pensieve_signal(kind: str):
+    """A randomized 5-member ensemble signal that stacks its forwards."""
+    rngs = [rng_from_seed(10 + i) for i in range(5)]
+    if kind == "U_pi":
+        actors = [ActorNetwork(6, rng, filters=8, hidden=32) for rng in rngs]
+        return PolicyEnsembleSignal(
+            [PensieveAgent(BITRATES, actor) for actor in actors], trim=2
+        )
+    critics = [CriticNetwork(6, rng, filters=8, hidden=32) for rng in rngs]
+    return ValueEnsembleSignal(
+        [PensieveValueFunction(critic) for critic in critics], trim=2
+    )
+
+
+def _fixed_signal(kind: str):
+    """A 5-member ensemble that ignores its input: the member loop."""
+    if kind == "U_pi":
+        return PolicyEnsembleSignal(
+            [_FixedPolicy(p) for p in np.eye(3)[[0, 1, 2, 0, 1]]], trim=2
+        )
+    return ValueEnsembleSignal([_FixedValue(v) for v in range(5)], trim=2)
 
 
 class TestTrimByDistance:
@@ -134,6 +162,41 @@ class TestValueEnsembleSignal:
     def test_too_small_ensemble_rejected(self):
         with pytest.raises(SafetyError):
             ValueEnsembleSignal([_FixedValue(1.0)], trim=0)
+
+
+class TestNonFiniteObservations:
+    """A NaN feature must not be scored: the Pensieve ReLU would read it
+    as a zero activation and the signal would return a plausible value.
+    """
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["U_pi", "U_V"])
+    @pytest.mark.parametrize("make", [_pensieve_signal, _fixed_signal])
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_measure_rejects(self, make, kind, value, fast):
+        signal = make(kind)
+        observation = rng_from_seed(0).normal(size=(6, 8))
+        observation[1, -1] = value
+        with fast_paths(fast), pytest.raises(SafetyError, match="non-finite"):
+            signal.measure(observation)
+
+    @pytest.mark.parametrize("kind", ["U_pi", "U_V"])
+    @pytest.mark.parametrize("make", [_pensieve_signal, _fixed_signal])
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_measure_batch_rejects(self, make, kind, fast):
+        signal = make(kind)
+        observations = rng_from_seed(1).normal(size=(4, 6, 8))
+        observations[2, 1, -1] = np.nan
+        with fast_paths(fast), pytest.raises(SafetyError, match="non-finite"):
+            signal.measure_batch(observations)
+
+    @pytest.mark.parametrize("kind", ["U_pi", "U_V"])
+    def test_finite_observations_still_scored(self, kind):
+        signal = _pensieve_signal(kind)
+        assert signal._stacked is not None
+        observations = rng_from_seed(2).normal(size=(3, 6, 8))
+        assert np.isfinite(signal.measure_batch(observations)).all()
+        assert np.isfinite(signal.measure(observations[0]))
 
 
 class TestBatchedReductions:

@@ -321,7 +321,7 @@ class TestDemoSchemeOSAP:
             factory, scheme.learned, scheme.default, scheme.signal, scheme.trigger
         )
         with pytest.raises(SimulationError, match="non-finite delivered rate"):
-            engine.run_inprocess([spec, SessionSpec(trace=split.test[1], seed=1)])
+            engine.run([spec, SessionSpec(trace=split.test[1], seed=1)])
 
     #: sha256 of each session's records and observation stack, computed
     #: when the runner lived in :mod:`repro.domains.runner`.

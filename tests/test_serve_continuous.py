@@ -145,7 +145,7 @@ class TestContinuousExactness:
             max_slots=min(max_slots, num_specs),
             allow_revert=allow_revert,
         )
-        served = [_fingerprint(r) for r in engine.run_inprocess(specs)]
+        served = [_fingerprint(r) for r in engine.run(specs)]
         reference = [_fingerprint(r) for r in _solo_reference(engine, specs)]
         assert served == reference
 
@@ -156,8 +156,8 @@ class TestContinuousExactness:
         ]
         unlimited = _engine(manifest, TRIGGERS["variance"]())
         limited = _engine(manifest, TRIGGERS["variance"](), max_slots=2)
-        assert [_fingerprint(r) for r in limited.run_inprocess(specs)] == [
-            _fingerprint(r) for r in unlimited.run_inprocess(specs)
+        assert [_fingerprint(r) for r in limited.run(specs)] == [
+            _fingerprint(r) for r in unlimited.run(specs)
         ]
 
     def test_max_slots_validated(self, manifest):
@@ -173,7 +173,7 @@ class TestContinuousMetrics:
         ]
         engine = _engine(manifest, TRIGGERS["variance"](), max_slots=2)
         with obs.collecting() as run:
-            engine.run_inprocess(specs)
+            engine.run(specs)
         names = {record.get("name") for record in run.records()}
         assert "serve.wave_occupancy" in names
         assert "serve.slot_reuse" in names
@@ -193,7 +193,7 @@ class TestContinuousMetrics:
         ]
         engine = _engine(manifest, TRIGGERS["variance"](), max_slots=2)
         with obs.collecting() as run:
-            engine.run_inprocess(specs)
+            engine.run(specs)
         occupancy = [
             record
             for record in run.records()
@@ -257,7 +257,7 @@ class TestBatchedAct:
             allow_revert=allow_revert,
         )
         spy = engine.learned = _SpyBatchPolicy(1, len(manifest.bitrates_kbps))
-        served = [_fingerprint(r) for r in engine.run_inprocess(specs)]
+        served = [_fingerprint(r) for r in engine.run(specs)]
         batches, single_acts = spy.batches, spy.single_acts
         assert batches == [n for n in learned_per_wave if n >= 2]
         assert single_acts == learned_per_wave.count(1)
@@ -293,18 +293,13 @@ class TestPensieveThroughKernel:
         ]
 
     @pytest.mark.parametrize("scheme", SCHEMES)
-    @pytest.mark.parametrize(
-        "mode", ["batched", "slot-limited", "unbatched", "fast-paths-off"]
-    )
+    @pytest.mark.parametrize("mode", ["batched", "slot-limited", "fast-paths-off"])
     def test_matches_serial_reference(self, manifest, specs, scheme, mode):
-        kwargs = {
-            "slot-limited": {"max_slots": 2},
-            "unbatched": {"batch_signals": False},
-        }.get(mode, {})
+        kwargs = {"slot-limited": {"max_slots": 2}}.get(mode, {})
         engine = _pensieve_engine(manifest, scheme, **kwargs)
         with fast_paths(mode != "fast-paths-off"):
             reference = [_fingerprint(r) for r in _serial_reference(engine, specs)]
-            served = [_fingerprint(r) for r in engine.run_inprocess(specs)]
+            served = [_fingerprint(r) for r in engine.run(specs)]
         assert served == reference
         flags = [chunk[-1] for result in served for chunk in result[1]]
         assert any(flags) and not all(flags)
@@ -312,7 +307,7 @@ class TestPensieveThroughKernel:
     def test_stateful_signal_gets_a_copy_per_slot(self, manifest, specs):
         engine = _pensieve_engine(manifest, "U_S", max_slots=2)
         before = engine.signal.state_dict()
-        engine.run_inprocess(specs)
+        engine.run(specs)
         # The prototype never measured: every slot used its own copy.
         assert engine.signal.state_dict() == before
 

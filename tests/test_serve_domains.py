@@ -1,9 +1,9 @@
 """The serve engine over a non-ABR domain: CC through the SoA kernel.
 
-The acceptance property mirrors the ABR one: every engine path —
-continuous batching with slot reuse, unbatched row-by-row measurement —
-must reproduce :func:`repro.core.runner.run_monitored_session`
-chunk-for-chunk for the congestion-control domain.  The CC demo trigger
+The acceptance property mirrors the ABR one: the engine — continuous
+batching, with and without slot reuse — must reproduce
+:func:`repro.core.runner.run_monitored_session` chunk-for-chunk for the
+congestion-control domain.  The CC demo trigger
 is a CUSUM, which vectorizes (``make_table``), so the default engine
 path here is the continuous-batching kernel; the tabular signal's fused
 gather+softmax makes batch and scalar measurements bitwise-equal, so
@@ -105,21 +105,9 @@ class TestCCThroughTheEngine:
         results = _engine(scheme, max_slots=2).run(specs)
         assert [_fingerprint(r) for r in results] == references
 
-    def test_unbatched_sequential_path_identical(
-        self, scheme, specs, references
-    ):
-        results = _engine(scheme, batch_signals=False).run(specs)
-        assert [_fingerprint(r) for r in results] == references
-
     def test_shifted_sessions_defaulted_in_dist_did_not(self, scheme, specs):
         results = _engine(scheme).run(specs)
         assert results[0].default_fraction == 0.0
         assert results[1].default_fraction == 0.0
         assert results[2].default_fraction > 0.0
 
-    def test_worker_sharding_matches_inprocess(self, scheme, specs):
-        inprocess = _engine(scheme).run(specs, max_workers=1)
-        sharded = _engine(scheme).run(specs, max_workers=2)
-        assert [_fingerprint(r) for r in sharded] == [
-            _fingerprint(r) for r in inprocess
-        ]

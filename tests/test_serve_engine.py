@@ -1,9 +1,8 @@
 """Tests for repro.serve: the multi-session serving engine.
 
 The load-bearing property is *exactness*: a session served by the engine
-— interleaved with others, its signal measured through the batched path,
-possibly on a worker process — must be chunk-for-chunk identical to the
-same spec run alone through
+— interleaved with others, its signal measured through the batched path —
+must be chunk-for-chunk identical to the same spec run alone through
 :func:`repro.abr.session.run_monitored_session`.
 """
 
@@ -152,14 +151,7 @@ class TestEngineExactness:
     def test_batched_engine_matches_serial_loop(self, manifest, specs, scheme):
         engine = _engine(manifest, scheme)
         reference = [_fingerprint(r) for r in _serial_reference(engine, specs)]
-        served = [_fingerprint(r) for r in engine.run_inprocess(specs)]
-        assert served == reference
-
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_unbatched_engine_matches_serial_loop(self, manifest, specs, scheme):
-        engine = _engine(manifest, scheme, batch_signals=False)
-        reference = [_fingerprint(r) for r in _serial_reference(engine, specs)]
-        served = [_fingerprint(r) for r in engine.run_inprocess(specs)]
+        served = [_fingerprint(r) for r in engine.run(specs)]
         assert served == reference
 
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -167,26 +159,39 @@ class TestEngineExactness:
         engine = _engine(manifest, scheme)
         with fast_paths(False):
             reference = [_fingerprint(r) for r in _serial_reference(engine, specs)]
-            served = [_fingerprint(r) for r in engine.run_inprocess(specs)]
+            served = [_fingerprint(r) for r in engine.run(specs)]
         assert served == reference
-
-    def test_sharded_matches_inprocess(self, manifest, specs, monkeypatch):
-        # The pool size is capped at os.cpu_count(); pretend this machine
-        # has enough cores so workers=2 exercises a real pool on 1-CPU CI.
-        monkeypatch.setattr(
-            "repro.parallel.executor.os.cpu_count", lambda: 4
-        )
-        engine = _engine(manifest, "U_pi")
-        inprocess = [_fingerprint(r) for r in engine.run_inprocess(specs)]
-        sharded = [
-            _fingerprint(r) for r in engine.run(specs, max_workers=2)
-        ]
-        assert sharded == inprocess
 
     def test_result_order_follows_spec_order(self, manifest, specs):
         engine = _engine(manifest, "U_V")
-        results = engine.run_inprocess(specs)
+        results = engine.run(specs)
         assert [r.policy_name for r in results] == [s.name for s in specs]
+
+
+class _PoisonedEnv:
+    """An env whose first observation carries a NaN throughput sample."""
+
+    def __init__(self, env) -> None:
+        self._env = env
+
+    def reset(self):
+        observation = self._env.reset().copy()
+        observation[1, -1] = np.nan
+        return observation
+
+    def step(self, action):
+        return self._env.step(action)
+
+
+class _PoisonedFactory:
+    def __init__(self, factory) -> None:
+        self._factory = factory
+
+    def __getattr__(self, name):
+        return getattr(self._factory, name)
+
+    def new_env(self, spec):
+        return _PoisonedEnv(self._factory.new_env(spec))
 
 
 class TestEngineContract:
@@ -210,6 +215,10 @@ class TestEngineContract:
     def test_empty_specs(self, manifest):
         assert _engine(manifest, "U_pi").run([]) == []
 
+    def test_run_inprocess_is_run(self):
+        # perfbench serves through the old name.
+        assert ServeEngine.run_inprocess is ServeEngine.run
+
     def test_stateful_signal_copied_per_session(self, manifest):
         engine = _engine(manifest, "U_S")
         first, second = engine.spawn_monitor(), engine.spawn_monitor()
@@ -229,9 +238,19 @@ class TestEngineContract:
             trigger=engine.trigger,
             name="U_pi",
         )
-        direct = [_fingerprint(r) for r in engine.run_inprocess(specs)]
+        direct = [_fingerprint(r) for r in engine.run(specs)]
         via_helper = [
             _fingerprint(r)
             for r in serve_sessions(controller, engine.factory, specs)
         ]
         assert via_helper == direct
+
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("scheme", ["U_pi", "U_V"])
+    def test_non_finite_observation_fails_loudly(self, manifest, specs, scheme, count):
+        # One session measures with the scalar ``measure``, several with
+        # ``measure_batch``; both reject the observation itself.
+        engine = _engine(manifest, scheme)
+        engine.factory = _PoisonedFactory(engine.factory)
+        with pytest.raises(SafetyError, match="non-finite observation"):
+            engine.run(specs[:count])

@@ -9,8 +9,8 @@ documented contract:
   the threshold does **not** fire;
 * one ulp below the threshold keeps the trigger silent, and the
   threshold nudged one ulp below the value makes it fire — on the
-  batched path, the scalar path, and ``batch_signals=False`` alike,
-  producing identical trajectories.
+  engine's batched path and the serial runner alike, producing
+  identical trajectories.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.runner import run_monitored_session
 from repro.core.strategies import CusumTrigger, EWMATrigger, HysteresisTrigger
 from repro.core.thresholding import ConsecutiveTrigger, VarianceTrigger
 from repro.domains import get_domain
@@ -62,7 +63,7 @@ def specs(traces):
     ]
 
 
-def _engine(manifest, signal, trigger, **kwargs):
+def _engine(manifest, signal, trigger):
     return ServeEngine(
         factory=get_domain("abr").session_factory(manifest=manifest),
         learned=_ObsPolicy(1, len(manifest.bitrates_kbps)),
@@ -70,7 +71,6 @@ def _engine(manifest, signal, trigger, **kwargs):
         signal=signal,
         trigger=trigger,
         name="ulp",
-        **kwargs,
     )
 
 
@@ -152,20 +152,27 @@ class TestScalarTriggersAtThreshold:
 
 
 class TestEngineAtThreshold:
-    """Both serving paths agree on the documented at-threshold decision."""
+    """The batched engine and the serial runner agree on the documented
+    at-threshold decision."""
 
     def _fingerprints(self, manifest, specs, signal_value, bar):
-        batched = _engine(
+        engine = _engine(
             manifest, _ConstantSignal(signal_value),
             EWMATrigger(bar=bar, alpha=1.0),
         )
-        exact = _engine(
-            manifest, _ConstantSignal(signal_value),
-            EWMATrigger(bar=bar, alpha=1.0),
-            batch_signals=False,
-        )
-        batched_prints = [_fingerprint(r) for r in batched.run_inprocess(specs)]
-        exact_prints = [_fingerprint(r) for r in exact.run_inprocess(specs)]
+        batched_prints = [_fingerprint(r) for r in engine.run(specs)]
+        exact_prints = [
+            _fingerprint(
+                run_monitored_session(
+                    engine.factory,
+                    spec,
+                    engine.learned,
+                    engine.default,
+                    engine.spawn_monitor(),
+                )
+            )
+            for spec in specs
+        ]
         return batched_prints, exact_prints
 
     def test_exactly_at_threshold_stays_learned_on_both_paths(

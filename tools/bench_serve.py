@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Benchmark gate for the multi-session serving engine.
 
-Serves the same 16 concurrent monitored sessions four ways and demands
+Serves the same 16 concurrent monitored sessions three ways and demands
 chunk-for-chunk identical trajectories:
 
 * ``legacy``  — per-session evaluation with fast paths disabled
@@ -10,13 +10,9 @@ chunk-for-chunk identical trajectories:
   pre-optimization deployment pattern),
 * ``serial``  — the same per-session loop with fast paths enabled
   (isolates the already-committed vectorization),
-* ``batched`` — :meth:`ServeEngine.run_inprocess`, the
-  continuous-batching SoA kernel: waves gathered from the
-  structure-of-arrays session table, one batched ensemble forward and
-  one vectorized monitor fold per wave,
-* ``sharded`` — ``ServeEngine.run(max_workers=W)``, contiguous session
-  shards served by a process pool (a wash on single-core runners,
-  reported for the perf trajectory on wider machines).
+* ``batched`` — :meth:`ServeEngine.run`, the continuous-batching SoA
+  kernel: waves gathered from the structure-of-arrays session table,
+  one batched ensemble forward and one vectorized monitor fold per wave.
 
 The headline number is legacy per-session evaluation vs. the batched
 engine; the full run asserts it is >= 2x at 16 sessions for every
@@ -66,7 +62,6 @@ import dataclasses
 from repro.abr.suite import build_safety_suite
 from repro.core.osap import SafetyConfig
 from repro.domains import apply_scenario, get_domain, run_monitored_session
-from repro.parallel import resolve_max_workers
 from repro.pensieve.training import TrainingConfig
 from repro.perf import fast_paths
 from repro.policies.buffer_based import BufferBasedPolicy
@@ -185,7 +180,6 @@ def bench_scheme(
     name: str,
     engine: ServeEngine,
     specs: list[SessionSpec],
-    workers: int,
     repeats: int,
     smoke: bool,
 ) -> dict:
@@ -201,14 +195,8 @@ def bench_scheme(
         lambda: run_serial(engine, specs), repeats
     )
     print(f"  optimized serial : {serial:8.3f}s  {[round(w, 3) for w in serial_runs]}")
-    batched, batched_runs, batched_results = _timed(
-        lambda: engine.run_inprocess(specs), repeats
-    )
+    batched, batched_runs, batched_results = _timed(lambda: engine.run(specs), repeats)
     print(f"  engine batched   : {batched:8.3f}s  {[round(w, 3) for w in batched_runs]}")
-    sharded, sharded_runs, sharded_results = _timed(
-        lambda: engine.run(specs, max_workers=workers), repeats
-    )
-    print(f"  engine {workers} workers : {sharded:8.3f}s  {[round(w, 3) for w in sharded_runs]}")
 
     # Continuous admission through the slot free-list: halving the slots
     # forces sessions to join mid-run, and must not change a single chunk.
@@ -221,16 +209,14 @@ def bench_scheme(
         trigger=engine.trigger,
         allow_revert=engine.allow_revert,
         name=engine.name,
-        batch_signals=engine.batch_signals,
         max_slots=max_slots,
     )
-    slotted_results = slotted_engine.run_inprocess(specs)
+    slotted_results = slotted_engine.run(specs)
 
     reference = [fingerprint(result) for result in legacy_results]
     for variant, results in (
         ("serial", serial_results),
         ("batched", batched_results),
-        ("sharded", sharded_results),
         (f"slot-limited (max_slots={max_slots})", slotted_results),
     ):
         if [fingerprint(result) for result in results] != reference:
@@ -248,7 +234,6 @@ def bench_scheme(
     print(
         f"  speedup: {total:.2f}x total "
         f"({legacy / serial:.2f}x vectorization x {batching:.2f}x batching; "
-        f"sharded {legacy / sharded:.2f}x; "
         f"{steps / legacy:.0f} -> {steps / batched:.0f} steps/s)"
     )
     if not smoke:
@@ -274,8 +259,6 @@ def bench_scheme(
         "legacy_serial_s": legacy,
         "optimized_serial_s": serial,
         "batched_s": batched,
-        "sharded_s": sharded,
-        "workers": workers,
         "max_slots_checked": max_slots,
         "legacy_steps_per_second": steps / legacy,
         "batched_steps_per_second": steps / batched,
@@ -301,9 +284,6 @@ def main(argv: list[str] | None = None) -> int:
         help=f"concurrent sessions (default: {SESSIONS}, smoke: 8)",
     )
     parser.add_argument(
-        "--workers", type=int, default=4, help="pool size for the sharded variant"
-    )
-    parser.add_argument(
         "--repeats",
         type=int,
         default=None,
@@ -327,9 +307,7 @@ def main(argv: list[str] | None = None) -> int:
     schemes = {}
     for scheme in ("ND", "A-ensemble", "V-ensemble"):
         engine = ServeEngine.from_controller(suite.controllers()[scheme], factory)
-        schemes[scheme] = bench_scheme(
-            scheme, engine, specs, args.workers, repeats, args.smoke
-        )
+        schemes[scheme] = bench_scheme(scheme, engine, specs, repeats, args.smoke)
 
     # Second domain through the identical gauntlet: the CC demo scheme
     # (tabular Q ensemble + CUSUM) over its provisioned trace corpus,
@@ -362,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
         name=cc_scheme.name,
     )
     schemes["cc-demo"] = bench_scheme(
-        "cc-demo", cc_engine, cc_specs, args.workers, repeats, args.smoke
+        "cc-demo", cc_engine, cc_specs, repeats, args.smoke
     )
 
     if args.smoke:
@@ -375,7 +353,6 @@ def main(argv: list[str] | None = None) -> int:
             "cpu_count": os.cpu_count(),
             "platform": platform.platform(),
             "python": platform.python_version(),
-            "default_max_workers": resolve_max_workers(),
         },
         "sessions": sessions,
         "min_speedup_gate": MIN_SPEEDUP,
