@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.abr.session import run_session
-from repro.core.controller import SafetyController
+from repro.core.monitor import SafetyController
 from repro.core.thresholding import ConsecutiveTrigger
 from repro.policies.buffer_based import BufferBasedPolicy
 from repro.policies.mpc import RobustMPCPolicy

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from repro.abr.session import run_session
-from repro.core.controller import SafetyController
 from repro.core.ensemble_signals import ValueEnsembleSignal
+from repro.core.monitor import SafetyController
 from repro.core.thresholding import VarianceTrigger
 from repro.policies.buffer_based import BufferBasedPolicy
 from repro.traces.dataset import make_dataset

@@ -11,7 +11,7 @@ shift grows, and the controlled curve tracking max(learned, BB).
 import numpy as np
 import pytest
 
-from repro.core.controller import SafetyController
+from repro.core.monitor import SafetyController
 from repro.core.thresholding import ConsecutiveTrigger
 from repro.experiments.robustness import capacity_loss_shift, graded_shift_curve
 from repro.policies.buffer_based import BufferBasedPolicy

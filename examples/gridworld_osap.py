@@ -13,7 +13,7 @@ Run:  python examples/gridworld_osap.py     (a few seconds)
 
 import numpy as np
 
-from repro.core.controller import SafetyController
+from repro.core.monitor import SafetyController
 from repro.core.signals import UncertaintySignal
 from repro.core.thresholding import ConsecutiveTrigger
 from repro.mdp.gridworld import GridWorld, make_shifted_gridworld

@@ -11,11 +11,11 @@ its training distribution, and default to a safe policy when it is:
   disagreement) and ``U_V`` (value-ensemble disagreement), with the
   paper's top-2 outlier trimming.
 * :mod:`repro.core.thresholding` — the k-window variance and l-consecutive
-  defaulting rules.
+  defaulting rules, each one bank of per-session rows.
 * :mod:`repro.core.monitor` — :class:`~repro.core.monitor.SafetyMonitor`,
   the serializable step-stream state machine, and
   :class:`~repro.core.monitor.SafetyController`, its policy-facing
-  adapter (re-exported from :mod:`repro.core.controller`).
+  adapter.
 * :mod:`repro.core.runner` — the one session loop (the monitor decides,
   then the chosen policy acts) and the interface a workload plugs into
   it: :class:`~repro.core.runner.SessionSpec`,

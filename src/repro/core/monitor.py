@@ -1,13 +1,16 @@
 """The streaming safety monitor: OSAP as a step-stream state machine.
 
 This module is the single home of the paper's online decision rule.
-:class:`SafetyMonitor` consumes one observation per decision step
-(:meth:`~SafetyMonitor.observe`) and answers with a
-:class:`MonitorDecision` — measure the uncertainty signal, fold it into
-the trigger, and track the default/recover mode — without knowing
-anything about policies, environments, or sessions.  Because its full
-state (signal windows, trigger counters, mode, step counters) is
-serializable (:meth:`~SafetyMonitor.state_dict` /
+:class:`MonitorTable` is the one implementation of the mode fold: rows
+of sessions, each folding a measured signal value into its trigger row
+and tracking the default/recover mode and step counters, one vectorized
+operation per wave.  :class:`SafetyMonitor` is the per-session form — a
+signal plus a one-row table: it consumes one observation per decision
+step (:meth:`~SafetyMonitor.observe`) and answers with a
+:class:`MonitorDecision` without knowing anything about policies,
+environments, or sessions.  Because its full state (signal windows,
+trigger counters, mode, step counters) is serializable
+(:meth:`~SafetyMonitor.state_dict` /
 :meth:`~SafetyMonitor.load_state_dict`), a monitored session can be
 suspended, shipped to another worker, and resumed with bitwise-identical
 subsequent decisions.
@@ -15,9 +18,7 @@ subsequent decisions.
 :class:`SafetyController` is the policy-facing adapter: the same object
 the paper calls the safety-enhanced agent — ``learned`` inside its
 comfort zone, ``default`` outside — now a thin wrapper that lets the
-monitor decide and the chosen policy act.  (It is re-exported from
-:mod:`repro.core.controller` for backward compatibility; the bookkeeping
-lives only here.)
+monitor decide and the chosen policy act.
 
 The telemetry layer rides on top: :class:`SignalRecorder` logs per-step
 signal values, :class:`MonitoredController` keeps a full decision log,
@@ -27,7 +28,6 @@ and :func:`explain_default` renders the moments around a hand-off.
 from __future__ import annotations
 
 import copy
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +53,9 @@ __all__ = [
 
 #: Schema version of the monitor state mapping (bump on layout changes).
 _STATE_VERSION = 1
+
+#: The row a :class:`SafetyMonitor` keeps in its one-row table.
+_ROW0 = np.zeros(1, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -84,12 +87,13 @@ class SafetyMonitor:
     """The OSAP decision rule over a step stream, free of any domain.
 
     Feed it one observation per decision step; it measures the
-    uncertainty signal, updates the trigger, and tracks whether the
-    system should be deciding with the default policy.  By default the
-    hand-off is *sticky* for the rest of the session, matching the
-    paper's "defaulting" language (the enhanced system "defaults to
-    BB"); ``allow_revert=True`` switches back as soon as the trigger
-    stops firing, for the extension experiments.
+    uncertainty signal and folds the value into a one-row
+    :class:`MonitorTable` whose trigger bank *is* :attr:`trigger`, so a
+    single session and the serve kernel's rows run the same fold.  By
+    default the hand-off is *sticky* for the rest of the session,
+    matching the paper's "defaulting" language (the enhanced system
+    "defaults to BB"); ``allow_revert=True`` switches back as soon as the
+    trigger stops firing, for the extension experiments.
     """
 
     def __init__(
@@ -100,33 +104,49 @@ class SafetyMonitor:
         name: str = "monitor",
     ) -> None:
         self.signal = signal
-        self.trigger = trigger
-        self.allow_revert = allow_revert
-        self.name = name
-        self._defaulted = False
-        self.last_decision_defaulted = False
-        self.default_steps = 0
-        self.total_steps = 0
+        self._table = MonitorTable(1, trigger, allow_revert=allow_revert, name=name)
         self._last_decision: MonitorDecision | None = None
-        # Recent signal values for the observability default-event; only
-        # materialized while metric collection is on.
-        self._recent_signals: deque[float] | None = None
+
+    @property
+    def trigger(self) -> DefaultTrigger:
+        """The defaulting rule; this monitor's state is its row 0."""
+        return self._table.trigger_table
+
+    @property
+    def allow_revert(self) -> bool:
+        return self._table.allow_revert
+
+    @property
+    def name(self) -> str:
+        return self._table.name
+
+    @name.setter
+    def name(self, value: str) -> None:
+        self._table.name = value
 
     def reset(self) -> None:
         """Reset the signal, the trigger, and all session state."""
         self.signal.reset()
-        self.trigger.reset()
-        self._defaulted = False
-        self.last_decision_defaulted = False
-        self.default_steps = 0
-        self.total_steps = 0
+        self._table.admit(0)
         self._last_decision = None
-        self._recent_signals = None
 
     @property
     def defaulted(self) -> bool:
         """Current mode: is the default policy deciding?"""
-        return self._defaulted
+        return bool(self._table.defaulted[0])
+
+    #: The mode the latest decision was made in (the current mode).
+    last_decision_defaulted = defaulted
+
+    @property
+    def total_steps(self) -> int:
+        """Decisions made this session."""
+        return int(self._table.total_steps[0])
+
+    @property
+    def default_steps(self) -> int:
+        """Decisions made in default mode this session."""
+        return int(self._table.default_steps[0])
 
     @property
     def last_decision(self) -> MonitorDecision | None:
@@ -136,9 +156,7 @@ class SafetyMonitor:
     @property
     def default_fraction(self) -> float:
         """Fraction of this session's decisions made in default mode."""
-        if self.total_steps == 0:
-            return 0.0
-        return self.default_steps / self.total_steps
+        return self._table.default_fraction(0)
 
     def will_measure(self) -> bool:
         """Whether the next :meth:`observe` call will measure the signal.
@@ -150,95 +168,36 @@ class SafetyMonitor:
         batched forwards.
         """
         return not (
-            self._defaulted and not self.allow_revert and fast_paths_enabled()
+            self.defaulted and not self.allow_revert and fast_paths_enabled()
         )
 
-    def observe(
-        self, observation: np.ndarray, signal_value: float | None = None
-    ) -> MonitorDecision:
-        """Fold one decision step in and say who should decide it.
-
-        *signal_value*, when given, is used instead of measuring the
-        signal — for callers that computed the identical value through
-        another path (the table-equivalence tests feed value streams this
-        way).  Only valid for stateless signals: a stateful signal
-        skipped this way would desynchronize from the stream.
-        """
-        if not self.will_measure():
+    def observe(self, observation: np.ndarray) -> MonitorDecision:
+        """Fold one decision step in and say who should decide it."""
+        table = self._table
+        if self.will_measure():
+            value = float(self.signal.measure(observation))
+            was = self.defaulted
+            now = bool(table.observe_measured(_ROW0, np.array([value]))[0])
+            fired = bool(table.fired[0])
+        else:
             # Sticky hand-off: the signal can never change another decision
             # this session, so skip measuring it.  QoE and default_fraction
             # are untouched; only the (reset-per-session) signal/trigger
             # internals stop advancing.
-            self.last_decision_defaulted = True
-            self.total_steps += 1
-            self.default_steps += 1
-            obs.inc("controller.decisions", controller=self.name, mode="default")
-            decision = MonitorDecision(
-                step=self.total_steps - 1,
-                signal_value=float("nan"),
-                fired=False,
-                defaulted=True,
-                handoff=False,
-                recovered=False,
-            )
-            self._last_decision = decision
-            return decision
-        if signal_value is None:
-            value = self.signal.measure(observation)
-        else:
-            value = float(signal_value)
-        fired = self.trigger.update(value)
-        was_defaulted = self._defaulted
-        if self.allow_revert:
-            self._defaulted = fired
-        else:
-            self._defaulted = self._defaulted or fired
-        self.last_decision_defaulted = self._defaulted
-        self.total_steps += 1
-        if self._defaulted:
-            self.default_steps += 1
-        if obs.enabled():
-            self._observe_decision(value, was_defaulted)
+            table.observe_sticky(_ROW0)
+            value = float("nan")
+            was = now = True
+            fired = False
         decision = MonitorDecision(
             step=self.total_steps - 1,
-            signal_value=float(value),
-            fired=bool(fired),
-            defaulted=self._defaulted,
-            handoff=self._defaulted and not was_defaulted,
-            recovered=was_defaulted and not self._defaulted,
+            signal_value=value,
+            fired=fired,
+            defaulted=now,
+            handoff=now and not was,
+            recovered=was and not now,
         )
         self._last_decision = decision
         return decision
-
-    def _observe_decision(self, value: float, was_defaulted: bool) -> None:
-        """Record this decision's signal and mode, plus hand-off events
-        carrying the window of signal values that led to them.  Only
-        called while collection is on; never touches control flow."""
-        if self._recent_signals is None:
-            window = max(int(getattr(self.trigger, "k", 1)), 1)
-            self._recent_signals = deque(maxlen=window)
-        self._recent_signals.append(float(value))
-        obs.observe("controller.signal", float(value), controller=self.name)
-        obs.inc(
-            "controller.decisions",
-            controller=self.name,
-            mode="default" if self._defaulted else "learned",
-        )
-        if self._defaulted and not was_defaulted:
-            obs.event(
-                "controller.default",
-                controller=self.name,
-                step=self.total_steps,
-                signal=float(value),
-                window=list(self._recent_signals),
-            )
-        elif was_defaulted and not self._defaulted:
-            obs.event(
-                "controller.recover",
-                controller=self.name,
-                step=self.total_steps,
-                signal=float(value),
-            )
 
     def fork(self) -> "SafetyMonitor":
         """A fresh monitor over this monitor's scheme, with no session state.
@@ -246,14 +205,14 @@ class SafetyMonitor:
         The signal is shared when stateless (one ensemble in memory can
         answer any number of concurrent sessions) and deep-copied
         otherwise, so each stateful session keeps its own rolling
-        windows; the trigger is always deep-copied.  This is how the
-        serve engine and the service layer mint per-session monitors
-        from one configured prototype.
+        windows; the trigger is a fresh one-row bank of the same rule.
+        This is how the serve engine and the service layer mint
+        per-session monitors from one configured prototype.
         """
         signal = self.signal if self.signal.stateless else copy.deepcopy(self.signal)
         return SafetyMonitor(
             signal,
-            copy.deepcopy(self.trigger),
+            self.trigger.make_table(1),
             allow_revert=self.allow_revert,
             name=self.name,
         )
@@ -270,10 +229,10 @@ class SafetyMonitor:
             "version": _STATE_VERSION,
             "name": self.name,
             "allow_revert": bool(self.allow_revert),
-            "defaulted": bool(self._defaulted),
-            "last_decision_defaulted": bool(self.last_decision_defaulted),
-            "default_steps": int(self.default_steps),
-            "total_steps": int(self.total_steps),
+            "defaulted": self.defaulted,
+            "last_decision_defaulted": self.defaulted,
+            "default_steps": self.default_steps,
+            "total_steps": self.total_steps,
             "signal": self.signal.state_dict(),
             "trigger": self.trigger.state_dict(),
         }
@@ -295,64 +254,63 @@ class SafetyMonitor:
                 f"allow_revert={state['allow_revert']} into a monitor with "
                 f"allow_revert={self.allow_revert}"
             )
-        self._defaulted = bool(state["defaulted"])
-        self.last_decision_defaulted = bool(state["last_decision_defaulted"])
-        self.default_steps = int(state["default_steps"])
-        self.total_steps = int(state["total_steps"])
+        table = self._table
+        table.defaulted[0] = bool(state["defaulted"])
+        table.default_steps[0] = int(state["default_steps"])
+        table.total_steps[0] = int(state["total_steps"])
         self.signal.load_state_dict(state["signal"])
         self.trigger.load_state_dict(state["trigger"])
         self._last_decision = None
-        self._recent_signals = None
 
 
 class MonitorTable:
     """A vectorized bank of monitor phases: OSAP over rows, not objects.
 
-    The serve engine's continuous-batching kernel keeps one *row* of
-    monitor state per live session slot — mode, step counters, and the
-    trigger's per-row state (a
-    :class:`~repro.core.thresholding.TriggerTable`) — and folds a whole
-    wave of signal measurements in with a handful of array operations.
-    Row semantics are exactly :class:`SafetyMonitor`'s: the same trigger
-    decisions, the same sticky/revert mode fold, the same counters, and
-    equivalent observability output (aggregated counters plus per-row
-    signal samples and hand-off events when collection is on).
+    One *row* of monitor state per session — mode, step counters, the
+    trigger's latest answer, and the trigger's own per-row state (row
+    *i* of *trigger_table*, a :class:`~repro.core.thresholding.DefaultTrigger`
+    bank) — folded with a handful of array operations per wave.  The
+    serve engine's continuous-batching kernel keeps one row per live
+    session slot; :class:`SafetyMonitor` is a one-row table.
+    Observability output is aggregated counters plus per-row signal
+    samples and hand-off events when collection is on.
 
     The bank does not measure signals itself — callers batch the
     measurements (that is the point) and hand the values to
     :meth:`observe_measured`; rows on the sticky fast path are advanced
-    through :meth:`observe_sticky` without values, mirroring
-    :meth:`SafetyMonitor.observe`'s skip-measure branch.
+    through :meth:`observe_sticky` without values.
     """
 
     def __init__(
         self,
         capacity: int,
-        trigger_table,
+        trigger_table: DefaultTrigger,
         allow_revert: bool = False,
         name: str = "monitor",
-        signal_window: int = 1,
     ) -> None:
         if capacity < 1:
             raise SafetyError(f"capacity must be >= 1, got {capacity}")
+        if trigger_table.capacity < capacity:
+            raise SafetyError(
+                f"trigger bank has {trigger_table.capacity} rows,"
+                f" fewer than capacity={capacity}"
+            )
         self.capacity = capacity
         self.trigger_table = trigger_table
         self.allow_revert = allow_revert
         self.name = name
-        self._signal_window = max(int(signal_window), 1)
         self.defaulted = np.zeros(capacity, dtype=bool)
+        #: Whether the trigger fired at each row's latest measured step.
+        self.fired = np.zeros(capacity, dtype=bool)
         self.total_steps = np.zeros(capacity, dtype=np.int64)
         self.default_steps = np.zeros(capacity, dtype=np.int64)
-        # Per-row recent-signal windows for the observability default
-        # event; materialized only while collection is on.
-        self._recent: list[deque | None] = [None] * capacity
 
     def admit(self, row: int) -> None:
         """Reset *row* for a fresh session (mode, counters, trigger)."""
         self.defaulted[row] = False
+        self.fired[row] = False
         self.total_steps[row] = 0
         self.default_steps[row] = 0
-        self._recent[row] = None
         self.trigger_table.reset_rows(np.array([row]))
 
     def sticky_rows(self, rows: np.ndarray) -> np.ndarray:
@@ -370,12 +328,11 @@ class MonitorTable:
     def observe_sticky(self, rows: np.ndarray, waves: int = 1) -> None:
         """Advance settled rows *waves* steps without measuring.
 
-        Mirrors the scalar sticky fast path: both counters advance and
-        the per-decision counter records default-mode decisions.  A
-        settled row's bookkeeping is the same every wave, so the engine
-        batches several waves of it into one call; the end-of-session
-        counters and aggregate metrics are identical to crediting each
-        wave individually.
+        Both counters advance and the per-decision counter records
+        default-mode decisions.  A settled row's bookkeeping is the same
+        every wave, so the engine batches several waves of it into one
+        call; the end-of-session counters and aggregate metrics are
+        identical to crediting each wave individually.
         """
         self.total_steps[rows] += waves
         self.default_steps[rows] += waves
@@ -390,11 +347,12 @@ class MonitorTable:
         """Fold one measured signal value per row; returns the new
         per-row defaulted mask (aligned with *rows*).
 
-        The fold is the scalar rule vectorized: trigger rows update
-        first, then ``defaulted`` becomes ``fired`` (revertible) or
-        ``defaulted | fired`` (sticky), and the counters advance.
+        Trigger rows update first, then ``defaulted`` becomes ``fired``
+        (revertible) or ``defaulted | fired`` (sticky), and the counters
+        advance.
         """
         fired = self.trigger_table.update_rows(rows, values)
+        self.fired[rows] = fired
         was = self.defaulted[rows]
         if self.allow_revert:
             now = fired
@@ -421,9 +379,10 @@ class MonitorTable:
         was: np.ndarray,
         now: np.ndarray,
     ) -> None:
-        """Emit the same observability stream the scalar monitors would:
-        per-row signal samples, per-mode decision counts (aggregated),
-        and hand-off/recover events with their signal windows."""
+        """Emit per-row signal samples, per-mode decision counts
+        (aggregated), and hand-off/recover events; a hand-off carries
+        the trigger row's window of signal values, or just the value
+        for rules that keep no window."""
         defaults = int(np.count_nonzero(now))
         if defaults:
             obs.inc(
@@ -441,11 +400,6 @@ class MonitorTable:
             )
         for position, row in enumerate(rows.tolist()):
             value = float(values[position])
-            recent = self._recent[row]
-            if recent is None:
-                recent = deque(maxlen=self._signal_window)
-                self._recent[row] = recent
-            recent.append(value)
             obs.observe("controller.signal", value, controller=self.name)
             if now[position] and not was[position]:
                 obs.event(
@@ -453,7 +407,7 @@ class MonitorTable:
                     controller=self.name,
                     step=int(self.total_steps[row]),
                     signal=value,
-                    window=list(recent),
+                    window=self.trigger_table.recent_values(row) or [value],
                 )
             elif was[position] and not now[position]:
                 obs.event(

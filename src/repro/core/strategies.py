@@ -20,11 +20,10 @@ behind the same :class:`~repro.core.thresholding.DefaultTrigger` interface:
 The strategy-ablation benchmark compares all of them under the same
 signal and calibration budget.
 
-Each strategy also provides a vectorized :class:`TriggerTable`
-(:meth:`~repro.core.thresholding.DefaultTrigger.make_table`): all three
-rules are elementwise scalar recurrences, so a bank of rows updates in
-one numpy operation per wave with bitwise-identical decisions — the
-serve engine's continuous-batching kernel works for every trigger in the
+Like the paper's rules, each strategy is one row bank: all three are
+elementwise recurrences, so a wave of rows updates in one numpy
+operation, and the per-session API is row 0 of the same bank — the serve
+engine's continuous-batching kernel works for every trigger in the
 library, not just the paper's.
 """
 
@@ -33,89 +32,40 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.signals import TRIGGERS
-from repro.core.thresholding import DefaultTrigger, TriggerTable, check_finite_values
+from repro.core.thresholding import DefaultTrigger, check_finite_values
 from repro.errors import SafetyError
 
-__all__ = [
-    "CusumTrigger",
-    "CusumTriggerTable",
-    "EWMATrigger",
-    "EWMATriggerTable",
-    "HysteresisTrigger",
-    "HysteresisTriggerTable",
-]
+__all__ = ["CusumTrigger", "EWMATrigger", "HysteresisTrigger"]
 
 
 @TRIGGERS.register("ewma")
 class EWMATrigger(DefaultTrigger):
-    """Fire when the exponentially smoothed signal exceeds ``bar``."""
+    """Fire when the exponentially smoothed signal exceeds ``bar``.
 
-    def __init__(self, bar: float, alpha: float = 0.3) -> None:
-        if bar < 0:
-            raise SafetyError(f"bar must be >= 0, got {bar}")
-        if not 0.0 < alpha <= 1.0:
-            raise SafetyError(f"alpha must be in (0, 1], got {alpha}")
-        self.bar = bar
-        self.alpha = alpha
-        self._level: float | None = None
-
-    def reset(self) -> None:
-        self._level = None
-
-    @property
-    def level(self) -> float:
-        """The current smoothed signal level."""
-        return self._level if self._level is not None else 0.0
-
-    def update(self, signal_value: float) -> bool:
-        if not np.isfinite(signal_value):
-            raise SafetyError(f"non-finite signal value {signal_value}")
-        if self._level is None:
-            self._level = float(signal_value)
-        else:
-            self._level = (
-                self.alpha * float(signal_value)
-                + (1.0 - self.alpha) * self._level
-            )
-        return self._level > self.bar
-
-    def make_table(self, capacity: int) -> "EWMATriggerTable":
-        """A bank of *capacity* independent EWMA rows."""
-        return EWMATriggerTable(capacity, bar=self.bar, alpha=self.alpha)
-
-    def state_dict(self) -> dict:
-        return {"level": None if self._level is None else float(self._level)}
-
-    def load_state_dict(self, state: dict) -> None:
-        level = state["level"]
-        self._level = None if level is None else float(level)
-
-
-class EWMATriggerTable(TriggerTable):
-    """Vectorized bank of :class:`EWMATrigger` rows.
-
-    The smoothing recurrence is elementwise, so a wave update is one
-    fused numpy expression with bitwise-identical levels; an unseeded row
-    adopts its first value exactly like the scalar trigger.
+    An unseeded row adopts its first value as its level.
     """
 
-    def __init__(self, capacity: int, bar: float, alpha: float = 0.3) -> None:
-        if capacity < 1:
-            raise SafetyError(f"capacity must be >= 1, got {capacity}")
+    def __init__(self, bar: float, alpha: float = 0.3, capacity: int = 1) -> None:
         if bar < 0:
             raise SafetyError(f"bar must be >= 0, got {bar}")
         if not 0.0 < alpha <= 1.0:
             raise SafetyError(f"alpha must be in (0, 1], got {alpha}")
-        self.capacity = capacity
         self.bar = bar
         self.alpha = alpha
+        super().__init__(capacity)
+
+    def _new_rows(self, capacity: int) -> None:
         self._level = np.zeros(capacity, dtype=float)
         self._seen = np.zeros(capacity, dtype=bool)
 
     def reset_rows(self, rows: np.ndarray) -> None:
-        """Clear the smoothed levels of *rows*."""
         self._level[rows] = 0.0
         self._seen[rows] = False
+
+    @property
+    def level(self) -> float:
+        """Row 0's smoothed signal level (0 before its first value)."""
+        return float(self._level[0])
 
     def update_rows(self, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Fold one value per row into the EWMA; fire where level > bar."""
@@ -125,6 +75,15 @@ class EWMATriggerTable(TriggerTable):
         self._level[rows] = level
         self._seen[rows] = True
         return level > self.bar
+
+    def _row_state(self, row: int) -> dict:
+        seen = bool(self._seen[row])
+        return {"level": float(self._level[row]) if seen else None}
+
+    def _load_row_state(self, row: int, state: dict) -> None:
+        level = state["level"]
+        self._seen[row] = level is not None
+        self._level[row] = 0.0 if level is None else float(level)
 
 
 @TRIGGERS.register("cusum")
@@ -138,75 +97,38 @@ class CusumTrigger(DefaultTrigger):
     must eventually fire.
     """
 
-    def __init__(self, threshold: float, drift: float) -> None:
+    def __init__(self, threshold: float, drift: float, capacity: int = 1) -> None:
         if threshold <= 0:
             raise SafetyError(f"threshold must be positive, got {threshold}")
         if drift < 0:
             raise SafetyError(f"drift must be >= 0, got {drift}")
         self.threshold = threshold
         self.drift = drift
-        self._statistic = 0.0
+        super().__init__(capacity)
 
-    def reset(self) -> None:
-        self._statistic = 0.0
-
-    @property
-    def statistic(self) -> float:
-        """The accumulated CUSUM statistic."""
-        return self._statistic
-
-    def update(self, signal_value: float) -> bool:
-        if not np.isfinite(signal_value):
-            raise SafetyError(f"non-finite signal value {signal_value}")
-        self._statistic = max(
-            0.0, self._statistic + float(signal_value) - self.drift
-        )
-        return self._statistic > self.threshold
-
-    def make_table(self, capacity: int) -> "CusumTriggerTable":
-        """A bank of *capacity* independent CUSUM rows."""
-        return CusumTriggerTable(
-            capacity, threshold=self.threshold, drift=self.drift
-        )
-
-    def state_dict(self) -> dict:
-        return {"statistic": float(self._statistic)}
-
-    def load_state_dict(self, state: dict) -> None:
-        self._statistic = float(state["statistic"])
-
-
-class CusumTriggerTable(TriggerTable):
-    """Vectorized bank of :class:`CusumTrigger` rows.
-
-    ``S = max(0, S + x - drift)`` is elementwise, so the bank updates in
-    one ``np.maximum`` per wave with bitwise-identical statistics.
-    """
-
-    def __init__(self, capacity: int, threshold: float, drift: float) -> None:
-        if capacity < 1:
-            raise SafetyError(f"capacity must be >= 1, got {capacity}")
-        if threshold <= 0:
-            raise SafetyError(f"threshold must be positive, got {threshold}")
-        if drift < 0:
-            raise SafetyError(f"drift must be >= 0, got {drift}")
-        self.capacity = capacity
-        self.threshold = threshold
-        self.drift = drift
+    def _new_rows(self, capacity: int) -> None:
         self._statistic = np.zeros(capacity, dtype=float)
 
     def reset_rows(self, rows: np.ndarray) -> None:
-        """Clear the accumulated statistics of *rows*."""
         self._statistic[rows] = 0.0
+
+    @property
+    def statistic(self) -> float:
+        """Row 0's accumulated CUSUM statistic."""
+        return float(self._statistic[0])
 
     def update_rows(self, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Accumulate drift-adjusted evidence; fire where S > threshold."""
         check_finite_values(values)
-        statistic = np.maximum(
-            0.0, self._statistic[rows] + values - self.drift
-        )
+        statistic = np.maximum(0.0, self._statistic[rows] + values - self.drift)
         self._statistic[rows] = statistic
         return statistic > self.threshold
+
+    def _row_state(self, row: int) -> dict:
+        return {"statistic": float(self._statistic[row])}
+
+    def _load_row_state(self, row: int, state: dict) -> None:
+        self._statistic[row] = float(state["statistic"])
 
 
 @TRIGGERS.register("hysteresis")
@@ -219,68 +141,34 @@ class HysteresisTrigger(DefaultTrigger):
     the learned policy.
     """
 
-    def __init__(self, high: float, low: float) -> None:
+    def __init__(self, high: float, low: float, capacity: int = 1) -> None:
         if not 0.0 <= low <= high:
             raise SafetyError(
                 f"need 0 <= low <= high, got (low={low}, high={high})"
             )
         self.high = high
         self.low = low
-        self._active = False
+        super().__init__(capacity)
 
-    def reset(self) -> None:
-        self._active = False
-
-    def update(self, signal_value: float) -> bool:
-        if not np.isfinite(signal_value):
-            raise SafetyError(f"non-finite signal value {signal_value}")
-        if self._active:
-            if signal_value < self.low:
-                self._active = False
-        elif signal_value > self.high:
-            self._active = True
-        return self._active
-
-    def make_table(self, capacity: int) -> "HysteresisTriggerTable":
-        """A bank of *capacity* independent hysteresis rows."""
-        return HysteresisTriggerTable(capacity, high=self.high, low=self.low)
-
-    def state_dict(self) -> dict:
-        return {"active": bool(self._active)}
-
-    def load_state_dict(self, state: dict) -> None:
-        self._active = bool(state["active"])
-
-
-class HysteresisTriggerTable(TriggerTable):
-    """Vectorized bank of :class:`HysteresisTrigger` rows.
-
-    The two-bar state machine is a pure elementwise select: active rows
-    stay active unless the value drops below ``low``, idle rows activate
-    above ``high``.
-    """
-
-    def __init__(self, capacity: int, high: float, low: float) -> None:
-        if capacity < 1:
-            raise SafetyError(f"capacity must be >= 1, got {capacity}")
-        if not 0.0 <= low <= high:
-            raise SafetyError(
-                f"need 0 <= low <= high, got (low={low}, high={high})"
-            )
-        self.capacity = capacity
-        self.high = high
-        self.low = low
+    def _new_rows(self, capacity: int) -> None:
         self._active = np.zeros(capacity, dtype=bool)
 
     def reset_rows(self, rows: np.ndarray) -> None:
-        """Deactivate *rows*."""
         self._active[rows] = False
 
     def update_rows(self, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Advance the two-bar state machine one value per row."""
+        """Advance the two-bar state machine one value per row: active
+        rows stay active unless the value drops below ``low``, idle rows
+        activate above ``high``."""
         check_finite_values(values)
         active = np.where(
             self._active[rows], ~(values < self.low), values > self.high
         )
         self._active[rows] = active
         return active
+
+    def _row_state(self, row: int) -> dict:
+        return {"active": bool(self._active[row])}
+
+    def _load_row_state(self, row: int, state: dict) -> None:
+        self._active[row] = bool(state["active"])

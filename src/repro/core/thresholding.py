@@ -13,19 +13,20 @@ policy because of sporadic or noisy data points":
 :class:`VarianceTrigger` composes (1) and (2) for continuous signals, with
 the variance bar ``alpha`` being the calibrated quantity.
 
-Vectorized banks: every trigger the serve engine runs exposes a
-:class:`TriggerTable` (:meth:`DefaultTrigger.make_table`) — the same
-decision rule over *rows* of independent sessions, updated with one
-vectorized operation per serving wave instead of one Python call per
-session.  A table row is bitwise-equivalent to a scalar trigger fed the
-same value stream (asserted by ``tests/test_serve_table.py``); the serve
-engine's continuous-batching kernel is built on this equivalence.
+Every rule has exactly one implementation: a bank of *capacity*
+independent rows (one per session) that :meth:`DefaultTrigger.update_rows`
+advances with one vectorized operation per serving wave.  A trigger built
+with the default ``capacity=1`` is the per-session form the serial runner,
+the service and calibration use: :meth:`DefaultTrigger.update`,
+:meth:`~DefaultTrigger.reset` and the ``state_dict`` pair read and write
+row 0 of that same bank, so the serve kernel (which folds waves through
+:meth:`DefaultTrigger.make_table`) and a single session decide alike by
+construction.
 """
 
 from __future__ import annotations
 
-import math
-from collections import deque
+import copy
 
 import numpy as np
 
@@ -34,28 +35,42 @@ from repro.errors import SafetyError
 
 __all__ = [
     "ConsecutiveTrigger",
-    "ConsecutiveTriggerTable",
     "DefaultTrigger",
-    "TriggerTable",
     "VarianceTrigger",
-    "VarianceTriggerTable",
     "check_finite_values",
 ]
 
+#: The row the per-session API reads and writes.
+_ROW0 = np.zeros(1, dtype=np.intp)
 
-class TriggerTable:
-    """A bank of independent trigger rows updated by vectorized waves.
 
-    Each row carries the per-session state of one scalar trigger; the
-    contract is exact equivalence: for any value stream, a row fed through
-    :meth:`update_rows` fires at exactly the steps the corresponding
-    scalar :class:`DefaultTrigger` would.  Rows are recycled between
-    sessions with :meth:`reset_rows` (the serve engine's slot free-list).
+class DefaultTrigger:
+    """Base trigger: consumes signal streams, answers "default now?".
+
+    A trigger holds *capacity* rows of per-session state.  Subclasses
+    implement the row bank — :meth:`update_rows`, :meth:`reset_rows`,
+    :meth:`_new_rows` and the row-state pair :meth:`_row_state` /
+    :meth:`_load_row_state` — and inherit the per-session API, which is
+    row 0 of the bank.
     """
+
+    def __init__(self, capacity: int = 1) -> None:
+        if capacity < 1:
+            raise SafetyError(f"capacity must be >= 1, got {capacity}")
+        self.capacity = capacity
+        self._new_rows(capacity)
+
+    def _new_rows(self, capacity: int) -> None:
+        """Allocate *capacity* cleared rows of per-session state."""
+
+    def make_table(self, capacity: int) -> "DefaultTrigger":
+        """This rule with the same parameters over *capacity* fresh rows."""
+        table = copy.copy(self)
+        DefaultTrigger.__init__(table, capacity)
+        return table
 
     def reset_rows(self, rows: np.ndarray) -> None:
         """Clear per-session state of every row in *rows*."""
-        raise NotImplementedError
 
     def update_rows(self, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Fold one signal value per row in; return a fired bool array.
@@ -69,50 +84,45 @@ class TriggerTable:
         """The signal values this row currently remembers (oldest first).
 
         Used by the observability layer to attach the window that led to
-        a hand-off; tables without a window report an empty list.
+        a hand-off; rules without a window report an empty list.
         """
         return []
 
-
-class DefaultTrigger:
-    """Base trigger: consumes the signal stream, answers "default now?"."""
-
-    def reset(self) -> None:
-        """Clear per-session state."""
-
-    def update(self, signal_value: float) -> bool:
-        """Fold one signal value in; return whether to default at this step."""
-        raise NotImplementedError
-
-    def make_table(self, capacity: int) -> TriggerTable | None:
-        """A :class:`TriggerTable` of *capacity* rows of this rule.
-
-        Part of the trigger contract: the serve engine folds every wave
-        through the table, and rejects a trigger whose table is ``None``
-        (this base answer) when it is constructed.  Scalar-only users
-        (:class:`~repro.core.monitor.SafetyMonitor`) never call it.
-        """
-        return None
-
-    def state_dict(self) -> dict:
-        """Per-session state as a JSON-able mapping (see
-        :meth:`repro.core.signals.UncertaintySignal.state_dict`)."""
+    def _row_state(self, row: int) -> dict:
+        """*row*'s state as a JSON-able mapping."""
         return {}
 
-    def load_state_dict(self, state: dict) -> None:
-        """Restore state captured by :meth:`state_dict`."""
+    def _load_row_state(self, row: int, state: dict) -> None:
+        """Restore *row* from a mapping built by :meth:`_row_state`."""
         if state:
             raise SafetyError(
                 f"{type(self).__name__} is stateless but was asked to "
                 f"restore state keys {sorted(state)}"
             )
 
+    def reset(self) -> None:
+        """Clear row 0 (the per-session state)."""
+        self.reset_rows(_ROW0)
+
+    def update(self, signal_value: float) -> bool:
+        """Fold one signal value into row 0; return whether to default."""
+        values = np.array([signal_value], dtype=float)
+        return bool(self.update_rows(_ROW0, values)[0])
+
+    def state_dict(self) -> dict:
+        """Row 0's state as a JSON-able mapping (see
+        :meth:`repro.core.signals.UncertaintySignal.state_dict`)."""
+        return self._row_state(0)
+
+    def load_state_dict(self, state: dict) -> None:
+        """Restore row 0 from a mapping captured by :meth:`state_dict`."""
+        self._load_row_state(0, state)
+
 
 def check_finite_values(values: np.ndarray, what: str = "signal value") -> None:
     """Raise :class:`SafetyError` naming the first non-finite value.
 
-    The vectorized counterpart of the scalar triggers' per-value check;
-    runs *before* any row state is touched so a poisoned wave never
+    Runs *before* any row state is touched so a poisoned wave never
     half-updates the bank.  The ensemble signals run it over their
     input observations (*what* names the values in the message).
     """
@@ -126,64 +136,34 @@ class ConsecutiveTrigger(DefaultTrigger):
     """Fire after *l* consecutive uncertain steps (binary signals).
 
     The paper's ``U_S`` rule: "when samples are classified as OOD for
-    l = 3 consecutive time steps, the system defaults to BB".
+    l = 3 consecutive time steps, the system defaults to BB".  State per
+    row is one streak counter.
     """
 
-    def __init__(self, l: int = 3) -> None:
+    def __init__(self, l: int = 3, capacity: int = 1) -> None:
         if l < 1:
             raise SafetyError(f"l must be >= 1, got {l}")
         self.l = l
-        self._streak = 0
+        super().__init__(capacity)
 
-    def reset(self) -> None:
-        self._streak = 0
-
-    def update(self, signal_value: float) -> bool:
-        if not math.isfinite(signal_value):
-            raise SafetyError(f"non-finite signal value {signal_value}")
-        if signal_value > 0:
-            self._streak += 1
-        else:
-            self._streak = 0
-        return self._streak >= self.l
-
-    def make_table(self, capacity: int) -> "ConsecutiveTriggerTable":
-        """A bank of *capacity* independent l-consecutive rows."""
-        return ConsecutiveTriggerTable(capacity, l=self.l)
-
-    def state_dict(self) -> dict:
-        return {"streak": int(self._streak)}
-
-    def load_state_dict(self, state: dict) -> None:
-        self._streak = int(state["streak"])
-
-
-class ConsecutiveTriggerTable(TriggerTable):
-    """Vectorized bank of :class:`ConsecutiveTrigger` rows.
-
-    State per row is one streak counter; a wave update is two elementwise
-    operations, exactly reproducing the scalar increment-or-reset rule.
-    """
-
-    def __init__(self, capacity: int, l: int = 3) -> None:
-        if capacity < 1:
-            raise SafetyError(f"capacity must be >= 1, got {capacity}")
-        if l < 1:
-            raise SafetyError(f"l must be >= 1, got {l}")
-        self.capacity = capacity
-        self.l = l
+    def _new_rows(self, capacity: int) -> None:
         self._streak = np.zeros(capacity, dtype=np.int64)
 
     def reset_rows(self, rows: np.ndarray) -> None:
-        """Clear the streaks of *rows*."""
         self._streak[rows] = 0
 
     def update_rows(self, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """One value per row: streak+1 where value > 0, else reset to 0."""
+        """streak+1 where value > 0, else reset to 0; fire at l."""
         check_finite_values(values)
         streak = np.where(values > 0, self._streak[rows] + 1, 0)
         self._streak[rows] = streak
         return streak >= self.l
+
+    def _row_state(self, row: int) -> dict:
+        return {"streak": int(self._streak[row])}
+
+    def _load_row_state(self, row: int, state: dict) -> None:
+        self._streak[row] = int(state["streak"])
 
 
 @TRIGGERS.register("variance")
@@ -194,121 +174,76 @@ class VarianceTrigger(DefaultTrigger):
     the variance of this value across the last k = 5 time steps exceeds a
     certain threshold alpha for l consecutive times".  ``alpha`` is set by
     calibration (:mod:`repro.core.calibration`).
-    """
-
-    def __init__(self, alpha: float, k: int = 5, l: int = 3) -> None:
-        if alpha < 0:
-            raise SafetyError(f"alpha must be >= 0, got {alpha}")
-        if k < 2:
-            raise SafetyError(f"k must be >= 2 to define a variance, got {k}")
-        if l < 1:
-            raise SafetyError(f"l must be >= 1, got {l}")
-        self.alpha = alpha
-        self.k = k
-        self.l = l
-        self._window: deque[float] = deque(maxlen=k)
-        self._streak = 0
-
-    def reset(self) -> None:
-        self._window.clear()
-        self._streak = 0
-
-    def window_variance(self) -> float:
-        """Variance of the current window (0 until the window fills)."""
-        if len(self._window) < self.k:
-            return 0.0
-        return float(np.var(np.asarray(self._window)))
-
-    def update(self, signal_value: float) -> bool:
-        if not np.isfinite(signal_value):
-            raise SafetyError(f"non-finite signal value {signal_value}")
-        self._window.append(float(signal_value))
-        if self.window_variance() > self.alpha:
-            self._streak += 1
-        else:
-            self._streak = 0
-        return self._streak >= self.l
-
-    def make_table(self, capacity: int) -> "VarianceTriggerTable":
-        """A bank of *capacity* independent k-window/l-streak rows."""
-        return VarianceTriggerTable(capacity, alpha=self.alpha, k=self.k, l=self.l)
-
-    def state_dict(self) -> dict:
-        return {
-            "window": [float(v) for v in self._window],
-            "streak": int(self._streak),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        window = [float(v) for v in state["window"]]
-        if len(window) > self.k:
-            raise SafetyError(
-                f"restored window of {len(window)} exceeds k={self.k}"
-            )
-        self._window = deque(window, maxlen=self.k)
-        self._streak = int(state["streak"])
-
-
-class VarianceTriggerTable(TriggerTable):
-    """Vectorized bank of :class:`VarianceTrigger` rows.
 
     Each row keeps its k-window as one row of a ``(capacity, k)`` array,
-    *shifted* left on every update — not a ring buffer: the rotated
-    element order of a ring would change ``np.var``'s summation order
-    relative to the scalar trigger's deque and break the bitwise
-    contract.  ``np.var(window, axis=1)`` over the full rows is bitwise
-    identical to the scalar per-row 1-D ``np.var`` (small fixed k, same
-    element order, same pairwise reduction), which is what makes the
-    serve engine's batched trigger decisions exact.
+    *shifted* left on every update — not a ring buffer, so the window is
+    always stored oldest first and ``np.var`` sums it in arrival order
+    whichever rows a wave holds.  Slots no value has reached yet hold NaN
+    (signal values are checked finite, so NaN marks nothing else).
     """
 
-    def __init__(self, capacity: int, alpha: float, k: int = 5, l: int = 3) -> None:
-        if capacity < 1:
-            raise SafetyError(f"capacity must be >= 1, got {capacity}")
+    def __init__(
+        self, alpha: float, k: int = 5, l: int = 3, capacity: int = 1
+    ) -> None:
         if alpha < 0:
             raise SafetyError(f"alpha must be >= 0, got {alpha}")
         if k < 2:
             raise SafetyError(f"k must be >= 2 to define a variance, got {k}")
         if l < 1:
             raise SafetyError(f"l must be >= 1, got {l}")
-        self.capacity = capacity
         self.alpha = alpha
         self.k = k
         self.l = l
-        self._window = np.zeros((capacity, k), dtype=float)
-        self._count = np.zeros(capacity, dtype=np.int64)
+        super().__init__(capacity)
+
+    def _new_rows(self, capacity: int) -> None:
+        self._window = np.full((capacity, self.k), np.nan)
         self._streak = np.zeros(capacity, dtype=np.int64)
 
     def reset_rows(self, rows: np.ndarray) -> None:
-        """Clear the windows and streaks of *rows*."""
-        self._window[rows] = 0.0
-        self._count[rows] = 0
+        self._window[rows] = np.nan
         self._streak[rows] = 0
+
+    def window_variance(self) -> float:
+        """Variance of row 0's window (0 until the window fills)."""
+        window = self._window[0]
+        if np.isnan(window[0]):
+            return 0.0
+        return float(np.var(window))
 
     def update_rows(self, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Shift one value into each row's window; fire on variance > alpha
-        sustained for l waves, exactly like the scalar rule."""
+        sustained for l updates."""
         check_finite_values(values)
         window = self._window[rows]
         window[:, :-1] = window[:, 1:]
         window[:, -1] = values
         self._window[rows] = window
-        count = np.minimum(self._count[rows] + 1, self.k)
-        self._count[rows] = count
-        # Variance is defined (and compared) only once a window is full;
-        # until then the scalar trigger reports 0.0, which never exceeds
-        # a non-negative alpha.
-        over = np.zeros(len(rows), dtype=bool)
-        full = count >= self.k
-        if np.any(full):
-            over[full] = np.var(window[full], axis=1) > self.alpha
+        # A window that is not full yet holds NaN, so its variance is NaN
+        # and never exceeds alpha.  Each row reduces on its own, so a full
+        # row's variance does not depend on the other rows of the wave.
+        over = window.var(axis=1) > self.alpha
         streak = np.where(over, self._streak[rows] + 1, 0)
         self._streak[rows] = streak
         return streak >= self.l
 
     def recent_values(self, row: int) -> list[float]:
         """The row's current window contents, oldest first."""
-        count = int(self._count[row])
-        if count == 0:
-            return []
-        return [float(v) for v in self._window[row, self.k - count :]]
+        window = self._window[row]
+        return [float(v) for v in window[~np.isnan(window)]]
+
+    def _row_state(self, row: int) -> dict:
+        return {
+            "window": self.recent_values(row),
+            "streak": int(self._streak[row]),
+        }
+
+    def _load_row_state(self, row: int, state: dict) -> None:
+        window = [float(v) for v in state["window"]]
+        if len(window) > self.k:
+            raise SafetyError(
+                f"restored window of {len(window)} exceeds k={self.k}"
+            )
+        self._window[row] = np.nan
+        self._window[row, self.k - len(window) :] = window
+        self._streak[row] = int(state["streak"])

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.controller import SafetyController
+from repro.core.monitor import SafetyController
 from repro.core.novelty_signal import StateNoveltySignal
 from repro.core.thresholding import ConsecutiveTrigger
 from repro.domains import SessionSpec, get_domain, run_session

@@ -40,10 +40,11 @@ the batch shape), which could in principle flip a trigger comparison
 exactly at the threshold; the serial runner measures one observation
 at a time and is the unconditionally bitwise-exact path, as is the
 engine with fast paths off, which also measures and acts row by row
-and keeps measuring settled rows like the scalar monitor.  The
-vectorized trigger banks themselves are bitwise-exact
-(:mod:`repro.core.thresholding`); every trigger the engine serves must
-provide one (:meth:`~repro.core.thresholding.DefaultTrigger.make_table`).
+and keeps measuring settled rows like the per-session monitor.  The fold
+itself cannot differ: a :class:`~repro.core.monitor.SafetyMonitor` is a
+one-row :class:`~repro.core.monitor.MonitorTable`, so the runner, the
+service and the kernel run every trigger and mode update through the
+same row-bank code (:mod:`repro.core.thresholding`).
 
 Serving is in-process only: ``REPRO_MAX_WORKERS`` sizes the training
 and suite-build pools (:mod:`repro.parallel`), never the engine.
@@ -61,7 +62,7 @@ from repro.core.monitor import MonitorTable, SafetyController, SafetyMonitor
 from repro.core.signals import UncertaintySignal
 from repro.core.thresholding import DefaultTrigger
 from repro.domains import MonitoredSessionResult, SessionFactory, SessionSpec
-from repro.errors import ConfigError, SafetyError
+from repro.errors import SafetyError
 from repro.mdp.interfaces import Policy
 from repro.perf import fast_paths_enabled
 from repro.serve.table import SessionTable
@@ -80,11 +81,11 @@ class ServeEngine:
     stacked forward answers everyone); a stateful signal (``U_S``) is
     deep-copied per slot and reset at each admission, so each session
     keeps its own rolling windows.  *trigger* is a prototype: the kernel
-    expands it into a vectorized row bank
-    (:meth:`~repro.core.thresholding.DefaultTrigger.make_table`), so a
-    trigger without one is rejected here.  ``max_slots`` caps how many
-    sessions are live at once (``None`` — all of them); finished
-    sessions free their slot for the next queued spec mid-run.
+    folds every wave through a bank of the same rule with one row per
+    slot (:meth:`~repro.core.thresholding.DefaultTrigger.make_table`).
+    ``max_slots`` caps how many sessions are live at once (``None`` —
+    all of them); finished sessions free their slot for the next queued
+    spec mid-run.
     """
 
     def __init__(
@@ -102,12 +103,6 @@ class ServeEngine:
             raise SafetyError("learned and default policies must be distinct")
         if max_slots is not None and max_slots < 1:
             raise SafetyError(f"max_slots must be >= 1, got {max_slots}")
-        if trigger.make_table(1) is None:
-            raise ConfigError(
-                f"{type(trigger).__name__} has no vectorized TriggerTable "
-                "(make_table returned None); the serve kernel folds every "
-                "wave through one"
-            )
         self.factory = factory
         self.learned = learned
         self.default = default
@@ -200,7 +195,7 @@ class ServeEngine:
         # Probed once per run: a learned policy without ``act_batch``
         # costs one check per wave and nothing per row.
         act_batch = getattr(learned, "act_batch", None) if fast else None
-        # With fast paths off the scalar monitor keeps measuring after a
+        # With fast paths off the per-session monitor keeps measuring after a
         # sticky hand-off, so settled rows stay in the waves.
         drain = fast and not allow_revert
         chunks_per_session = factory.steps_per_session()
@@ -240,9 +235,6 @@ class ServeEngine:
                         self.trigger.make_table(capacity),
                         allow_revert=allow_revert,
                         name=self.name,
-                        signal_window=max(
-                            int(getattr(self.trigger, "k", 1)), 1
-                        ),
                     )
                 slot = table.admit(
                     index, env, rng, result, observation, chunks_per_session

@@ -33,6 +33,7 @@ import math
 import threading
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -130,11 +131,27 @@ def _require_str(message: dict, fld: str) -> str:
     return value
 
 
+#: The types ``json.loads`` gives numbers (``bool`` is not among them).
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def _require_observation(message: dict) -> np.ndarray:
     """The request's observation as a float array, strictly validated."""
     value = message.get("observation")
     if not isinstance(value, list):
         raise ProtocolError("field 'observation' must be a JSON array")
+    # Every leaf must be a JSON number: numpy would read "1" and true as
+    # 1.0 and feed them to the signal.  Walk the nesting one level at a
+    # time; a level mixing lists with anything else is ragged.
+    level = value
+    kinds = set(map(type, level))
+    while kinds == {list}:
+        level = list(chain.from_iterable(level))
+        kinds = set(map(type, level))
+    strays = kinds - _NUMBER_TYPES
+    if strays:
+        bad = next(entry for entry in level if type(entry) in strays)
+        raise ProtocolError(f"observation entries must be JSON numbers, got {bad!r}")
     try:
         array = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:

@@ -1,9 +1,9 @@
-"""Tests for repro.core.controller: the SafetyController policy wrapper."""
+"""Tests for the SafetyController policy wrapper (repro.core.monitor)."""
 
 import numpy as np
 import pytest
 
-from repro.core.controller import SafetyController
+from repro.core.monitor import SafetyController
 from repro.core.signals import UncertaintySignal
 from repro.core.thresholding import ConsecutiveTrigger
 from repro.errors import SafetyError

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.abr.suite import build_safety_suite
-from repro.core.controller import SafetyController
+from repro.core.monitor import SafetyController
 from repro.core.osap import SafetyConfig
 from repro.errors import ConfigError
 from repro.pensieve.training import TrainingConfig

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.controller import SafetyController
+from repro.core.monitor import SafetyController
 from repro.core.signals import UncertaintySignal
 from repro.core.thresholding import ConsecutiveTrigger
 from repro.errors import ConfigError

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.abr.session import run_session
-from repro.core.controller import SafetyController
+from repro.core.monitor import SafetyController
 from repro.core.novelty_signal import StateNoveltySignal, throughput_window_samples
 from repro.core.thresholding import ConsecutiveTrigger
 from repro.mdp.gridworld import GridWorld, make_shifted_gridworld

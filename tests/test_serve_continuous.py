@@ -22,13 +22,9 @@ from repro import obs
 from repro.abr.session import run_monitored_session
 from repro.core.monitor import MonitorTable, SafetyMonitor
 from repro.core.strategies import CusumTrigger, EWMATrigger, HysteresisTrigger
-from repro.core.thresholding import (
-    ConsecutiveTrigger,
-    DefaultTrigger,
-    VarianceTrigger,
-)
+from repro.core.thresholding import ConsecutiveTrigger, VarianceTrigger
 from repro.domains import get_domain
-from repro.errors import ConfigError, SafetyError
+from repro.errors import SafetyError
 from repro.pensieve.agent import PensieveAgent
 from repro.pensieve.model import ActorNetwork
 from repro.perf import fast_paths
@@ -311,13 +307,3 @@ class TestPensieveThroughKernel:
         # The prototype never measured: every slot used its own copy.
         assert engine.signal.state_dict() == before
 
-
-class _TablelessTrigger(DefaultTrigger):
-    def update(self, signal_value: float) -> bool:
-        return False
-
-
-class TestTriggerContract:
-    def test_trigger_without_table_rejected_at_construction(self, manifest):
-        with pytest.raises(ConfigError, match="_TablelessTrigger"):
-            _engine(manifest, _TablelessTrigger())

@@ -4,10 +4,8 @@ The acceptance property mirrors the ABR one: the engine — continuous
 batching, with and without slot reuse — must reproduce
 :func:`repro.core.runner.run_monitored_session` chunk-for-chunk for the
 congestion-control domain.  The CC demo trigger
-is a CUSUM, which vectorizes (``make_table``), so the default engine
-path here is the continuous-batching kernel; the tabular signal's fused
-gather+softmax makes batch and scalar measurements bitwise-equal, so
-equality is exact, not last-ulp.
+is a CUSUM; the tabular signal's fused gather+softmax makes batch and
+scalar measurements bitwise-equal, so equality is exact, not last-ulp.
 """
 
 from __future__ import annotations
@@ -92,9 +90,7 @@ class TestCCThroughTheEngine:
     def test_continuous_kernel_matches_serial_runner(
         self, scheme, specs, references
     ):
-        engine = _engine(scheme)
-        assert engine.trigger.make_table(len(specs)) is not None
-        results = engine.run(specs)
+        results = _engine(scheme).run(specs)
         for spec, result, reference in zip(specs, results, references):
             assert result.policy_name == spec.name
             assert _fingerprint(result) == reference, spec.name

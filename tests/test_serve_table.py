@@ -1,35 +1,56 @@
-"""Tests for the vectorized trigger banks, the monitor bank, and the
-SoA session table.
+"""Tests for the trigger banks, the monitor bank, and the SoA session
+table.
 
-The load-bearing contract is *bitwise equivalence*: a trigger-table row
-fed through vectorized wave updates must fire at exactly the steps the
-corresponding scalar trigger would, and a :class:`MonitorTable` row must
-track a :class:`SafetyMonitor` counter-for-counter — this is what lets
-the serve engine's continuous-batching kernel replace per-session
-objects without changing a single trajectory.
+The load-bearing contract is that each bank row runs its rule exactly:
+a trigger row fed through vectorized wave updates must fire at exactly
+the steps the plain-Python oracle of its rule (``tests/trigger_oracles``)
+would, and a :class:`MonitorTable` row must track the oracle's mode fold
+counter-for-counter — including partial waves, sticky rows and row
+recycling, which is what the serve engine's continuous-batching kernel
+does to them.
 """
 
 from __future__ import annotations
-
-import copy
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.monitor import MonitorTable, SafetyMonitor
+from repro.core.monitor import MonitorTable
 from repro.core.strategies import CusumTrigger, EWMATrigger, HysteresisTrigger
 from repro.core.thresholding import ConsecutiveTrigger, VarianceTrigger
 from repro.errors import SafetyError, SimulationError
 from repro.serve.table import SessionTable
 
+from tests.trigger_oracles import (
+    ConsecutiveOracle,
+    CusumOracle,
+    EWMAOracle,
+    HysteresisOracle,
+    MonitorOracle,
+    VarianceOracle,
+)
+
+#: kind -> (trigger factory, oracle factory) with equal parameters.
 TRIGGER_FACTORIES = {
-    "consecutive": lambda: ConsecutiveTrigger(l=3),
-    "variance": lambda: VarianceTrigger(alpha=0.02, k=4, l=2),
-    "ewma": lambda: EWMATrigger(bar=0.3, alpha=0.4),
-    "cusum": lambda: CusumTrigger(threshold=1.5, drift=0.2),
-    "hysteresis": lambda: HysteresisTrigger(high=0.4, low=0.1),
+    "consecutive": (lambda: ConsecutiveTrigger(l=3), lambda: ConsecutiveOracle(l=3)),
+    "variance": (
+        lambda: VarianceTrigger(alpha=0.02, k=4, l=2),
+        lambda: VarianceOracle(alpha=0.02, k=4, l=2),
+    ),
+    "ewma": (
+        lambda: EWMATrigger(bar=0.3, alpha=0.4),
+        lambda: EWMAOracle(bar=0.3, alpha=0.4),
+    ),
+    "cusum": (
+        lambda: CusumTrigger(threshold=1.5, drift=0.2),
+        lambda: CusumOracle(threshold=1.5, drift=0.2),
+    ),
+    "hysteresis": (
+        lambda: HysteresisTrigger(high=0.4, low=0.1),
+        lambda: HysteresisOracle(high=0.4, low=0.1),
+    ),
 }
 
 
@@ -44,14 +65,13 @@ class TestTriggerTableEquivalence:
     @pytest.mark.parametrize("kind", sorted(TRIGGER_FACTORIES))
     def test_rows_match_scalar_triggers(self, kind):
         """Partial waves, full waves, and mid-stream row recycling all
-        reproduce the scalar decisions bitwise."""
+        reproduce the oracle's decisions bitwise, and the per-session
+        API (row 0 of a one-row bank) agrees with them too."""
         capacity = 5
-        prototype = TRIGGER_FACTORIES[kind]()
-        table = prototype.make_table(capacity)
-        scalars = [copy.deepcopy(prototype) for _ in range(capacity)]
-        for scalar in scalars:
-            scalar.reset()
-        table.reset_rows(np.arange(capacity))
+        trigger_factory, oracle_factory = TRIGGER_FACTORIES[kind]
+        table = trigger_factory().make_table(capacity)
+        single = trigger_factory()
+        oracles = [oracle_factory() for _ in range(capacity)]
         rng = np.random.default_rng(7)
         values = _value_stream(rng, kind, steps=200, rows=capacity)
         for step in range(200):
@@ -60,19 +80,23 @@ class TestTriggerTableEquivalence:
                 continue
             fired = table.update_rows(rows, values[step, rows])
             expected = [
-                scalars[row].update(float(values[step, row]))
+                oracles[row].update(float(values[step, row]))
                 for row in rows.tolist()
             ]
             assert fired.tolist() == expected, f"{kind} diverged at {step}"
+            if rows[0] == 0:
+                assert single.update(float(values[step, 0])) is expected[0]
             if step % 37 == 0:
                 # Recycle one row mid-stream, as the serve free-list does.
                 recycled = int(rows[0])
                 table.reset_rows(np.array([recycled]))
-                scalars[recycled].reset()
+                oracles[recycled].reset()
+                if recycled == 0:
+                    single.reset()
 
     @pytest.mark.parametrize("kind", sorted(TRIGGER_FACTORIES))
     def test_non_finite_wave_raises(self, kind):
-        table = TRIGGER_FACTORIES[kind]().make_table(3)
+        table = TRIGGER_FACTORIES[kind][0]().make_table(3)
         with pytest.raises(SafetyError, match="non-finite"):
             table.update_rows(np.array([0, 2]), np.array([0.1, np.nan]))
 
@@ -86,60 +110,47 @@ class TestTriggerTableEquivalence:
         assert fired.tolist() == [True, True]
 
     def test_variance_recent_values_matches_scalar_window(self):
-        prototype = VarianceTrigger(alpha=0.5, k=4, l=1)
-        table = prototype.make_table(2)
-        scalar = copy.deepcopy(prototype)
+        table = VarianceTrigger(alpha=0.5, k=4, l=1).make_table(2)
+        oracle = VarianceOracle(alpha=0.5, k=4, l=1)
         stream = [0.3, 0.9, 0.1, 0.7, 0.5, 0.2]
-        for position, value in enumerate(stream):
+        for value in stream:
             table.update_rows(np.array([1]), np.array([value]))
-            scalar.update(value)
-            assert table.recent_values(1) == list(scalar._window)
+            oracle.update(value)
+            assert table.recent_values(1) == list(oracle.window)
             assert table.recent_values(0) == []
 
     def test_make_table_validates_capacity(self):
-        for factory in TRIGGER_FACTORIES.values():
+        for trigger_factory, _ in TRIGGER_FACTORIES.values():
             with pytest.raises(SafetyError, match="capacity"):
-                factory().make_table(0)
+                trigger_factory().make_table(0)
 
-
-class _NeverMeasuredSignal:
-    """Monitor tests feed explicit signal values; measuring must not happen."""
-
-    stateless = True
-
-    def reset(self) -> None:
-        pass
-
-    def measure(self, observation):
-        raise AssertionError("monitor measured instead of using the value")
+    def test_make_table_keeps_rule_and_clears_state(self):
+        trigger = VarianceTrigger(alpha=0.02, k=4, l=2)
+        trigger.update(1.0)
+        table = trigger.make_table(3)
+        assert type(table) is VarianceTrigger
+        assert (table.alpha, table.k, table.l, table.capacity) == (0.02, 4, 2, 3)
+        assert table.recent_values(0) == []
+        assert trigger.recent_values(0) == [1.0]
 
 
 class TestMonitorTableEquivalence:
     @pytest.mark.parametrize("allow_revert", [False, True])
     def test_bank_matches_scalar_monitors(self, allow_revert):
         capacity = 4
-        prototype = VarianceTrigger(alpha=0.015, k=3, l=2)
         bank = MonitorTable(
             capacity,
-            prototype.make_table(capacity),
+            VarianceTrigger(alpha=0.015, k=3, l=2).make_table(capacity),
             allow_revert=allow_revert,
             name="bank",
-            signal_window=prototype.k,
         )
-        monitors = [
-            SafetyMonitor(
-                _NeverMeasuredSignal(),
-                copy.deepcopy(prototype),
-                allow_revert=allow_revert,
-                name="bank",
-            )
+        oracles = [
+            MonitorOracle(VarianceOracle(alpha=0.015, k=3, l=2), allow_revert)
             for _ in range(capacity)
         ]
         for row in range(capacity):
             bank.admit(row)
-            monitors[row].reset()
         rng = np.random.default_rng(11)
-        observation = np.zeros(4)
         for step in range(150):
             rows = np.flatnonzero(rng.random(capacity) < 0.8)
             if len(rows) == 0:
@@ -150,22 +161,18 @@ class TestMonitorTableEquivalence:
             if len(sticky):
                 bank.observe_sticky(sticky)
             if len(measured):
-                bank.observe_measured(
-                    measured, values[np.isin(rows, measured)]
-                )
+                bank.observe_measured(measured, values[np.isin(rows, measured)])
             for position, row in enumerate(rows.tolist()):
-                decision = monitors[row].observe(
-                    observation, signal_value=float(values[position])
-                )
-                assert bool(bank.defaulted[row]) == decision.defaulted
+                defaulted = oracles[row].observe(float(values[position]))
+                assert bool(bank.defaulted[row]) == defaulted
             if step == 80:
                 recycled = int(rows[0])
                 bank.admit(recycled)
-                monitors[recycled].reset()
+                oracles[recycled].reset()
         for row in range(capacity):
-            assert int(bank.total_steps[row]) == monitors[row].total_steps
-            assert int(bank.default_steps[row]) == monitors[row].default_steps
-            assert bank.default_fraction(row) == monitors[row].default_fraction
+            assert int(bank.total_steps[row]) == oracles[row].total_steps
+            assert int(bank.default_steps[row]) == oracles[row].default_steps
+            assert bank.default_fraction(row) == oracles[row].default_fraction
 
     def test_sticky_rows_respects_revert(self):
         table = VarianceTrigger(alpha=0.0, k=2, l=1).make_table(3)
@@ -173,7 +180,8 @@ class TestMonitorTableEquivalence:
         sticky_bank.defaulted[:] = [True, False, True]
         assert sticky_bank.sticky_rows(np.arange(3)).tolist() == [0, 2]
         revert_bank = MonitorTable(
-            3, VarianceTrigger(alpha=0.0, k=2, l=1).make_table(3),
+            3,
+            VarianceTrigger(alpha=0.0, k=2, l=1).make_table(3),
             allow_revert=True,
         )
         revert_bank.defaulted[:] = True
@@ -181,7 +189,16 @@ class TestMonitorTableEquivalence:
 
     def test_capacity_validated(self):
         with pytest.raises(SafetyError, match="capacity"):
-            MonitorTable(0, ConsecutiveTrigger(l=1).make_table(1))
+            MonitorTable(0, ConsecutiveTrigger(l=1))
+        with pytest.raises(SafetyError, match="fewer than capacity"):
+            MonitorTable(2, ConsecutiveTrigger(l=1))
+
+    def test_fired_tracks_latest_measured_step(self):
+        bank = MonitorTable(2, ConsecutiveTrigger(l=1).make_table(2))
+        bank.observe_measured(np.array([0, 1]), np.array([1.0, 0.0]))
+        assert bank.fired.tolist() == [True, False]
+        bank.observe_measured(np.array([0]), np.array([0.0]))
+        assert bank.fired.tolist() == [False, False]
 
 
 class TestSessionTable:

@@ -128,6 +128,57 @@ def _dispatch(service, message):
     return asyncio.run(service.dispatch(message))
 
 
+def _drive_poisoned(service, manifest, trace, session, poisons=(), poison_at=3):
+    """Serve one demo session through dispatch(); before step *poison_at*
+    send one line per value in *poisons*, each with that value at
+    observation entry [2][3], through the JSON codec.  Returns the
+    accepted decisions and the rejections (each must be a bad-request).
+    """
+    _dispatch(
+        service,
+        {
+            "op": "attach",
+            "tenant": "t",
+            "session": session,
+            "scheme": "demo",
+            "seed": 7,
+        },
+    )
+    env = ABREnv(manifest=manifest, trace=trace)
+    observation = env.reset()
+    decisions, rejected = [], []
+    for index in range(manifest.num_chunks - 1):
+        rows = np.asarray(observation, dtype=float).tolist()
+        for bad in poisons if index == poison_at else ():
+            rows[2][3] = bad
+            # json.dumps writes the NaN/Infinity literals.
+            line = json.dumps(
+                {"op": "step", "tenant": "t", "session": session, "observation": rows}
+            )
+            message = protocol.decode_message(line.encode())
+            assert json.dumps(message["observation"][2][3]) == json.dumps(bad)
+            response = _dispatch(service, message)
+            assert not response["ok"], response
+            assert response["code"] == "bad-request"
+            rejected.append(response)
+        response = _dispatch(
+            service,
+            {
+                "op": "step",
+                "tenant": "t",
+                "session": session,
+                "observation": np.asarray(observation).tolist(),
+            },
+        )
+        assert response["ok"], response
+        decisions.append(response)
+        step = env.step(response["action"])
+        observation = step.observation
+        if step.done:
+            break
+    return decisions, rejected
+
+
 class TestDispatch:
     """Handler semantics through dispatch(), no socket in the loop."""
 
@@ -192,48 +243,45 @@ class TestDispatch:
         # json.loads accepts NaN/Infinity literals: the poisoned line must
         # get a bad-request and leave the session exactly as if it had
         # never been sent, hand-off included.
-        def drive(session, poison_at):
-            _dispatch(
-                service,
-                {"op": "attach", "tenant": "t", "session": session,
-                 "scheme": "demo", "seed": 7},
-            )
-            env = ABREnv(manifest=demo_manifest, trace=traces[0])
-            observation = env.reset()
-            decisions = []
-            for index in range(demo_manifest.num_chunks - 1):
-                if index == poison_at:
-                    for bad in (np.nan, np.inf, -np.inf):
-                        rows = np.asarray(observation, dtype=float).tolist()
-                        rows[2][3] = bad
-                        # json.dumps writes the NaN/Infinity literals.
-                        line = json.dumps(
-                            {"op": "step", "tenant": "t", "session": session,
-                             "observation": rows}
-                        )
-                        message = protocol.decode_message(line.encode())
-                        assert not np.isfinite(message["observation"][2][3])
-                        response = _dispatch(service, message)
-                        assert not response["ok"], response
-                        assert response["code"] == "bad-request"
-                        assert "finite" in response["message"]
-                response = _dispatch(
-                    service,
-                    {"op": "step", "tenant": "t", "session": session,
-                     "observation": np.asarray(observation).tolist()},
-                )
-                assert response["ok"], response
-                decisions.append(response)
-                step = env.step(response["action"])
-                observation = step.observation
-                if step.done:
-                    break
-            return decisions
-
-        clean = drive("clean", poison_at=None)
-        poisoned = drive("poisoned", poison_at=3)
+        clean, _ = _drive_poisoned(service, demo_manifest, traces[0], "clean")
+        poisoned, rejected = _drive_poisoned(
+            service,
+            demo_manifest,
+            traces[0],
+            "poisoned",
+            poisons=(np.nan, np.inf, -np.inf),
+        )
+        assert all("finite" in response["message"] for response in rejected)
         assert any(decision["handoff"] for decision in clean)
         assert poisoned == clean
+
+    def test_non_number_observation_rejected_before_the_monitor(
+        self, service, demo_manifest, traces
+    ):
+        # A string or a boolean entry is not a number, even where numpy
+        # would coerce it to one.
+        clean, _ = _drive_poisoned(service, demo_manifest, traces[0], "clean")
+        poisoned, rejected = _drive_poisoned(
+            service,
+            demo_manifest,
+            traces[0],
+            "poisoned",
+            poisons=("1.5", True, False),
+        )
+        assert all("JSON numbers" in r["message"] for r in rejected)
+        assert poisoned == clean
+        for observation in (["1", "2"], [True], [[1.0, "2"]]):
+            response = _dispatch(
+                service,
+                {
+                    "op": "step",
+                    "tenant": "t",
+                    "session": "poisoned",
+                    "observation": observation,
+                },
+            )
+            assert not response["ok"] and response["code"] == "bad-request"
+            assert "JSON numbers" in response["message"]
 
     def test_step_unknown_session(self, service):
         response = _dispatch(
