@@ -40,7 +40,6 @@ from repro.errors import ReproError
 from repro.novelty import KDEDetector, MahalanobisDetector, OneClassSVM
 from repro.parallel import parallel_map, resolve_max_workers
 from repro.pensieve import A2CTrainer, PensieveAgent, TrainingConfig
-from repro.perf import fast_paths, fast_paths_enabled, set_fast_paths
 from repro.policies import (
     BolaPolicy,
     BufferBasedPolicy,
@@ -92,8 +91,6 @@ __all__ = [
     "VideoManifest",
     "build_safety_suite",
     "envivio_dash3_manifest",
-    "fast_paths",
-    "fast_paths_enabled",
     "get_config",
     "make_dataset",
     "parallel_map",
@@ -101,5 +98,4 @@ __all__ = [
     "run_monitored_session",
     "run_session",
     "serve_sessions",
-    "set_fast_paths",
 ]

@@ -28,7 +28,6 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.mdp.interfaces import StepResult
 from repro.abr.state import StateBuilder
-from repro.perf import fast_paths_enabled
 from repro.traces.trace import Trace
 from repro.video.manifest import VideoManifest
 from repro.video.qoe import LinearQoE, QoEMetric
@@ -164,40 +163,16 @@ class ABREnv:
 
     def _transfer_time(self, size_bytes: float) -> float:
         """Seconds to push *size_bytes* through the trace from the current
-        trace position, advancing that position."""
+        trace position, advancing that position.
+
+        Walks the piecewise-constant bandwidth segments, wrapping at the
+        trace end.  Each iteration locates the current segment once, with
+        the same ``(time - times[0]) % duration + times[0]`` offset as
+        :meth:`Trace.bandwidth_at`, and reads both its rate and the time
+        to its end from that one lookup.
+        """
         if size_bytes <= 0:
             raise SimulationError(f"chunk size must be positive, got {size_bytes}")
-        if fast_paths_enabled():
-            return self._transfer_time_fast(size_bytes)
-        elapsed = 0.0
-        remaining = size_bytes
-        # Walk piecewise-constant bandwidth segments, wrapping at trace end.
-        for _ in range(10_000_000):
-            rate_bytes_s = self.trace.bandwidth_at(self._trace_time) * 1e6 / 8.0
-            segment = self._time_to_boundary(self._trace_time)
-            capacity = rate_bytes_s * segment
-            if capacity >= remaining:
-                dt = remaining / rate_bytes_s
-                self._trace_time += dt
-                return elapsed + dt
-            elapsed += segment
-            remaining -= capacity
-            self._trace_time += segment
-        raise SimulationError(
-            f"chunk of {size_bytes:.0f} bytes did not finish; trace "
-            f"{self.trace.name!r} bandwidth is implausibly low"
-        )
-
-    def _transfer_time_fast(self, size_bytes: float) -> float:
-        """:meth:`_transfer_time` with :meth:`Trace.bandwidth_at` and
-        :meth:`_time_to_boundary` inlined over one shared segment lookup.
-
-        Both helpers locate the current segment with the identical
-        ``(time - times[0]) % duration + times[0]`` offset; computing it
-        once per iteration halves the ``searchsorted`` work while keeping
-        every float operation — and therefore every result — the same as
-        the reference walk above.
-        """
         times = self.trace.times
         bandwidths = self.trace.bandwidths_mbps
         start = times[0]
@@ -213,6 +188,7 @@ class ABREnv:
             rate_bytes_s = float(bandwidths[index]) * 1e6 / 8.0
             if index < last:
                 segment = float(times[index + 1] - offset)
+                # Landing exactly on a boundary (a zero gap would stall).
                 if segment <= 1e-12:
                     segment = float(times[index + 1] - times[index])
             else:
@@ -228,21 +204,6 @@ class ABREnv:
         raise SimulationError(
             f"chunk of {size_bytes:.0f} bytes did not finish; trace "
             f"{self.trace.name!r} bandwidth is implausibly low"
-        )
-
-    def _time_to_boundary(self, time_s: float) -> float:
-        """Seconds until the trace's next bandwidth change after *time_s*."""
-        trace = self.trace
-        offset = (time_s - trace.times[0]) % trace.duration + trace.times[0]
-        index = int(np.searchsorted(trace.times, offset, side="right") - 1)
-        boundary = trace.times[index + 1] if index + 1 < len(trace.times) else None
-        if boundary is None:
-            return float(trace.times[-1] - offset) or trace.duration
-        gap = float(boundary - offset)
-        # Guard against landing exactly on a boundary (gap == 0 would stall).
-        return gap if gap > 1e-12 else float(
-            trace.times[index + 1]
-            - trace.times[index]
         )
 
     def _drain_if_full(self) -> float:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.perf import fast_paths_enabled
 
 __all__ = ["S_INFO", "S_LEN", "StateBuilder", "ObservationView"]
 
@@ -89,13 +88,10 @@ class StateBuilder:
                     f"expected {self.bitrates_kbps.size} next-chunk sizes, "
                     f"got shape {sizes.shape}"
                 )
-        if fast_paths_enabled():
-            # In-place left shift; every cell np.roll would wrap around is
-            # overwritten below, so the resulting matrix is identical.
-            state = self._state
-            state[:, :-1] = state[:, 1:]
-        else:
-            state = np.roll(self._state, -1, axis=1)
+        # In-place left shift; every cell np.roll would wrap around is
+        # overwritten below, so the resulting matrix is identical.
+        state = self._state
+        state[:, :-1] = state[:, 1:]
         state[0, -1] = (
             self.bitrates_kbps[bitrate_index] / self.bitrates_kbps[-1]
         )

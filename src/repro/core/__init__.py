@@ -48,7 +48,6 @@ from repro.core.monitor import (
     MonitoredController,
     SafetyController,
     SafetyMonitor,
-    SignalRecorder,
     explain_default,
 )
 from repro.core.novelty_signal import StateNoveltySignal, throughput_window_samples
@@ -83,7 +82,6 @@ __all__ = [
     "SafetyConfig",
     "SafetyController",
     "SafetyMonitor",
-    "SignalRecorder",
     "StateNoveltySignal",
     "TRIGGERS",
     "UncertaintySignal",

@@ -22,7 +22,6 @@ from repro.core.signals import SIGNALS, UncertaintySignal
 from repro.core.thresholding import check_finite_values
 from repro.errors import ReproError, SafetyError
 from repro.nn.losses import kl_divergence
-from repro.perf import fast_paths_enabled
 
 __all__ = [
     "PolicyEnsembleSignal",
@@ -206,7 +205,7 @@ class PolicyEnsembleSignal(UncertaintySignal):
 
     def measure(self, observation: np.ndarray) -> float:
         check_finite_values(observation, "observation value")
-        if self._stacked is not None and fast_paths_enabled():
+        if self._stacked is not None:
             distributions = self._stacked.probabilities(observation)
         else:
             distributions = np.stack(
@@ -217,14 +216,14 @@ class PolicyEnsembleSignal(UncertaintySignal):
     def measure_batch(self, observations: np.ndarray) -> np.ndarray:
         """``U_pi`` for one observation per concurrent session.
 
-        With a stackable ensemble and fast paths on, all members answer
+        With a stackable ensemble, all members answer
         for all sessions in one fused forward — the serve engine's
         cross-session batch.  Values match :meth:`measure` up to BLAS
         batch-shape accumulation (see
         :meth:`repro.pensieve.stacked.StackedActorEnsemble.probabilities_batch`).
         """
         check_finite_values(observations, "observation value")
-        if self._stacked is None or not fast_paths_enabled():
+        if self._stacked is None:
             return super().measure_batch(observations)
         distributions = self._stacked.probabilities_batch(observations)
         return policy_disagreement_batch(distributions, self.trim)
@@ -258,7 +257,7 @@ class ValueEnsembleSignal(UncertaintySignal):
 
     def measure(self, observation: np.ndarray) -> float:
         check_finite_values(observation, "observation value")
-        if self._stacked is not None and fast_paths_enabled():
+        if self._stacked is not None:
             values = self._stacked.values(observation)
         else:
             values = np.array(
@@ -270,7 +269,7 @@ class ValueEnsembleSignal(UncertaintySignal):
         """``U_V`` for one observation per concurrent session (same
         contract as :meth:`PolicyEnsembleSignal.measure_batch`)."""
         check_finite_values(observations, "observation value")
-        if self._stacked is None or not fast_paths_enabled():
+        if self._stacked is None:
             return super().measure_batch(observations)
         values = self._stacked.values_batch(observations)
         return value_disagreement_batch(values, self.trim)

@@ -20,9 +20,10 @@ the paper calls the safety-enhanced agent — ``learned`` inside its
 comfort zone, ``default`` outside — now a thin wrapper that lets the
 monitor decide and the chosen policy act.
 
-The telemetry layer rides on top: :class:`SignalRecorder` logs per-step
-signal values, :class:`MonitoredController` keeps a full decision log,
-and :func:`explain_default` renders the moments around a hand-off.
+The telemetry layer rides on top: :class:`MonitoredController` keeps a
+full decision log (the signal value of each step, NaN for steps the
+monitor did not measure), and :func:`explain_default` renders the
+moments around a hand-off.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from repro.core.signals import UncertaintySignal
 from repro.core.thresholding import DefaultTrigger
 from repro.errors import SafetyError
 from repro.mdp.interfaces import Policy
-from repro.perf import fast_paths_enabled
 from repro.util.tables import render_table
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "MonitoredController",
     "SafetyController",
     "SafetyMonitor",
-    "SignalRecorder",
     "explain_default",
 ]
 
@@ -64,7 +63,7 @@ class MonitorDecision:
 
     #: 0-based decision index within the session.
     step: int
-    #: The measured signal value; NaN when the sticky fast path skipped
+    #: The measured signal value; NaN when a sticky hand-off skipped
     #: measuring (the value could not change this session's decisions).
     signal_value: float
     #: Whether the trigger fired at this step.
@@ -161,15 +160,11 @@ class SafetyMonitor:
     def will_measure(self) -> bool:
         """Whether the next :meth:`observe` call will measure the signal.
 
-        False only on the sticky fast path: once defaulted without
+        False only after a sticky hand-off: once defaulted without
         revert, the signal can never change another decision this
-        session, so measuring is skipped while fast paths are on.  The
-        serve engine uses this to exclude settled sessions from its
-        batched forwards.
+        session, so measuring is skipped.
         """
-        return not (
-            self.defaulted and not self.allow_revert and fast_paths_enabled()
-        )
+        return not (self.defaulted and not self.allow_revert)
 
     def observe(self, observation: np.ndarray) -> MonitorDecision:
         """Fold one decision step in and say who should decide it."""
@@ -277,8 +272,8 @@ class MonitorTable:
 
     The bank does not measure signals itself — callers batch the
     measurements (that is the point) and hand the values to
-    :meth:`observe_measured`; rows on the sticky fast path are advanced
-    through :meth:`observe_sticky` without values.
+    :meth:`observe_measured`; rows settled on the sticky default are
+    advanced through :meth:`observe_sticky` without values.
     """
 
     def __init__(
@@ -318,8 +313,7 @@ class MonitorTable:
 
         The vectorized form of ``not SafetyMonitor.will_measure()``:
         defaulted rows of a non-revertible bank are settled for the rest
-        of their session.  (The global fast-path switch is not consulted;
-        callers serving with fast paths off keep measuring such rows.)
+        of their session.
         """
         if self.allow_revert:
             return rows[:0]
@@ -510,38 +504,11 @@ class DecisionRecord:
     """One decision step as the safety controller saw it."""
 
     step: int
+    #: NaN when the monitor did not measure this step (sticky default).
     signal_value: float
     trigger_fired: bool
     defaulted: bool
     action: int
-
-
-class SignalRecorder(UncertaintySignal):
-    """A pass-through wrapper that logs every signal value."""
-
-    def __init__(self, inner: UncertaintySignal) -> None:
-        self.inner = inner
-        self.binary = inner.binary
-        self.values: list[float] = []
-
-    def reset(self) -> None:
-        self.inner.reset()
-        self.values.clear()
-
-    def measure(self, observation: np.ndarray) -> float:
-        value = self.inner.measure(observation)
-        self.values.append(float(value))
-        return value
-
-    def state_dict(self) -> dict:
-        return {
-            "inner": self.inner.state_dict(),
-            "values": [float(v) for v in self.values],
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.inner.load_state_dict(state["inner"])
-        self.values = [float(v) for v in state["values"]]
 
 
 class MonitoredController(SafetyController):
@@ -556,16 +523,14 @@ class MonitoredController(SafetyController):
         allow_revert: bool = False,
         name: str = "monitored",
     ) -> None:
-        recorder = SignalRecorder(signal)
         super().__init__(
             learned=learned,
             default=default,
-            signal=recorder,
+            signal=signal,
             trigger=trigger,
             allow_revert=allow_revert,
             name=name,
         )
-        self.recorder = recorder
         self.log: list[DecisionRecord] = []
 
     def reset(self) -> None:
@@ -578,7 +543,7 @@ class MonitoredController(SafetyController):
         self.log.append(
             DecisionRecord(
                 step=self.total_steps - 1,
-                signal_value=self.recorder.values[-1],
+                signal_value=self.monitor.last_decision.signal_value,
                 trigger_fired=self._defaulted and not was_defaulted,
                 defaulted=self.last_decision_defaulted,
                 action=action,
@@ -612,10 +577,11 @@ def explain_default(
     rows = []
     for record in controller.log[start:end]:
         marker = "<< hand-off" if record.step == handoff else ""
+        value = record.signal_value
         rows.append(
             [
                 record.step,
-                round(record.signal_value, 5),
+                "not measured" if np.isnan(value) else round(value, 5),
                 "yes" if record.defaulted else "no",
                 record.action,
                 marker,

@@ -50,7 +50,6 @@ from repro.domains.base import DOMAINS, DemoScheme, Domain
 from repro.errors import ConfigError, SimulationError
 from repro.mdp.interfaces import StepResult
 from repro.mdp.qlearning import QLearningAgent, train_q_learning
-from repro.perf import fast_paths_enabled
 from repro.traces.dataset import DATASET_NAMES, DatasetSplit, make_dataset
 from repro.traces.trace import Trace
 
@@ -317,8 +316,8 @@ class TabularEnsembleSignal(PolicyEnsembleSignal):
     """``U_pi`` over tabular Q-learning members, as a per-state table.
 
     Construction scores every state once with the per-member reference
-    reduction; a measurement is then one table read (bitwise-equal; fast
-    paths off still take the reference path).  Members must index states
+    reduction; a measurement is then one table read, bitwise-equal to
+    :meth:`PolicyEnsembleSignal.measure`.  Members must index states
     with :class:`CCStateIndexer` and share a positive temperature (greedy
     one-hot outputs would make disagreement degenerate).
     """
@@ -348,14 +347,10 @@ class TabularEnsembleSignal(PolicyEnsembleSignal):
         )
 
     def measure(self, observation: np.ndarray) -> float:
-        if not fast_paths_enabled():
-            return super().measure(observation)
         return float(self._values[self._indexer(observation)])
 
     def measure_batch(self, observations: np.ndarray) -> np.ndarray:
         """``U_pi`` for one observation per concurrent session."""
-        if not fast_paths_enabled():
-            return super().measure_batch(observations)
         return self._values[self._indexer.batch(observations)]
 
 

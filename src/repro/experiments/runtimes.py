@@ -40,7 +40,7 @@ def _per_decision_ms(
     """Time the full online path: one monitor decision per observation.
 
     ``allow_revert=True`` keeps the monitor measuring on every step (the
-    sticky fast path would otherwise stop measuring after a default and
+    sticky skip would otherwise stop measuring after a default and
     undercount the latency the paper reports).
     """
     monitor = SafetyMonitor(signal, trigger, allow_revert=True)

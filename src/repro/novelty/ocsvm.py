@@ -24,7 +24,6 @@ import numpy as np
 from repro.errors import NoveltyError
 from repro.novelty.base import NoveltyDetector
 from repro.novelty.kernels import median_heuristic_gamma, rbf_kernel
-from repro.perf import fast_paths_enabled
 
 __all__ = ["OneClassSVM"]
 
@@ -100,7 +99,7 @@ class OneClassSVM(NoveltyDetector):
         keep = support if self.prune else np.ones(n, dtype=bool)
         self.support_vectors_ = samples[keep].copy()
         self.dual_coef_ = alpha[keep].copy()
-        # Cached for the fast scoring path: |sv|^2 never changes after fit.
+        # Cached for scoring: |sv|^2 never changes after fit.
         self._sv_sq_norms = (self.support_vectors_**2).sum(axis=1)
         self._bound_fraction = float(
             np.mean(alpha[support] >= upper - _ALPHA_TOL)
@@ -108,19 +107,16 @@ class OneClassSVM(NoveltyDetector):
         self.rho_ = self._compute_rho(alpha, gradient, upper)
 
     def _scores(self, samples: np.ndarray) -> np.ndarray:
-        if fast_paths_enabled():
-            # Inline rbf_kernel with the support-vector norms precomputed at
-            # fit time; term-for-term the same arithmetic, so scores are
-            # bitwise identical to the reference path below.
-            samples = np.atleast_2d(np.asarray(samples, dtype=float))
-            sq_dists = (
-                (samples**2).sum(axis=1)[:, None]
-                + self._sv_sq_norms[None, :]
-                - 2.0 * samples @ self.support_vectors_.T
-            )
-            kernel = np.exp(-self._gamma_value * np.maximum(sq_dists, 0.0))
-        else:
-            kernel = rbf_kernel(samples, self.support_vectors_, self._gamma_value)
+        # rbf_kernel inlined with the support-vector norms precomputed at
+        # fit time; term-for-term the same arithmetic, so scores are
+        # bitwise identical to ``rbf_kernel(...) @ dual_coef_ - rho_``.
+        samples = np.atleast_2d(np.asarray(samples, dtype=float))
+        sq_dists = (
+            (samples**2).sum(axis=1)[:, None]
+            + self._sv_sq_norms[None, :]
+            - 2.0 * samples @ self.support_vectors_.T
+        )
+        kernel = np.exp(-self._gamma_value * np.maximum(sq_dists, 0.0))
         return kernel @ self.dual_coef_ - self.rho_
 
     @staticmethod

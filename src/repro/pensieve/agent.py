@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.errors import ModelError
 from repro.pensieve.model import ActorNetwork, CriticNetwork
-from repro.perf import fast_paths_enabled
 from repro.policies.base import ABRPolicy
 
 __all__ = ["PensieveAgent", "PensieveValueFunction"]
@@ -61,10 +60,10 @@ class PensieveAgent(ABRPolicy):
         """Exactly ``[act(o, r) for o, r in zip(observations, rngs)]``.
 
         A greedy agent takes the argmax of one row-stable forward; a
-        sampling agent, or any agent with fast paths off, acts row by row
-        so each session's RNG is drawn exactly as :meth:`act` draws it.
+        sampling agent acts row by row so each session's RNG is drawn
+        exactly as :meth:`act` draws it.
         """
-        if not self.greedy or not fast_paths_enabled():
+        if not self.greedy:
             return [
                 self.act(observation, rng)
                 for observation, rng in zip(observations, rngs)

@@ -18,10 +18,11 @@ keyed by the training fingerprint and both trainers persist every member's
 parameters as a versioned ``.npz``, so rebuilding a safety suite with an
 unchanged configuration loads the networks instead of retraining them.
 
-When the fast paths are enabled (see :mod:`repro.perf`) multi-member
-ensembles train through :class:`~repro.pensieve.training.LockstepEnsembleTrainer`
-— one stacked pass over all members instead of ``K`` separate trainings —
-with bitwise-identical resulting weights.
+Multi-member ensembles train through
+:class:`~repro.pensieve.training.LockstepEnsembleTrainer` — one stacked
+pass over all members instead of ``K`` separate trainings — with weights
+bitwise identical to training each member alone, which is how a
+one-member ensemble trains.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from repro.pensieve.training import (
     TrainingConfig,
     _restore_mean_squares,
 )
-from repro.perf import fast_paths_enabled
 from repro.traces.trace import Trace
 from repro.util.rng import rng_from_seed, spawn_seeds
 from repro.video.manifest import VideoManifest
@@ -137,11 +137,11 @@ def train_agent_ensemble(
 ) -> list[PensieveAgent]:
     """Train *size* agents that differ only in initialization seed.
 
-    With the fast paths enabled, multi-member ensembles train through the
-    batched :class:`~repro.pensieve.training.LockstepEnsembleTrainer`;
-    otherwise members train independently — in parallel when
-    *max_workers* (or ``REPRO_MAX_WORKERS``) allows.  All three routes
-    produce bitwise-identical weights.
+    Multi-member ensembles train through the batched
+    :class:`~repro.pensieve.training.LockstepEnsembleTrainer`; a
+    one-member ensemble trains alone on the worker pool sized by
+    *max_workers* (or ``REPRO_MAX_WORKERS``).  Both routes produce the
+    weights of training each member independently, bit for bit.
 
     With *cache* set, the trained weights are stored under
     :data:`AGENT_WEIGHTS_ARTIFACT` and later calls with the same
@@ -170,7 +170,7 @@ def train_agent_ensemble(
                 )
             )
         return agents
-    if fast_paths_enabled() and size > 1:
+    if size > 1:
         trainer = LockstepEnsembleTrainer(
             manifest,
             training_traces,
@@ -394,8 +394,8 @@ def train_value_ensemble(
     dataset with a differently initialized critic network, exactly the
     paper's recipe for ``U_V``.  Target collection walks one shared RNG
     and stays in the calling process; the independent per-member
-    regressions run as one stacked pass when the fast paths are enabled,
-    and otherwise fan out to workers.
+    regressions run as one stacked pass, and a one-member ensemble
+    regresses alone on the worker pool sized by *max_workers*.
 
     With *cache* set, the trained weights are stored under
     :data:`VALUE_WEIGHTS_ARTIFACT`; a later call with the same
@@ -433,7 +433,7 @@ def train_value_ensemble(
         reward_scale=reward_scale,
         seed=root_seed,
     )
-    if fast_paths_enabled() and size > 1:
+    if size > 1:
         members = _train_value_members_lockstep(
             observations,
             targets,

@@ -27,7 +27,6 @@ from repro.errors import ModelError
 from repro.nn.layers import Conv1D, Dense, Flatten, ReLU
 from repro.nn.losses import softmax
 from repro.nn.network import Sequential
-from repro.perf import fast_paths_enabled
 
 __all__ = ["PensieveTrunk", "ActorNetwork", "CriticNetwork"]
 
@@ -306,11 +305,7 @@ class ActorNetwork:
 
         ``row_stable=True`` makes each row bitwise-equal to a
         single-observation call (see :meth:`PensieveTrunk.features_inference`).
-        Falls back to the layer-by-layer path when the fast paths are
-        globally disabled (see :mod:`repro.perf`).
         """
-        if not fast_paths_enabled():
-            return self.probabilities(observations)
         features = self.trunk.features_inference(observations, row_stable)
         return softmax(
             _matmul(features, self.head.weight, row_stable) + self.head.bias
@@ -362,9 +357,7 @@ class CriticNetwork:
 
     def values_inference(self, observations: np.ndarray) -> np.ndarray:
         """Gradient-free state values, bitwise-identical to :meth:`values`
-        but through the fused trunk forward (see :mod:`repro.perf`)."""
-        if not fast_paths_enabled():
-            return self.values(observations)
+        but through the fused trunk forward."""
         features = self.trunk.features_inference(observations)
         return (features @ self.head.weight + self.head.bias)[:, 0]
 

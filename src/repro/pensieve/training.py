@@ -23,8 +23,7 @@ Two engines share this algorithm:
   stepping their rollout environments in lockstep and replacing ``K``
   separate forward/backward/RMSProp passes with one stacked
   ``(members, batch, ...)`` pass per layer.  Its trained weights are
-  bitwise identical to running :class:`A2CTrainer` per member (the
-  ``REPRO_DISABLE_FAST_PATHS=1`` reference), which
+  bitwise identical to running :class:`A2CTrainer` per member, which
   ``tools/bench_training.py`` gates on every full run.
 """
 
@@ -46,7 +45,6 @@ from repro.nn.optim import RMSProp, StackedRMSProp
 from repro.pensieve.agent import PensieveAgent
 from repro.pensieve.model import ActorNetwork, CriticNetwork
 from repro.pensieve.stacked import StackedTrainingNetwork
-from repro.perf import fast_paths_enabled
 from repro.traces.trace import Trace
 from repro.util.rng import rng_from_seed
 from repro.video.manifest import VideoManifest
@@ -161,8 +159,8 @@ def _n_step_targets_reference(
     rewards: np.ndarray, values: np.ndarray, gamma: float, n_step: int
 ) -> np.ndarray:
     """The reference nested-loop n-step targets (O(horizon x n_step)
-    Python iterations); kept as the ``REPRO_DISABLE_FAST_PATHS`` path and
-    as the equality oracle for the vectorized scan."""
+    Python iterations): the equality oracle and timing baseline for the
+    vectorized scan."""
     horizon = len(rewards)
     targets = np.empty(horizon)
     for start in range(horizon):
@@ -221,9 +219,8 @@ def n_step_targets(
     lets these small agents converge in hundreds rather than tens of
     thousands of episodes.
 
-    Routed through the vectorized reverse scan when the fast paths are
-    enabled and the reference nested loop otherwise (see
-    :mod:`repro.perf`); both produce the same floats bit for bit.
+    Computed by the vectorized reverse scan, bitwise equal to the
+    reference nested loop.
     """
     rewards = np.asarray(rewards, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -234,9 +231,7 @@ def n_step_targets(
         )
     if n_step < 1:
         raise TrainingError(f"n_step must be >= 1, got {n_step}")
-    if fast_paths_enabled():
-        return _n_step_targets_fast(rewards, values, gamma, n_step)
-    return _n_step_targets_reference(rewards, values, gamma, n_step)
+    return _n_step_targets_fast(rewards, values, gamma, n_step)
 
 
 class A2CTrainer:

@@ -38,9 +38,7 @@ decisions match.  Batched signal values can differ from the
 per-session path in the last ulp (BLAS accumulation order depends on
 the batch shape), which could in principle flip a trigger comparison
 exactly at the threshold; the serial runner measures one observation
-at a time and is the unconditionally bitwise-exact path, as is the
-engine with fast paths off, which also measures and acts row by row
-and keeps measuring settled rows like the per-session monitor.  The fold
+at a time and is the unconditionally bitwise-exact path.  The fold
 itself cannot differ: a :class:`~repro.core.monitor.SafetyMonitor` is a
 one-row :class:`~repro.core.monitor.MonitorTable`, so the runner, the
 service and the kernel run every trigger and mode update through the
@@ -64,7 +62,6 @@ from repro.core.thresholding import DefaultTrigger
 from repro.domains import MonitoredSessionResult, SessionFactory, SessionSpec
 from repro.errors import SafetyError
 from repro.mdp.interfaces import Policy
-from repro.perf import fast_paths_enabled
 from repro.serve.table import SessionTable
 from repro.util.rng import rng_from_seed
 
@@ -145,8 +142,8 @@ class ServeEngine:
         """Serve *specs* in this process; results come back in order.
 
         Every session goes through the continuous kernel; stateful
-        signals (``U_S``) and fast paths off measure each row alone with
-        the scalar ``measure``.
+        signals (``U_S``) measure each row alone with the scalar
+        ``measure``.
         """
         specs = list(specs)
         watching = obs.enabled()
@@ -189,15 +186,13 @@ class ServeEngine:
         learned = self.learned
         default = self.default
         allow_revert = self.allow_revert
-        fast = fast_paths_enabled()
         # A stateful signal is copied per slot and measured row by row.
-        batch_measure = fast and signal.stateless
+        batch_measure = signal.stateless
         # Probed once per run: a learned policy without ``act_batch``
         # costs one check per wave and nothing per row.
-        act_batch = getattr(learned, "act_batch", None) if fast else None
-        # With fast paths off the per-session monitor keeps measuring after a
-        # sticky hand-off, so settled rows stay in the waves.
-        drain = fast and not allow_revert
+        act_batch = getattr(learned, "act_batch", None)
+        # A sticky row that fires is drained: it is never measured again.
+        drain = not allow_revert
         chunks_per_session = factory.steps_per_session()
         capacity = len(specs) if self.max_slots is None else self.max_slots
         capacity = max(min(capacity, len(specs)), 1)
@@ -317,8 +312,8 @@ class ServeEngine:
                         engine=self.name,
                     )
             else:
-                # A lone row, a stateful signal or fast paths off: each
-                # row's own signal through the scalar measure,
+                # A lone row or a stateful signal: each row's own
+                # signal through the scalar measure,
                 # exactly like the serial reference.
                 values = np.array(
                     [
@@ -364,7 +359,7 @@ class ServeEngine:
                 if not finished and is_default and drain:
                     # Settled for good: serve the rest of the session in
                     # a tight loop — byte-identical to the reference's
-                    # sticky fast path (default action, no measurement)
+                    # sticky skip (default action, no measurement)
                     # with the monitor bookkeeping credited in one call.
                     env_step = envs[slot].step
                     rng = rngs[slot]

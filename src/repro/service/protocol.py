@@ -20,7 +20,7 @@ Operations (see ``docs/SERVICE.md`` for the full field tables):
 * ``ping`` / ``sleep`` / ``shutdown`` — health, diagnostics, teardown.
 
 NaN never crosses the wire (:func:`encode_message` refuses it); the
-sticky fast path's unmeasured signal value is transmitted as ``null``.
+sticky skip's unmeasured signal value is transmitted as ``null``.
 """
 
 from __future__ import annotations

@@ -9,6 +9,8 @@ from repro.traces.trace import Trace
 from repro.video.manifest import VideoManifest
 from repro.video.qoe import LinearQoE
 
+from tests import abr_oracles
+
 
 def flat_manifest(chunks=10, chunk_duration=4.0):
     """Constant chunk sizes: rung r is exactly bitrate_r * duration bytes."""
@@ -175,3 +177,50 @@ class TestValidation:
                 Trace.from_bandwidths([1.0, 1.0]),
                 max_buffer_s=2.0,
             )
+
+
+def _walk_matches_oracle(trace, start_s, sizes):
+    """Each chunk's transfer time and the trace clock after it equal the
+    reference walk's, bit for bit."""
+    env = ABREnv(flat_manifest(), trace)
+    env._trace_time = start_s
+    oracle_time = start_s
+    for size in sizes:
+        expected, oracle_time = abr_oracles.transfer_time(trace, oracle_time, size)
+        got = env._transfer_time(size)
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+        assert np.float64(env._trace_time).tobytes() == (
+            np.float64(oracle_time).tobytes()
+        )
+
+
+class TestTransferWalkOracle:
+    """The one-lookup segment walk against the reference walk through
+    ``Trace.bandwidth_at`` and a separate boundary search."""
+
+    def test_random_traces(self):
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            samples = int(rng.integers(2, 30))
+            times = float(rng.uniform(0.0, 5.0)) + np.cumsum(
+                rng.uniform(0.05, 3.0, size=samples)
+            )
+            trace = Trace(times, rng.uniform(0.05, 12.0, size=samples))
+            start = float(rng.uniform(0.0, 3.0 * trace.duration + times[0]))
+            sizes = rng.uniform(1e3, 4e6, size=12)
+            _walk_matches_oracle(trace, start, sizes)
+
+    def test_exact_segment_boundary_landings(self):
+        # 8 Mbit/s is 1e6 bytes/s: every 1e6-byte chunk ends exactly on a
+        # one-second boundary, and the next walk starts on it.
+        trace = Trace.from_bandwidths([8.0, 4.0, 8.0, 16.0, 2.0])
+        _walk_matches_oracle(trace, 0.0, [1e6, 5e5, 1e6, 2e6, 2.5e5])
+        for start in (1.0, 2.0, 4.0, 5.0):
+            _walk_matches_oracle(trace, start, [1e6, 1e6, 3e6])
+
+    def test_wrap_around(self):
+        # Chunks far larger than one pass over the trace, from starts past
+        # its end: the walk wraps several times.
+        trace = Trace(np.array([2.0, 2.5, 4.0, 7.0]), np.array([1.0, 3.0, 0.5, 6.0]))
+        for start in (0.0, 6.9, 7.0, 19.25, 100.0):
+            _walk_matches_oracle(trace, start, [5e6, 7.5e6, 1.2e5])

@@ -75,6 +75,35 @@ class TestStateBuilder:
             StateBuilder(np.arange(1.0, 11.0), num_chunks=5)
 
 
+class TestShiftOracle:
+    def test_in_place_shift_matches_np_roll(self):
+        # Push a random stream (some steps with no next chunk) through the
+        # builder and through a reference that rolls a copy each step.
+        rng = np.random.default_rng(9)
+        builder = make_builder()
+        reference = builder.reset()
+        for step in range(40):
+            sizes = None if step % 7 == 6 else rng.uniform(1e5, 3e6, size=6)
+            inputs = dict(
+                bitrate_index=int(rng.integers(0, 6)),
+                buffer_s=float(rng.uniform(0.0, 60.0)),
+                throughput_mbps=float(rng.uniform(0.0, 10.0)),
+                download_time_s=float(rng.uniform(0.0, 8.0)),
+                chunks_remaining=int(rng.integers(0, 49)),
+            )
+            observation = builder.push(next_chunk_sizes_bytes=sizes, **inputs)
+            reference = np.roll(reference, -1, axis=1)
+            reference[0, -1] = BITRATES[inputs["bitrate_index"]] / BITRATES[-1]
+            reference[1, -1] = inputs["buffer_s"] / 10.0
+            reference[2, -1] = inputs["throughput_mbps"] / 8.0
+            reference[3, -1] = inputs["download_time_s"] / 10.0
+            reference[4, :] = 0.0
+            if sizes is not None:
+                reference[4, :6] = sizes / 1e6
+            reference[5, -1] = inputs["chunks_remaining"] / 48
+            assert observation.tobytes() == reference.tobytes()
+
+
 class TestObservationView:
     def test_round_trip(self):
         builder = make_builder()

@@ -33,14 +33,15 @@ from repro.pensieve.ensemble import (
     VALUE_WEIGHTS_ARTIFACT,
     train_agent_ensemble,
     train_value_ensemble,
+    value_member_checkpoint_artifact,
 )
 from repro.pensieve.training import (
     A2CTrainer,
     LockstepEnsembleTrainer,
     TrainingConfig,
 )
-from repro.perf import fast_paths
 from repro.traces.dataset import make_dataset
+from repro.util.rng import spawn_seeds
 from repro.video.envivio import envivio_dash3_manifest
 
 SEEDS = (0, 1, 2)
@@ -212,76 +213,87 @@ class TestEnsembleResume:
     def test_agent_ensemble_resumes_and_discards(
         self, manifest, split, config, tmp_path
     ):
-        with fast_paths(True):
-            reference = train_agent_ensemble(
-                manifest, split.train, size=3, config=config, root_seed=5
-            )
-            cache = _cache(tmp_path)
-            with chaos.injected([EPOCH_FAULT]):
-                with pytest.raises(ChaosError):
-                    train_agent_ensemble(
-                        manifest,
-                        split.train,
-                        size=3,
-                        config=config,
-                        root_seed=5,
-                        cache=cache,
-                        checkpoint_every=1,
-                    )
-            assert cache.has_arrays(AGENT_CHECKPOINT_ARTIFACT)
-            agents = train_agent_ensemble(
-                manifest,
-                split.train,
-                size=3,
-                config=config,
-                root_seed=5,
-                cache=cache,
-                checkpoint_every=1,
-            )
+        reference = train_agent_ensemble(
+            manifest, split.train, size=3, config=config, root_seed=5
+        )
+        cache = _cache(tmp_path)
+        with chaos.injected([EPOCH_FAULT]):
+            with pytest.raises(ChaosError):
+                train_agent_ensemble(
+                    manifest,
+                    split.train,
+                    size=3,
+                    config=config,
+                    root_seed=5,
+                    cache=cache,
+                    checkpoint_every=1,
+                )
+        assert cache.has_arrays(AGENT_CHECKPOINT_ARTIFACT)
+        agents = train_agent_ensemble(
+            manifest,
+            split.train,
+            size=3,
+            config=config,
+            root_seed=5,
+            cache=cache,
+            checkpoint_every=1,
+        )
         for ours, theirs in zip(agents, reference):
             _assert_same_state(_agent_state(ours), _agent_state(theirs))
         # Completion stores the weight artifact and drops the checkpoint.
         assert cache.has_arrays(AGENT_WEIGHTS_ARTIFACT)
         assert not cache.has_arrays(AGENT_CHECKPOINT_ARTIFACT)
 
-    @pytest.mark.parametrize("fast", [True, False])
+    @pytest.mark.parametrize("lockstep", [True, False])
     def test_value_ensemble_resumes_bitwise(
-        self, fast, manifest, split, config, tmp_path
+        self, lockstep, manifest, split, config, tmp_path
     ):
+        # Three members regress in lockstep; one member takes the
+        # per-member route with its own checkpoint (member seeds are
+        # spawned from root_seed + 1).
         agent = A2CTrainer(
             manifest, split.train, config=config.with_seed(SEEDS[0])
         ).train()
         kwargs = dict(
-            size=3, epochs=3, filters=4, hidden=12, root_seed=5, max_workers=1
+            size=3 if lockstep else 1,
+            epochs=3,
+            filters=4,
+            hidden=12,
+            root_seed=5,
+            max_workers=1,
         )
-        with fast_paths(fast):
-            reference = train_value_ensemble(
-                agent, manifest, split.train, **kwargs
-            )
-            cache = _cache(tmp_path)
-            with chaos.injected([EPOCH_FAULT]):
-                with pytest.raises(ChaosError):
-                    train_value_ensemble(
-                        agent,
-                        manifest,
-                        split.train,
-                        cache=cache,
-                        checkpoint_every=1,
-                        **kwargs,
-                    )
-            members = train_value_ensemble(
-                agent,
-                manifest,
-                split.train,
-                cache=cache,
-                checkpoint_every=1,
-                **kwargs,
-            )
+        checkpoint = (
+            VALUE_CHECKPOINT_ARTIFACT
+            if lockstep
+            else value_member_checkpoint_artifact(spawn_seeds(6, 1)[0])
+        )
+        reference = train_value_ensemble(agent, manifest, split.train, **kwargs)
+        cache = _cache(tmp_path)
+        with chaos.injected([EPOCH_FAULT]):
+            with pytest.raises(ChaosError):
+                train_value_ensemble(
+                    agent,
+                    manifest,
+                    split.train,
+                    cache=cache,
+                    checkpoint_every=1,
+                    **kwargs,
+                )
+        assert cache.has_arrays(checkpoint)
+        members = train_value_ensemble(
+            agent,
+            manifest,
+            split.train,
+            cache=cache,
+            checkpoint_every=1,
+            **kwargs,
+        )
+        assert len(members) == kwargs["size"]
         for ours, theirs in zip(members, reference):
             for mine, other in zip(ours.critic.params, theirs.critic.params):
                 assert np.array_equal(mine, other)
         assert cache.has_arrays(VALUE_WEIGHTS_ARTIFACT)
-        assert not cache.has_arrays(VALUE_CHECKPOINT_ARTIFACT)
+        assert not cache.has_arrays(checkpoint)
 
 
 _SUBPROCESS_TRAIN = """
@@ -289,11 +301,9 @@ import sys
 from repro.experiments.artifacts import ArtifactCache
 from repro.pensieve.ensemble import train_agent_ensemble
 from repro.pensieve.training import TrainingConfig
-from repro.perf import set_fast_paths
 from repro.traces.dataset import make_dataset
 from repro.video.envivio import envivio_dash3_manifest
 
-set_fast_paths(True)
 manifest = envivio_dash3_manifest(repeats=1)
 split = make_dataset("gamma_1_2", num_traces=4, duration_s=120.0, seed=0).split()
 config = TrainingConfig(epochs=4, gamma=0.9, n_step=4, filters=4, hidden=12)
@@ -331,10 +341,9 @@ class TestHardKillResume:
         )
         assert resumed.returncode == 0
 
-        with fast_paths(True):
-            reference = train_agent_ensemble(
-                manifest, split.train, size=3, config=config, root_seed=5
-            )
+        reference = train_agent_ensemble(
+            manifest, split.train, size=3, config=config, root_seed=5
+        )
         cache = ArtifactCache({"suite": "kill-resume"}, root=cache_root)
         arrays = cache.load_arrays(AGENT_WEIGHTS_ARTIFACT)
         for index, agent in enumerate(reference):

@@ -7,7 +7,6 @@ from repro.core.monitor import SafetyController
 from repro.core.signals import UncertaintySignal
 from repro.core.thresholding import ConsecutiveTrigger
 from repro.errors import SafetyError
-from repro.perf import fast_paths
 
 OBS = np.zeros((6, 8))
 
@@ -128,29 +127,14 @@ class TestBookkeeping:
 
 
 class TestStickySignalSkip:
-    """After a sticky hand-off the fast path stops measuring the signal;
+    """After a sticky hand-off the monitor stops measuring the signal;
     decisions and bookkeeping must be unaffected."""
-
-    def test_same_actions_and_fraction_with_and_without_fast_paths(self):
-        script = [1, 1, 0, 1, 0, 0]
-        with fast_paths(True):
-            fast_controller = make_controller(script, l=2)
-            rng = np.random.default_rng(0)
-            fast_actions = [fast_controller.act(OBS, rng) for _ in range(6)]
-        with fast_paths(False):
-            slow_controller = make_controller(script, l=2)
-            rng = np.random.default_rng(0)
-            slow_actions = [slow_controller.act(OBS, rng) for _ in range(6)]
-        assert fast_actions == slow_actions
-        assert fast_controller.default_fraction == slow_controller.default_fraction
-        assert fast_controller.total_steps == slow_controller.total_steps
 
     def test_signal_not_measured_after_sticky_default(self):
         controller = make_controller([1, 1, 1, 1, 1], l=2)
         rng = np.random.default_rng(0)
-        with fast_paths(True):
-            for _ in range(5):
-                controller.act(OBS, rng)
+        actions = [controller.act(OBS, rng) for _ in range(5)]
+        assert actions == [5, 0, 0, 0, 0]
         # Steps 1 and 2 measured (the trigger fired on step 2); the three
         # defaulted steps afterwards skipped the signal entirely.
         assert controller.signal._index == 2
@@ -159,8 +143,7 @@ class TestStickySignalSkip:
     def test_revert_mode_keeps_measuring(self):
         controller = make_controller([1, 1, 0, 0], l=2, allow_revert=True)
         rng = np.random.default_rng(0)
-        with fast_paths(True):
-            actions = [controller.act(OBS, rng) for _ in range(4)]
+        actions = [controller.act(OBS, rng) for _ in range(4)]
         assert actions == [5, 0, 5, 5]
         assert controller.signal._index == 4
 

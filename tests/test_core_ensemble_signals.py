@@ -15,7 +15,6 @@ from repro.core.ensemble_signals import (
 from repro.errors import SafetyError
 from repro.pensieve.agent import PensieveAgent, PensieveValueFunction
 from repro.pensieve.model import ActorNetwork, CriticNetwork
-from repro.perf import fast_paths
 from repro.util.rng import rng_from_seed
 
 
@@ -172,22 +171,20 @@ class TestNonFiniteObservations:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("kind", ["U_pi", "U_V"])
     @pytest.mark.parametrize("make", [_pensieve_signal, _fixed_signal])
-    @pytest.mark.parametrize("fast", [True, False])
-    def test_measure_rejects(self, make, kind, value, fast):
+    def test_measure_rejects(self, make, kind, value):
         signal = make(kind)
         observation = rng_from_seed(0).normal(size=(6, 8))
         observation[1, -1] = value
-        with fast_paths(fast), pytest.raises(SafetyError, match="non-finite"):
+        with pytest.raises(SafetyError, match="non-finite"):
             signal.measure(observation)
 
     @pytest.mark.parametrize("kind", ["U_pi", "U_V"])
     @pytest.mark.parametrize("make", [_pensieve_signal, _fixed_signal])
-    @pytest.mark.parametrize("fast", [True, False])
-    def test_measure_batch_rejects(self, make, kind, fast):
+    def test_measure_batch_rejects(self, make, kind):
         signal = make(kind)
         observations = rng_from_seed(1).normal(size=(4, 6, 8))
         observations[2, 1, -1] = np.nan
-        with fast_paths(fast), pytest.raises(SafetyError, match="non-finite"):
+        with pytest.raises(SafetyError, match="non-finite"):
             signal.measure_batch(observations)
 
     @pytest.mark.parametrize("kind", ["U_pi", "U_V"])

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.monitor import (
-    MonitoredController,
-    SignalRecorder,
-    explain_default,
-)
+from repro.core.monitor import MonitoredController, explain_default
 from repro.core.signals import UncertaintySignal
 from repro.core.thresholding import ConsecutiveTrigger
 from repro.errors import SafetyError
@@ -56,23 +52,6 @@ def monitored(script, l=2):
     )
 
 
-class TestSignalRecorder:
-    def test_records_values(self):
-        recorder = SignalRecorder(_ScriptedSignal([0.0, 1.0, 0.5]))
-        for _ in range(3):
-            recorder.measure(OBS)
-        assert recorder.values == [0.0, 1.0, 0.5]
-
-    def test_reset_clears_log(self):
-        recorder = SignalRecorder(_ScriptedSignal([1.0]))
-        recorder.measure(OBS)
-        recorder.reset()
-        assert recorder.values == []
-
-    def test_binary_flag_propagates(self):
-        assert SignalRecorder(_ScriptedSignal([0.0])).binary is True
-
-
 class TestMonitoredController:
     def test_log_matches_decisions(self):
         controller = monitored([0, 1, 1, 1], l=2)
@@ -86,6 +65,18 @@ class TestMonitoredController:
             True,
             True,
         ]
+
+    def test_log_marks_steps_after_sticky_handoff_unmeasured(self):
+        controller = monitored([0, 1, 1, 0, 0, 0], l=2)
+        rng = np.random.default_rng(0)
+        for _ in range(6):
+            controller.act(OBS, rng)
+        values = [record.signal_value for record in controller.log]
+        # Fired at step 2; the sticky monitor measures nothing afterwards,
+        # so steps 3-5 carry no signal value (not the stale 1.0).
+        assert values[:3] == [0.0, 1.0, 1.0]
+        assert all(np.isnan(value) for value in values[3:])
+        assert controller.signal._index == 3
 
     def test_handoff_step(self):
         controller = monitored([1, 1, 1], l=2)
@@ -126,6 +117,17 @@ class TestExplainDefault:
         text = explain_default(controller, context_steps=2)
         assert "hand-off" in text
         assert "defaulted at decision 3" in text
+
+    def test_unmeasured_steps_rendered_as_such(self):
+        controller = monitored([0, 1, 1, 0, 0, 0], l=2)
+        rng = np.random.default_rng(0)
+        for _ in range(6):
+            controller.act(OBS, rng)
+        lines = explain_default(controller, context_steps=3).splitlines()
+        rows = {line.split()[0]: line for line in lines if line[:1].isdigit()}
+        assert "not measured" not in rows["2"]
+        for step in ("3", "4", "5"):
+            assert "not measured" in rows[step]
 
     def test_never_defaulted_raises(self):
         controller = monitored([0, 0], l=2)

@@ -2,11 +2,12 @@
 
 One parametrized test walks the full execution-mode matrix —
 
-    {fast paths on, off} x {workers 1, 2} x {lockstep, per-member trainer}
+    {workers 1, 2} x {lockstep, per-member trainer}
 
 — and asserts that every combination produces **bitwise identical**
 trained weights, session QoE, and uncertainty-signal streams as the
-reference combination (fast paths off, serial, per-member).  This is the
+reference combination (serial, per-member: one :class:`A2CTrainer` and
+one value-member regression per seed).  This is the
 single place the repository's "optimizations never change results"
 contract is enforced end-to-end; it replaces the scattered pairwise
 serial-vs-parallel checks that previously covered one axis each.
@@ -30,22 +31,22 @@ from repro.core.thresholding import ConsecutiveTrigger, VarianceTrigger
 from repro.novelty.ocsvm import OneClassSVM
 from repro.parallel import worker as parallel_worker
 from repro.parallel.executor import parallel_map
-from repro.pensieve.ensemble import train_value_ensemble
+from repro.pensieve.ensemble import collect_value_targets, train_value_ensemble
 from repro.pensieve.training import (
     A2CTrainer,
     LockstepEnsembleTrainer,
     TrainingConfig,
 )
-from repro.perf import fast_paths
 from repro.policies.buffer_based import BufferBasedPolicy
 from repro.policies.random_policy import RandomPolicy
 from repro.traces.dataset import make_dataset
+from repro.util.rng import spawn_seeds
 from repro.video.envivio import envivio_dash3_manifest
 
 SEEDS = (0, 1, 2)
 
-COMBOS = list(itertools.product([False, True], [1, 2], ["per-member", "lockstep"]))
-REFERENCE = (False, 1, "per-member")
+COMBOS = list(itertools.product([1, 2], ["per-member", "lockstep"]))
+REFERENCE = (1, "per-member")
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +73,27 @@ def _train_agents(engine: str, manifest, traces, config):
         A2CTrainer(manifest, traces, config=config.with_seed(seed)).train()
         for seed in SEEDS
     ]
+
+
+def _train_values(engine: str, agent, manifest, traces, workers: int):
+    """Three value functions for *agent*: the stacked regression, or one
+    value-member regression per seed on the worker pool."""
+    if engine == "lockstep":
+        return train_value_ensemble(
+            agent, manifest, traces, size=3, epochs=3, filters=4, hidden=12
+        )
+    # train_value_ensemble's defaults: gamma 0.99, learning rate 2e-3,
+    # root seed 0 (targets) and member seeds spawned from root seed + 1.
+    observations, targets = collect_value_targets(
+        agent, manifest, traces, gamma=0.99, seed=0
+    )
+    return parallel_map(
+        parallel_worker.train_value_member,
+        spawn_seeds(1, 3),
+        max_workers=workers,
+        initializer=parallel_worker.init_value_training,
+        initargs=(observations, targets, manifest.num_bitrates, 3, 2e-3, 4, 12),
+    )
 
 
 def _weights(networks) -> list[np.ndarray]:
@@ -114,8 +136,8 @@ def _signal_log(agents, manifest, trace):
     """Per-decision signal values and actions from an in-process session.
 
     Uses ``allow_revert=True`` so the signal is measured on *every* step
-    under both fast-path settings (the sticky controller deliberately
-    stops measuring after its hand-off when fast paths are on).
+    (the sticky controller deliberately stops measuring after its
+    hand-off).
     """
     from repro.abr.session import run_session
 
@@ -128,27 +150,17 @@ def _signal_log(agents, manifest, trace):
 
 
 def _run_combo(combo, manifest, split, config):
-    fast, workers, engine = combo
-    with fast_paths(fast):
-        agents = _train_agents(engine, manifest, split.train, config)
-        value_functions = train_value_ensemble(
-            agents[0],
-            manifest,
-            split.train,
-            size=3,
-            epochs=3,
-            filters=4,
-            hidden=12,
-            max_workers=workers,
-        )
-        return {
-            "agent_weights": _weights(
-                [net for agent in agents for net in (agent.actor, agent.critic)]
-            ),
-            "value_weights": _weights([vf.critic for vf in value_functions]),
-            "qoe": _pooled_qoe(agents, manifest, split.test, workers),
-            "signals": _signal_log(agents, manifest, split.test[0]),
-        }
+    workers, engine = combo
+    agents = _train_agents(engine, manifest, split.train, config)
+    value_functions = _train_values(engine, agents[0], manifest, split.train, workers)
+    return {
+        "agent_weights": _weights(
+            [net for agent in agents for net in (agent.actor, agent.critic)]
+        ),
+        "value_weights": _weights([vf.critic for vf in value_functions]),
+        "qoe": _pooled_qoe(agents, manifest, split.test, workers),
+        "signals": _signal_log(agents, manifest, split.test[0]),
+    }
 
 
 @pytest.fixture(scope="module")
@@ -329,16 +341,17 @@ class TestGoldenSessions:
             )
 
 
-@pytest.mark.parametrize("fast,workers,engine", COMBOS)
+@pytest.mark.parametrize("workers,engine", COMBOS)
 def test_execution_mode_equivalence(
-    fast, workers, engine, manifest, split, config, reference, monkeypatch
+    workers, engine, manifest, split, config, reference, monkeypatch
 ):
     # The pool size is capped at os.cpu_count(); pretend this machine has
     # enough cores so workers=2 exercises a real pool even on 1-CPU CI.
     monkeypatch.setattr("repro.parallel.executor.os.cpu_count", lambda: 4)
-    outcome = _run_combo((fast, workers, engine), manifest, split, config)
+    outcome = _run_combo((workers, engine), manifest, split, config)
 
     assert len(outcome["agent_weights"]) == len(reference["agent_weights"])
+    assert len(outcome["value_weights"]) == len(reference["value_weights"])
     for ours, theirs in zip(outcome["agent_weights"], reference["agent_weights"]):
         assert np.array_equal(ours, theirs)
     for ours, theirs in zip(outcome["value_weights"], reference["value_weights"]):

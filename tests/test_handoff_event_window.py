@@ -17,8 +17,9 @@ import pytest
 
 from repro import obs
 from repro.abr.env import ABREnv
-from repro.core.monitor import SafetyMonitor, SignalRecorder
+from repro.core.monitor import SafetyMonitor
 from repro.core.runner import run_monitored_session
+from repro.core.signals import UncertaintySignal
 from repro.domains import SessionSpec, get_domain
 from repro.serve import ServeEngine
 from repro.service import SafetyService, build_demo_scheme
@@ -37,6 +38,24 @@ def traces():
     return make_dataset("gamma_1_2", num_traces=4, duration_s=120.0, seed=0).traces
 
 
+class _Recorder(UncertaintySignal):
+    """Pass-through signal that keeps every value it measures."""
+
+    def __init__(self, inner: UncertaintySignal) -> None:
+        self.inner = inner
+        self.binary = inner.binary
+        self.values: list[float] = []
+
+    def reset(self) -> None:
+        self.inner.reset()
+        self.values.clear()
+
+    def measure(self, observation: np.ndarray) -> float:
+        value = self.inner.measure(observation)
+        self.values.append(float(value))
+        return value
+
+
 def _handoffs(run) -> list[dict]:
     with obs.collecting() as collector:
         run()
@@ -44,7 +63,7 @@ def _handoffs(run) -> list[dict]:
 
 
 def _runner_handoffs(scheme, trace):
-    recorder = SignalRecorder(scheme.signal)
+    recorder = _Recorder(scheme.signal)
     monitor = SafetyMonitor(recorder, scheme.trigger.make_table(1), name=scheme.name)
     events = _handoffs(
         lambda: run_monitored_session(

@@ -23,7 +23,6 @@ from repro.core.monitor import SafetyMonitor
 from repro.core.signals import UncertaintySignal
 from repro.core.strategies import CusumTrigger, EWMATrigger, HysteresisTrigger
 from repro.core.thresholding import ConsecutiveTrigger, VarianceTrigger
-from repro.perf import fast_paths
 
 
 class _ValueSignal(UncertaintySignal):
@@ -167,8 +166,7 @@ def _observe(monitor: SafetyMonitor, values) -> list[tuple]:
 def snapshot(case: str) -> str:
     """The golden-format snapshot of *case* after its value stream."""
     monitor = _monitor(case)
-    with fast_paths(True):
-        _observe(monitor, CASES[case][2])
+    _observe(monitor, CASES[case][2])
     return json.dumps(monitor.state_dict(), sort_keys=True)
 
 
@@ -180,12 +178,11 @@ def test_snapshot_matches_golden_bytes(case):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_snapshot_resumes_bitwise(case):
     reference = _monitor(case)
-    with fast_paths(True):
-        _observe(reference, CASES[case][2])
-        expected = _observe(reference, TAIL)
-        restored = _monitor(case)
-        restored.load_state_dict(json.loads(GOLDEN[case]))
-        assert _observe(restored, TAIL) == expected
+    _observe(reference, CASES[case][2])
+    expected = _observe(reference, TAIL)
+    restored = _monitor(case)
+    restored.load_state_dict(json.loads(GOLDEN[case]))
+    assert _observe(restored, TAIL) == expected
     assert json.dumps(restored.state_dict(), sort_keys=True) == json.dumps(
         reference.state_dict(), sort_keys=True
     )

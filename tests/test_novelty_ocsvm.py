@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.errors import NoveltyError
+from repro.novelty.kernels import rbf_kernel
 from repro.novelty.ocsvm import OneClassSVM
 
 RNG = np.random.default_rng(42)
@@ -134,12 +135,9 @@ class TestSupportVectorPruning:
         assert np.all(model.dual_coef_ > 0)
 
     def test_fast_scores_match_reference_path(self):
-        from repro.perf import fast_paths
-
         train = gaussian_cloud(n=200)
         probe = gaussian_cloud(n=50, seed=3)
         model = OneClassSVM(nu=0.2).fit(train)
-        fast = model._scores(probe)
-        with fast_paths(False):
-            reference = model._scores(probe)
-        assert np.array_equal(fast, reference)
+        kernel = rbf_kernel(probe, model.support_vectors_, model._gamma_value)
+        reference = kernel @ model.dual_coef_ - model.rho_
+        assert model._scores(probe).tobytes() == reference.tobytes()

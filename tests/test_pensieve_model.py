@@ -9,7 +9,6 @@ from repro.nn.gradcheck import numerical_gradient, relative_error
 from repro.nn.losses import softmax
 from repro.pensieve.agent import PensieveAgent
 from repro.pensieve.model import ActorNetwork, CriticNetwork, PensieveTrunk
-from repro.perf import fast_paths
 from repro.policies.buffer_based import BufferBasedPolicy
 from repro.traces.dataset import make_dataset
 
@@ -193,15 +192,3 @@ class TestActBatch:
         assert actions == expected
         for batched, solo in zip(batched_rngs, solo_rngs):
             assert batched.bit_generator.state == solo.bit_generator.state
-
-    def test_fast_paths_off_equals_per_row_act(self, manifest, abr_observations):
-        agent = PensieveAgent(manifest.bitrates_kbps, _abr_actor(manifest, 5))
-        observations = abr_observations[:8]
-        rngs = [np.random.default_rng(index) for index in range(8)]
-        with fast_paths(False):
-            actions = agent.act_batch(observations, rngs)
-            expected = [
-                agent.act(observation, rng)
-                for observation, rng in zip(observations, rngs)
-            ]
-        assert actions == expected

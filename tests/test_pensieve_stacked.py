@@ -4,12 +4,16 @@ bitwise — they exist purely to make the per-step signals cheaper."""
 import numpy as np
 import pytest
 
-from repro.core.ensemble_signals import PolicyEnsembleSignal, ValueEnsembleSignal
+from repro.core.ensemble_signals import (
+    PolicyEnsembleSignal,
+    ValueEnsembleSignal,
+    policy_disagreement,
+    value_disagreement,
+)
 from repro.errors import ModelError
 from repro.pensieve.agent import PensieveAgent, PensieveValueFunction
 from repro.pensieve.model import ActorNetwork, CriticNetwork
 from repro.pensieve.stacked import StackedActorEnsemble, StackedCriticEnsemble
-from repro.perf import fast_paths
 from repro.util.rng import rng_from_seed
 
 NUM_BITRATES = 6
@@ -105,17 +109,26 @@ class TestFusedInferenceForward:
             critic.values_inference(batch), critic.values(batch)
         )
 
-    def test_disabled_fast_paths_fall_back(self):
+    def test_inference_rows_match_layer_by_layer_forward(self):
+        # Single observations and row-stable batches: each row of the
+        # fused forward equals the layer-by-layer forward of that row.
         actor = make_actors(count=1)[0]
-        batch = observations(4)
-        with fast_paths(False):
-            assert np.array_equal(
-                actor.probabilities_inference(batch), actor.probabilities(batch)
+        critic = make_critics(count=1)[0]
+        batch = observations(12, seed=4)
+        stable = actor.probabilities_inference(batch, row_stable=True)
+        for row, obs in enumerate(batch):
+            single = obs[None]
+            reference = actor.probabilities(single)[0].tobytes()
+            assert actor.probabilities_inference(single)[0].tobytes() == reference
+            assert stable[row].tobytes() == reference
+            assert (
+                critic.values_inference(single).tobytes()
+                == critic.values(single).tobytes()
             )
 
 
 class TestSignalIntegration:
-    def test_policy_signal_same_with_and_without_fast_paths(self):
+    def test_policy_signal_matches_member_loop(self):
         agents = [
             PensieveAgent(BITRATES, actor=actor, critic=critic)
             for actor, critic in zip(make_actors(), make_critics())
@@ -123,22 +136,18 @@ class TestSignalIntegration:
         signal = PolicyEnsembleSignal(agents, trim=2)
         assert signal._stacked is not None
         for obs in observations(10):
-            fast = signal.measure(obs)
-            with fast_paths(False):
-                slow = signal.measure(obs)
-            assert fast == slow
+            members = np.stack([agent.action_probabilities(obs) for agent in agents])
+            assert signal.measure(obs) == policy_disagreement(members, 2)
 
-    def test_value_signal_same_with_and_without_fast_paths(self):
+    def test_value_signal_matches_member_loop(self):
         value_functions = [
             PensieveValueFunction(critic) for critic in make_critics()
         ]
         signal = ValueEnsembleSignal(value_functions, trim=2)
         assert signal._stacked is not None
         for obs in observations(10):
-            fast = signal.measure(obs)
-            with fast_paths(False):
-                slow = signal.measure(obs)
-            assert fast == slow
+            members = np.array([vf.value(obs) for vf in value_functions])
+            assert signal.measure(obs) == value_disagreement(members, 2)
 
     def test_non_pensieve_members_fall_back(self):
         class StubAgent:

@@ -27,7 +27,6 @@ from repro.domains import get_domain
 from repro.errors import SafetyError
 from repro.pensieve.agent import PensieveAgent
 from repro.pensieve.model import ActorNetwork
-from repro.perf import fast_paths
 from repro.policies.buffer_based import BufferBasedPolicy
 from repro.serve import ServeEngine, SessionSpec
 from repro.traces.dataset import make_dataset
@@ -289,13 +288,12 @@ class TestPensieveThroughKernel:
         ]
 
     @pytest.mark.parametrize("scheme", SCHEMES)
-    @pytest.mark.parametrize("mode", ["batched", "slot-limited", "fast-paths-off"])
+    @pytest.mark.parametrize("mode", ["batched", "slot-limited"])
     def test_matches_serial_reference(self, manifest, specs, scheme, mode):
         kwargs = {"slot-limited": {"max_slots": 2}}.get(mode, {})
         engine = _pensieve_engine(manifest, scheme, **kwargs)
-        with fast_paths(mode != "fast-paths-off"):
-            reference = [_fingerprint(r) for r in _serial_reference(engine, specs)]
-            served = [_fingerprint(r) for r in engine.run(specs)]
+        reference = [_fingerprint(r) for r in _serial_reference(engine, specs)]
+        served = [_fingerprint(r) for r in engine.run(specs)]
         assert served == reference
         flags = [chunk[-1] for result in served for chunk in result[1]]
         assert any(flags) and not all(flags)

@@ -19,7 +19,6 @@ from repro.core.thresholding import ConsecutiveTrigger, VarianceTrigger
 from repro.domains import get_domain
 from repro.errors import SafetyError
 from repro.novelty.ocsvm import OneClassSVM
-from repro.perf import fast_paths
 from repro.policies.buffer_based import BufferBasedPolicy
 from repro.serve import ServeEngine, SessionSpec, serve_sessions
 from repro.traces.dataset import make_dataset
@@ -155,11 +154,12 @@ class TestEngineExactness:
         assert served == reference
 
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_fast_paths_off_matches(self, manifest, specs, scheme):
-        engine = _engine(manifest, scheme)
-        with fast_paths(False):
-            reference = [_fingerprint(r) for r in _serial_reference(engine, specs)]
-            served = [_fingerprint(r) for r in engine.run(specs)]
+    def test_single_slot_matches_serial_loop(self, manifest, specs, scheme):
+        # One slot: every wave is a lone row, measured with the scalar
+        # ``measure`` exactly as the serial loop measures it.
+        engine = _engine(manifest, scheme, max_slots=1)
+        reference = [_fingerprint(r) for r in _serial_reference(engine, specs)]
+        served = [_fingerprint(r) for r in engine.run(specs)]
         assert served == reference
 
     def test_result_order_follows_spec_order(self, manifest, specs):

@@ -4,7 +4,7 @@ The load-bearing property throughout is *bitwise* equality: every stacked
 layer, the stacked optimizer, the vectorized n-step scan, and the full
 lockstep trainer must reproduce the per-member reference computation
 float for float, because the safety-suite caches and the benchmark gate
-both rely on "fast path on/off changes nothing but the wall clock".
+both rely on "batching changes nothing but the wall clock".
 """
 
 import numpy as np
@@ -25,7 +25,6 @@ from repro.pensieve.training import (
     _n_step_targets_reference,
     n_step_targets,
 )
-from repro.perf import fast_paths
 from repro.util.rng import rng_from_seed, spawn_seeds
 
 MEMBERS = 3
@@ -222,14 +221,11 @@ class TestNStepTargetsVectorized:
             fast = _n_step_targets_fast(rewards, values, gamma, n_step)
             assert np.array_equal(reference, fast)
 
-    def test_dispatch_follows_fast_path_switch(self):
+    def test_public_entry_matches_reference_loop(self):
         rewards = np.arange(10.0)
         values = np.ones(10)
-        with fast_paths(True):
-            fast = n_step_targets(rewards, values, 0.9, 4)
-        with fast_paths(False):
-            reference = n_step_targets(rewards, values, 0.9, 4)
-        assert np.array_equal(fast, reference)
+        reference = _n_step_targets_reference(rewards, values, 0.9, 4)
+        assert np.array_equal(n_step_targets(rewards, values, 0.9, 4), reference)
 
     def test_trainer_method_delegates(self, manifest, steady_trace):
         config = TrainingConfig(epochs=1, gamma=0.9, n_step=4)
@@ -257,13 +253,10 @@ class TestLockstepEnsembleTrainer:
         traces = [steady_trace, bursty_trace]
         seeds = spawn_seeds(root_seed, MEMBERS)
         references = []
-        with fast_paths(False):
-            for seed in seeds:
-                trainer = A2CTrainer(
-                    manifest, traces, config=config.with_seed(seed)
-                )
-                trainer.train()
-                references.append(trainer)
+        for seed in seeds:
+            trainer = A2CTrainer(manifest, traces, config=config.with_seed(seed))
+            trainer.train()
+            references.append(trainer)
         lockstep = LockstepEnsembleTrainer(manifest, traces, seeds, config=config)
         agents = lockstep.train()
         assert len(agents) == MEMBERS

@@ -4,11 +4,11 @@
 Trains the same multi-member A2C ensemble two ways and demands they
 produce bitwise-identical weights:
 
-* ``legacy``   — fast paths disabled: each member trains independently
-  through its own :class:`A2CTrainer` (the pre-optimization code),
-* ``lockstep`` — fast paths enabled: all members advance together through
-  :class:`LockstepEnsembleTrainer` with stacked forward/backward passes
-  and a stacked RMSProp update.
+* ``legacy``   — the per-member route: each member trains independently
+  through its own :class:`A2CTrainer`, one after another,
+* ``lockstep`` — :func:`train_agent_ensemble`: all members advance
+  together through :class:`LockstepEnsembleTrainer` with stacked
+  forward/backward passes and a stacked RMSProp update.
 
 The headline number is the legacy vs. lockstep wall time for a 5-member
 agent ensemble; the full run asserts it is >= 3x — for **two different
@@ -45,12 +45,16 @@ from pathlib import Path
 import numpy as np
 
 from repro.experiments.artifacts import ArtifactCache
-from repro.pensieve.ensemble import train_agent_ensemble, train_value_ensemble
-from repro.pensieve.training import TrainingConfig, n_step_targets
+from repro.parallel import worker as parallel_worker
+from repro.pensieve.ensemble import (
+    collect_value_targets,
+    train_agent_ensemble,
+    train_value_ensemble,
+)
+from repro.pensieve.training import A2CTrainer, TrainingConfig, n_step_targets
 from repro.pensieve.training import _n_step_targets_reference
-from repro.perf import fast_paths
 from repro.traces.dataset import make_dataset
-from repro.util.rng import rng_from_seed
+from repro.util.rng import rng_from_seed, spawn_seeds
 from repro.video.envivio import envivio_dash3_manifest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -91,6 +95,32 @@ def _assert_identical(reference, candidate, what: str) -> None:
         raise AssertionError(f"{what}: weights diverged from the reference")
 
 
+def train_agents_per_member(manifest, traces, config, members, root_seed):
+    """The per-member route: one :class:`A2CTrainer` per seed, serially."""
+    return [
+        A2CTrainer(manifest, traces, config=config.with_seed(seed)).train()
+        for seed in spawn_seeds(root_seed, members)
+    ]
+
+
+def train_values_per_member(
+    agent, manifest, training_traces, size, gamma, epochs, filters, hidden, root_seed
+):
+    """The per-member route of :func:`train_value_ensemble` (default
+    learning rate 2e-3): the same targets, then one value-member
+    regression per seed through the pool's worker functions, serially."""
+    observations, targets = collect_value_targets(
+        agent, manifest, training_traces, gamma=gamma, seed=root_seed
+    )
+    parallel_worker.init_value_training(
+        observations, targets, manifest.num_bitrates, epochs, 2e-3, filters, hidden
+    )
+    return [
+        parallel_worker.train_value_member(seed)
+        for seed in spawn_seeds(root_seed + 1, size)
+    ]
+
+
 def bench_agent_ensemble(
     manifest, traces, config, members: int, repeats: int, smoke: bool
 ) -> dict:
@@ -102,11 +132,9 @@ def bench_agent_ensemble(
         reference = fast = None
         for _ in range(repeats):
             start = time.perf_counter()
-            with fast_paths(False):
-                reference = train_agent_ensemble(
-                    manifest, traces, size=members, config=config,
-                    root_seed=root_seed,
-                )
+            reference = train_agents_per_member(
+                manifest, traces, config, members, root_seed
+            )
             legacy_walls.append(time.perf_counter() - start)
             start = time.perf_counter()
             fast = train_agent_ensemble(
@@ -152,10 +180,9 @@ def bench_value_ensemble(
 ) -> dict:
     """Legacy per-member value regression vs. the stacked pass."""
     print(f"value ensemble ({members} members, repeats={repeats}) ...")
-    with fast_paths(False):
-        agent = train_agent_ensemble(
-            manifest, traces, size=1, config=config, root_seed=0
-        )[0]
+    agent = train_agent_ensemble(
+        manifest, traces, size=1, config=config, root_seed=0
+    )[0]
     epochs = 20 if members > 3 else 5
     kwargs = dict(
         manifest=manifest, training_traces=traces, size=members,
@@ -166,8 +193,7 @@ def bench_value_ensemble(
     reference = fast = None
     for _ in range(repeats):
         start = time.perf_counter()
-        with fast_paths(False):
-            reference = train_value_ensemble(agent, **kwargs)
+        reference = train_values_per_member(agent, **kwargs)
         legacy_walls.append(time.perf_counter() - start)
         start = time.perf_counter()
         fast = train_value_ensemble(agent, **kwargs)
@@ -209,11 +235,10 @@ def bench_n_step_targets(horizon: int = 400, trials: int = 50) -> dict:
     reference_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    with fast_paths(True):
-        fast = [
-            n_step_targets(rewards, values, gamma, n_step)
-            for rewards, values in episodes
-        ]
+    fast = [
+        n_step_targets(rewards, values, gamma, n_step)
+        for rewards, values in episodes
+    ]
     fast_s = time.perf_counter() - start
 
     if not all(np.array_equal(a, b) for a, b in zip(reference, fast)):

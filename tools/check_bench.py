@@ -8,17 +8,18 @@ implementation.  Absolute times do not transfer between machines, but the
 ratios largely do — a vectorized kernel that is 7x faster on the commit
 machine should not be 2x on CI unless something regressed.
 
-This gate walks every numeric ``speedup*`` field present in *both* files
+This gate walks every numeric ``speedup*`` field of the committed file
 (ignoring declared gate constants like ``min_speedup_gate``) and fails if
-a fresh ratio fell below ``--ratio`` times the committed one.  The
-default tolerance (0.5) is deliberately loose: it catches "the fast path
-stopped being fast" regressions, not scheduler noise.
+the fresh run lacks it or its fresh ratio fell below ``--ratio`` times
+the committed one, so a gate cannot vanish unnoticed.  The default
+tolerance (0.5) is deliberately loose: it catches "the fast path stopped
+being fast" regressions, not scheduler noise.
 
 ``--require "dotted.path>=value"`` (repeatable) additionally pins
 *absolute* floors on any numeric field of the **fresh** payload —
 machine-independent ratios that must hold everywhere, not merely track
 the committed baseline (e.g. the serving kernel's
-``schemes.A-ensemble.speedup_total>=10``).
+``schemes.A-ensemble.speedup_batching>=1.3``).
 
 Usage (the nightly CI job)::
 
@@ -114,21 +115,20 @@ def main(argv: list[str] | None = None) -> int:
         default=[],
         metavar="PATH>=VALUE",
         help="absolute floor on a fresh numeric field, e.g. "
-        "'schemes.A-ensemble.speedup_total>=10' (repeatable)",
+        "'schemes.A-ensemble.speedup_batching>=1.3' (repeatable)",
     )
     args = parser.parse_args(argv)
     requirements = [parse_requirement(spec) for spec in args.require]
     fresh_payload = json.loads(args.fresh.read_text())
     fresh = speedup_fields(fresh_payload)
     committed = speedup_fields(json.loads(args.committed.read_text()))
-    shared = sorted(set(fresh) & set(committed))
-    if not shared:
-        print(
-            f"FAIL: no shared speedup fields between {args.fresh} and "
-            f"{args.committed}",
-            file=sys.stderr,
-        )
+    if not committed:
+        print(f"FAIL: no speedup fields in {args.committed}", file=sys.stderr)
         return 1
+    missing = sorted(set(committed) - set(fresh))
+    for path in missing:
+        print(f"  {path}: committed {committed[path]:6.2f}x, MISSING from fresh run")
+    shared = sorted(set(fresh) & set(committed))
 
     failures = []
     for path in shared:
@@ -140,6 +140,13 @@ def main(argv: list[str] | None = None) -> int:
         )
         if fresh[path] < floor:
             failures.append(path)
+    if missing:
+        print(
+            f"FAIL: {len(missing)} committed speedup(s) missing from "
+            f"{args.fresh}: " + ", ".join(missing),
+            file=sys.stderr,
+        )
+        return 1
     if failures:
         print(
             f"FAIL: {len(failures)} speedup(s) regressed below "
