@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.abr.session import ABRSessionFactory
+from repro.abr.state import S_INFO, S_LEN
 from repro.core.ensemble_signals import PolicyEnsembleSignal
 from repro.core.thresholding import VarianceTrigger
 from repro.domains.base import DOMAINS, DemoScheme, Domain, LinearSoftmaxPolicy
@@ -36,6 +37,7 @@ class ABRDomain(Domain):
     """Adaptive-bitrate streaming over the standard Envivio manifest."""
 
     key = "abr"
+    observation_shape = (S_INFO, S_LEN)
 
     def dataset_names(self) -> tuple[str, ...]:
         return tuple(DATASET_NAMES)
@@ -82,7 +84,7 @@ class ABRDomain(Domain):
             alpha = _DEMO_ALPHA
         manifest = envivio_dash3_manifest(repeats=1)
         num_actions = len(manifest.bitrates_kbps)
-        num_features = int(np.prod((6, 8)))
+        num_features = int(np.prod(self.observation_shape))
         learned = LinearSoftmaxPolicy(seed + 1, num_actions, num_features)
         default = BufferBasedPolicy(manifest.bitrates_kbps)
         members = [

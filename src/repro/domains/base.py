@@ -125,6 +125,9 @@ class Domain(ABC):
 
     #: Stable registry key (matches the :data:`DOMAINS` registration).
     key: str = ""
+    #: The shape of every observation the domain's environments emit
+    #: (each implementation sets it; the service checks ``step`` input).
+    observation_shape: tuple[int, ...]
 
     @abstractmethod
     def dataset_names(self) -> tuple[str, ...]:

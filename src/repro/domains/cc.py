@@ -28,6 +28,17 @@ accumulates and must fire.  Members are read at a softening temperature;
 :class:`TabularEnsembleSignal` scores every state once at construction
 and answers a whole serve wave with one state-index gather.
 
+The fluid-queue arithmetic lives once, in :func:`_fluid_step`, and the
+state binning once, in :func:`_state_of`.  The served :class:`CCEnv`
+steps through them with its full observation history; the training env
+(:class:`_CyclingTraceEnv`) steps through the same functions over
+capacities read once per trace and observes only the newest sample,
+which is all the indexer bins.  Training is the one generic
+:func:`~repro.mdp.qlearning.train_q_learning` loop on Python floats, so
+the learned agent and the K prior members train without a numpy call
+per step, and their tables are byte-identical to a numpy loop over full
+:class:`CCEnv` sessions.
+
 Everything is deterministic given the seeds: the environment itself
 draws no randomness, training consumes a seeded RNG, and trained tables
 are cached per ``(seed, ensemble_size)`` so repeated scheme builds are
@@ -38,6 +49,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -103,6 +115,35 @@ _DEMO_ALPHA = 10.0
 _DEMO_DRIFT = 0.6
 
 
+def _fluid_step(
+    queue_mbit: float, rate: float, capacity: float
+) -> tuple[float, float, float, float, float]:
+    """One control interval of the bottleneck's fluid queue, on floats.
+
+    Sending at *rate* into a link of *capacity* (both Mbit/s) with
+    *queue_mbit* already backlogged: arrivals join the backlog, the link
+    drains one interval of capacity, and anything beyond the bounded
+    backlog is dropped.  Returns ``(queue_mbit, delivered_mbps,
+    loss_fraction, queue_delay_s, reward)``; the serving env and the
+    training env both step through this one function.
+    """
+    sent_mbit = rate * STEP_S
+    queue_mbit += sent_mbit
+    drained = min(queue_mbit, capacity * STEP_S)
+    queue_mbit -= drained
+    overflow = max(queue_mbit - capacity * QUEUE_CAPACITY_S, 0.0)
+    queue_mbit -= overflow
+    delivered_mbps = drained / STEP_S
+    loss_fraction = min(overflow / sent_mbit, 1.0) if sent_mbit > 0 else 0.0
+    queue_delay_s = queue_mbit / capacity
+    reward = (
+        delivered_mbps
+        - LOSS_PENALTY * rate * loss_fraction
+        - DELAY_PENALTY * queue_delay_s
+    )
+    return queue_mbit, delivered_mbps, loss_fraction, queue_delay_s, reward
+
+
 class CCEnv:
     """A trace-driven bottleneck-link rate-control environment.
 
@@ -137,43 +178,34 @@ class CCEnv:
 
     def step(self, action: int) -> StepResult:
         """Send at ladder rung ``action`` for one interval of the fluid queue."""
-        if not 0 <= int(action) < self.num_actions:
+        action = int(action)
+        if not 0 <= action < len(_LADDER):
             raise SimulationError(
                 f"action {action} outside rate ladder of {self.num_actions}"
             )
-        rate = float(RATE_LADDER_MBPS[int(action)])
+        rate = _LADDER[action]
         capacity = self.trace.bandwidth_at(self._time)
-        sent_mbit = rate * STEP_S
-        # Fluid queue: arrivals join the backlog, the link drains one
-        # interval of capacity, and anything beyond the bounded backlog
-        # is dropped.
-        self._queue_mbit += sent_mbit
-        drained = min(self._queue_mbit, capacity * STEP_S)
-        self._queue_mbit -= drained
-        overflow = max(self._queue_mbit - capacity * QUEUE_CAPACITY_S, 0.0)
-        self._queue_mbit -= overflow
-        delivered_mbps = drained / STEP_S
-        loss_fraction = min(overflow / sent_mbit, 1.0) if sent_mbit > 0 else 0.0
-        queue_delay_s = self._queue_mbit / capacity
-        reward = (
-            delivered_mbps
-            - LOSS_PENALTY * rate * loss_fraction
-            - DELAY_PENALTY * queue_delay_s
+        queue_mbit, delivered_mbps, loss_fraction, queue_delay_s, reward = _fluid_step(
+            self._queue_mbit, rate, capacity
         )
-        self._history[:, :-1] = self._history[:, 1:]
-        self._history[0, -1] = rate / RATE_SCALE
-        self._history[1, -1] = delivered_mbps / RATE_SCALE
-        self._history[2, -1] = loss_fraction
-        self._history[3, -1] = queue_delay_s / DELAY_SCALE
+        self._queue_mbit = queue_mbit
+        history = self._history
+        history[:, :-1] = history[:, 1:]
+        # Four scalar writes take about half the time of one column
+        # assignment from a tuple, which builds an array first.
+        history[0, -1] = rate / RATE_SCALE
+        history[1, -1] = delivered_mbps / RATE_SCALE
+        history[2, -1] = loss_fraction
+        history[3, -1] = queue_delay_s / DELAY_SCALE
         self._time += STEP_S
         self._step_index += 1
         return StepResult(
-            observation=self._history.copy(),
+            observation=history.copy(),
             reward=reward,
             done=False,
             info={
                 "step_index": self._step_index - 1,
-                "rate_index": int(action),
+                "rate_index": action,
                 "rate_mbps": rate,
                 "throughput_mbps": delivered_mbps,
                 "loss_fraction": loss_fraction,
@@ -243,18 +275,10 @@ class CCStateIndexer:
     """
 
     def __call__(self, observation: np.ndarray) -> int:
-        delivered, loss, delay = latest = np.asarray(observation)[1:4, -1].tolist()
+        latest = np.asarray(observation)[1:4, -1].tolist()
         if not all(map(math.isfinite, latest)):
             self.batch(np.asarray(observation)[None])  # raises, naming the field
-        throughput_bin = bisect.bisect_left(_LADDER, delivered * RATE_SCALE)
-        loss_bin = 0 if loss <= 1e-9 else (1 if loss < 0.1 else 2)
-        # Delay bins are deliberately coarse: a one-step queue from a
-        # transient capacity dip stays in bin 0 (in-distribution), while
-        # the persistently full post-shift queue (delay ~= the backlog
-        # bound) lands in bin 2.
-        delay *= DELAY_SCALE
-        delay_bin = 0 if delay < 0.3 else (1 if delay < 0.75 else 2)
-        return (throughput_bin * 3 + loss_bin) * 3 + delay_bin
+        return _state_of(latest)
 
     def batch(self, observations: np.ndarray) -> np.ndarray:
         """The state of every row of *observations*, ``intp[rows]``,
@@ -269,6 +293,22 @@ class CCStateIndexer:
             scaled = latest * _FIELD_SCALES
         bins = (scaled[:, :, None] > _FIELD_EDGES).sum(axis=2)
         return bins @ _BIN_WEIGHTS
+
+
+def _state_of(sample: Sequence[float]) -> int:
+    """The :class:`CCStateIndexer` state of one finite newest sample
+    ``(delivered, loss, delay)``, given in observation units (delivered
+    / :data:`RATE_SCALE`, loss, delay / :data:`DELAY_SCALE`)."""
+    delivered, loss, delay = sample
+    throughput_bin = bisect.bisect_left(_LADDER, delivered * RATE_SCALE)
+    loss_bin = 0 if loss <= 1e-9 else (1 if loss < 0.1 else 2)
+    # Delay bins are deliberately coarse: a one-step queue from a
+    # transient capacity dip stays in bin 0 (in-distribution), while
+    # the persistently full post-shift queue (delay ~= the backlog
+    # bound) lands in bin 2.
+    delay *= DELAY_SCALE
+    delay_bin = 0 if delay < 0.3 else (1 if delay < 0.75 else 2)
+    return (throughput_bin * 3 + loss_bin) * 3 + delay_bin
 
 
 #: ``CCStateIndexer.batch`` bins a scaled field by how many of its edges
@@ -355,29 +395,59 @@ class TabularEnsembleSignal(PolicyEnsembleSignal):
 
 
 class _CyclingTraceEnv:
-    """Round-robin over training traces: each ``reset`` starts the next.
+    """The Q-table training env: round-robin over training traces.
 
-    Gives :func:`~repro.mdp.qlearning.train_q_learning` the whole
-    training distribution through the single-environment interface it
-    expects, deterministically.
+    Each ``reset`` starts the next trace from time 0 with an empty queue,
+    so :func:`~repro.mdp.qlearning.train_q_learning` sees the whole
+    training distribution through one env, deterministically.  Steps run
+    :func:`_fluid_step` over capacities read once per trace (``max_steps``
+    of them, timed as :class:`CCEnv` times them; stepping past raises
+    :class:`~repro.errors.SimulationError`) and observe only the newest
+    ``(delivered, loss, delay)`` sample in observation units, which
+    :func:`_state_of` bins as :class:`CCStateIndexer` bins a history.
     """
 
-    def __init__(self, traces: list[Trace]) -> None:
-        self._envs = [CCEnv(trace) for trace in traces]
+    def __init__(self, traces: list[Trace], max_steps: int) -> None:
+        self._capacities = []
+        for trace in traces:
+            capacities, time_s = [], 0.0
+            for _ in range(max_steps):
+                capacities.append(trace.bandwidth_at(time_s))
+                time_s += STEP_S
+            self._capacities.append(capacities)
         self._index = -1
-        self._active = self._envs[0]
+        self._active = self._capacities[0]
+        self._queue_mbit = 0.0
+        self._step_index = 0
 
     @property
     def num_actions(self) -> int:
-        return self._active.num_actions
+        return len(_LADDER)
 
-    def reset(self) -> np.ndarray:
-        self._index = (self._index + 1) % len(self._envs)
-        self._active = self._envs[self._index]
-        return self._active.reset()
+    def reset(self) -> tuple[float, float, float]:
+        self._index = (self._index + 1) % len(self._capacities)
+        self._active = self._capacities[self._index]
+        self._queue_mbit = 0.0
+        self._step_index = 0
+        return 0.0, 0.0, 0.0
 
     def step(self, action: int) -> StepResult:
-        return self._active.step(action)
+        step_index = self._step_index
+        if step_index >= len(self._active):
+            raise SimulationError(
+                f"training episode ran past its {len(self._active)}-step horizon"
+            )
+        queue_mbit, delivered_mbps, loss_fraction, queue_delay_s, reward = _fluid_step(
+            self._queue_mbit, _LADDER[action], self._active[step_index]
+        )
+        self._queue_mbit = queue_mbit
+        self._step_index = step_index + 1
+        observation = (
+            delivered_mbps / RATE_SCALE,
+            loss_fraction,
+            queue_delay_s / DELAY_SCALE,
+        )
+        return StepResult(observation, reward, False, {})
 
 
 def _scaled_split(
@@ -436,8 +506,8 @@ def _demo_tables(
                 size=(NUM_STATES, RATE_LADDER_MBPS.size),
             )
         agent = train_q_learning(
-            _CyclingTraceEnv(traces),
-            CCStateIndexer(),
+            _CyclingTraceEnv(traces, DEFAULT_HORIZON),
+            _state_of,
             NUM_STATES,
             episodes=episodes,
             learning_rate=learning_rate,
@@ -470,6 +540,7 @@ class CCDomain(Domain):
     """Congestion control over the shared bandwidth-trace datasets."""
 
     key = "cc"
+    observation_shape = (4, HISTORY)
 
     def dataset_names(self) -> tuple[str, ...]:
         return tuple(DATASET_NAMES)

@@ -109,6 +109,14 @@ def train_q_learning(
     common fixed point while rarely-visited entries keep their member-
     specific prior, so ensemble disagreement concentrates exactly where
     training data was scarce (randomized-prior bootstrapping).
+
+    The table is trained as nested Python lists of floats: a greedy pick
+    is ``row.index(max(row))`` (``np.argmax``'s first-index tie rule,
+    which is why ``initial_q`` must be finite) and each update is the
+    same float64 arithmetic an array update does, so the returned table
+    is bitwise what a numpy loop would produce, at a fraction of the
+    per-step cost.  Each step draws ``rng.random()`` and then, when
+    exploring, ``rng.integers(num_actions)``.
     """
     if episodes < 1:
         raise TrainingError(f"episodes must be >= 1, got {episodes}")
@@ -122,34 +130,38 @@ def train_q_learning(
             f"({epsilon_start}, {epsilon_end})"
         )
     rng = rng_from_seed(seed)
+    num_actions = environment.num_actions
     if initial_q is None:
-        q_table = np.zeros((num_states, environment.num_actions))
+        q_table = np.zeros((num_states, num_actions))
     else:
-        q_table = np.asarray(initial_q, dtype=float).copy()
-        if q_table.shape != (num_states, environment.num_actions):
+        q_table = np.asarray(initial_q, dtype=float)
+        if q_table.shape != (num_states, num_actions):
             raise TrainingError(
                 f"initial_q shape {q_table.shape} does not match "
-                f"({num_states}, {environment.num_actions})"
+                f"({num_states}, {num_actions})"
             )
+        if not np.isfinite(q_table).all():
+            raise TrainingError("initial_q must be finite (no NaN or inf)")
+    table = q_table.tolist()
+    random, integers = rng.random, rng.integers
+    reset, step = environment.reset, environment.step
     for episode in range(episodes):
         fraction = episode / max(episodes - 1, 1)
         epsilon = epsilon_start + fraction * (epsilon_end - epsilon_start)
-        observation = environment.reset()
-        state = state_indexer(observation)
+        state = state_indexer(reset())
         for _ in range(max_steps):
-            if rng.random() < epsilon:
-                action = int(rng.integers(environment.num_actions))
+            row = table[state]
+            if random() < epsilon:
+                action = int(integers(num_actions))
             else:
-                action = int(np.argmax(q_table[state]))
-            result = environment.step(action)
+                action = row.index(max(row))
+            result = step(action)
             next_state = state_indexer(result.observation)
             target = result.reward
             if not result.done:
-                target += gamma * q_table[next_state].max()
-            q_table[state, action] += learning_rate * (
-                target - q_table[state, action]
-            )
+                target += gamma * max(table[next_state])
+            row[action] += learning_rate * (target - row[action])
             state = next_state
             if result.done:
                 break
-    return QLearningAgent(q_table, state_indexer)
+    return QLearningAgent(np.array(table).reshape(q_table.shape), state_indexer)

@@ -52,6 +52,8 @@ class SchemeRuntime:
     default: Policy
     #: Configured monitor prototype; sessions get forks of it.
     prototype: SafetyMonitor
+    #: The shape ``step`` observations must have (``None``: unchecked).
+    observation_shape: tuple[int, ...] | None = None
 
     def new_monitor(self) -> SafetyMonitor:
         """A fresh session monitor forked from the prototype."""
@@ -108,7 +110,8 @@ def build_demo_scheme(
     Raises :class:`~repro.errors.ConfigError` naming the registered
     domains when *domain* is unknown.
     """
-    scheme = get_domain(domain).demo_scheme(
+    workload = get_domain(domain)
+    scheme = workload.demo_scheme(
         alpha=alpha, ensemble_size=ensemble_size, seed=seed, name=name
     )
     return SchemeRuntime(
@@ -116,4 +119,5 @@ def build_demo_scheme(
         learned=scheme.learned,
         default=scheme.default,
         prototype=scheme.monitor(),
+        observation_shape=workload.observation_shape,
     )

@@ -333,6 +333,12 @@ class SafetyService:
         observation = _require_observation(message)
         entry, resumed = self.store.checkout(tenant, session)
         runtime = self.schemes[entry.scheme]
+        expected = runtime.observation_shape
+        if expected is not None and observation.shape != expected:
+            raise ProtocolError(
+                f"observation has shape {observation.shape}, "
+                f"scheme {entry.scheme!r} expects {expected}"
+            )
         decision = entry.monitor.observe(observation)
         policy = runtime.policy_for(decision.defaulted)
         action = policy.act(observation, entry.rng)

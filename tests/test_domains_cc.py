@@ -18,6 +18,7 @@ import pytest
 from repro.core.ensemble_signals import PolicyEnsembleSignal
 from repro.domains import (
     SessionSpec,
+    cc,
     apply_scenario,
     get_domain,
     run_monitored_session,
@@ -36,8 +37,9 @@ from repro.domains.cc import (
     TabularEnsembleSignal,
 )
 from repro.errors import ConfigError, SimulationError
-from repro.mdp.qlearning import QLearningAgent
+from repro.mdp.qlearning import QLearningAgent, train_q_learning
 from repro.serve import ServeEngine
+from tests import qlearning_oracles
 
 
 def _observation(delivered=0.0, loss=0.0, delay=0.0):
@@ -342,6 +344,101 @@ class TestDemoSchemeOSAP:
 
     def test_scheme_build_is_cached(self, domain, scheme):
         assert domain.demo_scheme().learned.q_table is scheme.learned.q_table
+
+
+class TestQTableTraining:
+    """The lean training env and list-based trainer against the numpy
+    loop over full :class:`CCEnv` sessions (``tests/qlearning_oracles``)."""
+
+    #: sha256 over ``_demo_tables(0, 4)``: the learned table's bytes,
+    #: then each member's, computed with the numpy training loop.
+    GOLDEN_TABLES = "4406c5fd007cf9e3173b66d8ad2dfc3e6b69e08884255a1ad2f13fa943144afb"
+
+    @pytest.mark.parametrize(
+        "learning_rate, episodes, epsilon_end, prior",
+        [
+            (0.2, 40, 0.05, False),
+            (0.05, 40, 0.25, True),
+            (0.2, 25, 0.25, True),
+            (0.05, 30, 0.05, False),
+        ],
+    )
+    def test_tables_match_the_numpy_oracle(
+        self, learning_rate, episodes, epsilon_end, prior
+    ):
+        traces = cc._training_traces()
+        self._assert_oracle_equal(
+            traces, DEFAULT_HORIZON, learning_rate, episodes, epsilon_end, prior
+        )
+
+    def test_congested_links_match_the_numpy_oracle(self, split):
+        # Under-provisioned links fill the queue and drop packets, so
+        # every loss and delay bin and the overflow arithmetic are hit.
+        traces = [trace.scaled(0.3) for trace in split.test[:3]]
+        self._assert_oracle_equal(traces, 50, 0.05, 40, 0.25, True)
+
+    def _assert_oracle_equal(
+        self, traces, max_steps, learning_rate, episodes, epsilon_end, prior
+    ):
+        initial_q = None
+        if prior:
+            initial_q = np.random.default_rng(17).normal(
+                size=(NUM_STATES, RATE_LADDER_MBPS.size)
+            )
+        options = dict(
+            episodes=episodes,
+            learning_rate=learning_rate,
+            gamma=0.95,
+            epsilon_end=epsilon_end,
+            max_steps=max_steps,
+            seed=5,
+            initial_q=initial_q,
+        )
+        trained = train_q_learning(
+            cc._CyclingTraceEnv(traces, max_steps),
+            cc._state_of,
+            NUM_STATES,
+            **options,
+        ).q_table
+        expected = qlearning_oracles.train_q_table(
+            qlearning_oracles.CyclingCCEnv(traces),
+            CCStateIndexer(),
+            NUM_STATES,
+            **options,
+        )
+        assert trained.tobytes() == expected.tobytes()
+
+    def test_stepping_past_the_horizon_fails_loudly(self, split):
+        env = cc._CyclingTraceEnv(list(split.train[:2]), 3)
+        for _ in range(2):
+            env.reset()
+            for action in (7, 0, 4):
+                env.step(action)
+            with pytest.raises(SimulationError, match="3-step horizon"):
+                env.step(0)
+
+    def test_demo_tables_golden(self):
+        learned, members = cc._demo_tables(0, 4)
+        digest = hashlib.sha256(learned.tobytes())
+        for table in members:
+            digest.update(table.tobytes())
+        assert digest.hexdigest() == self.GOLDEN_TABLES
+
+    def test_demo_tables_train_through_the_module_level_trainer(self, monkeypatch):
+        # Benchmarks time Q training by wrapping this module attribute.
+        calls = []
+
+        def counting(environment, state_indexer, num_states, **options):
+            calls.append(options["seed"])
+            return QLearningAgent(
+                np.zeros((num_states, environment.num_actions)), state_indexer
+            )
+
+        monkeypatch.setattr(cc, "train_q_learning", counting)
+        # The uncached body: clearing the cache would orphan the tables
+        # the module-scoped ``scheme`` fixture holds.
+        cc._demo_tables.__wrapped__(3, 2)
+        assert calls == [4, 13, 14]
 
 
 class _NaNDeliveryEnv(CCEnv):

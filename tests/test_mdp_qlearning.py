@@ -7,6 +7,7 @@ from repro.errors import TrainingError
 from repro.mdp.gridworld import GridWorld
 from repro.mdp.qlearning import QLearningAgent, grid_state_indexer, train_q_learning
 from repro.mdp.rollout import rollout
+from tests import qlearning_oracles
 
 
 class TestGridStateIndexer:
@@ -74,6 +75,41 @@ class TestTrainQLearning:
             train_q_learning(env, indexer, 9, gamma=1.0)
         with pytest.raises(TrainingError):
             train_q_learning(env, indexer, 9, epsilon_start=0.1, epsilon_end=0.5)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_initial_q_rejected(self, value):
+        # The list-based greedy pick only agrees with np.argmax on finite
+        # rows (np.argmax returns the first NaN; max() skips it).
+        env = GridWorld(size=3, seed=0)
+        initial_q = np.zeros((9, env.num_actions))
+        initial_q[4, 2] = value
+        with pytest.raises(TrainingError, match="finite"):
+            train_q_learning(env, grid_state_indexer(3), 9, initial_q=initial_q)
+
+    @pytest.mark.parametrize("prior", [False, True])
+    @pytest.mark.parametrize("learning_rate", [0.2, 0.05])
+    def test_matches_numpy_oracle_with_early_termination(self, prior, learning_rate):
+        # Slip and a goal make episodes end at different steps; the
+        # table must still be byte-identical to the numpy reference.
+        initial_q = None
+        if prior:
+            initial_q = np.random.default_rng(3).normal(size=(16, 4))
+        tables = []
+        for train in (train_q_learning, qlearning_oracles.train_q_table):
+            env = GridWorld(size=4, slip=0.2, observation_noise=0.0, seed=7)
+            trained = train(
+                env,
+                grid_state_indexer(4),
+                16,
+                episodes=40,
+                learning_rate=learning_rate,
+                max_steps=60,
+                seed=11,
+                initial_q=initial_q,
+            )
+            tables.append(getattr(trained, "q_table", trained))
+        assert tables[0].dtype == np.float64
+        assert tables[0].tobytes() == tables[1].tobytes()
 
 
 class TestQLearningAgent:

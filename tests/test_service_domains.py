@@ -9,6 +9,8 @@ as a congestion-control deployment would own its sender.
 
 from __future__ import annotations
 
+import asyncio
+
 import numpy as np
 import pytest
 
@@ -161,3 +163,50 @@ class TestCCScheme:
                 assert stats["ok"] and stats["resumes"] == 1
                 client.shutdown()
         assert driver.chunks == _reference(domain, runtime, traces[1], 1)
+
+    def test_wrong_shape_observation_rejected_before_the_monitor(
+        self, runtime, traces
+    ):
+        # A CC observation of the wrong shape used to index past the
+        # history and answer "internal"; it must get a bad-request and
+        # leave the session as if the line had never been sent.
+        assert runtime.observation_shape == CCEnv(traces[1]).reset().shape
+        service = SafetyService([runtime], ServiceConfig(max_sessions=4))
+        reshapes = (
+            np.ravel,
+            np.transpose,
+            lambda observation: observation[:3],
+            lambda observation: observation[:, :4],
+            lambda observation: observation[None],
+        )
+        runs = {}
+        for session, poisoned in (("clean", False), ("poisoned", True)):
+            attach = {
+                "op": "attach",
+                "tenant": "t",
+                "session": session,
+                "scheme": "demo",
+                "seed": 1,
+            }
+            assert asyncio.run(service.dispatch(attach))["ok"]
+            env = CCEnv(traces[1])
+            observation = env.reset()
+            decisions, rejected = [], []
+            for index in range(HORIZON):
+                step = {"op": "step", "tenant": "t", "session": session}
+                for reshape in reshapes if poisoned and index % 40 == 20 else ():
+                    line = dict(step, observation=reshape(observation).tolist())
+                    rejected.append(asyncio.run(service.dispatch(line)))
+                line = dict(step, observation=observation.tolist())
+                response = asyncio.run(service.dispatch(line))
+                assert response["ok"], response
+                decisions.append(response)
+                observation = env.step(response["action"]).observation
+            runs[session] = decisions, rejected
+        clean, poisoned = runs["clean"][0], runs["poisoned"][0]
+        rejected = runs["poisoned"][1]
+        assert len(rejected) == 4 * len(reshapes)
+        assert all(r["code"] == "bad-request" for r in rejected)
+        assert all("expects (4, 8)" in r["message"] for r in rejected)
+        assert any(decision["handoff"] for decision in clean)
+        assert poisoned == clean

@@ -128,11 +128,15 @@ def _dispatch(service, message):
     return asyncio.run(service.dispatch(message))
 
 
-def _drive_poisoned(service, manifest, trace, session, poisons=(), poison_at=3):
+def _drive_poisoned(
+    service, manifest, trace, session, poisons=(), poison_at=3, reshapes=()
+):
     """Serve one demo session through dispatch(); before step *poison_at*
     send one line per value in *poisons*, each with that value at
-    observation entry [2][3], through the JSON codec.  Returns the
-    accepted decisions and the rejections (each must be a bad-request).
+    observation entry [2][3], through the JSON codec, then one line per
+    function in *reshapes*, each sending that function of the
+    observation array.  Returns the accepted decisions and the
+    rejections (each must be a bad-request).
     """
     _dispatch(
         service,
@@ -157,6 +161,17 @@ def _drive_poisoned(service, manifest, trace, session, poisons=(), poison_at=3):
             )
             message = protocol.decode_message(line.encode())
             assert json.dumps(message["observation"][2][3]) == json.dumps(bad)
+            response = _dispatch(service, message)
+            assert not response["ok"], response
+            assert response["code"] == "bad-request"
+            rejected.append(response)
+        for reshape in reshapes if index == poison_at else ():
+            message = {
+                "op": "step",
+                "tenant": "t",
+                "session": session,
+                "observation": reshape(np.asarray(observation)).tolist(),
+            }
             response = _dispatch(service, message)
             assert not response["ok"], response
             assert response["code"] == "bad-request"
@@ -282,6 +297,32 @@ class TestDispatch:
             )
             assert not response["ok"] and response["code"] == "bad-request"
             assert "JSON numbers" in response["message"]
+
+    def test_wrong_shape_observation_rejected_before_the_monitor(
+        self, runtime, service, demo_manifest, traces
+    ):
+        # Finite numbers of the wrong shape used to reach the policy's
+        # matmul and answer "internal".
+        env = ABREnv(manifest=demo_manifest, trace=traces[0])
+        assert runtime.observation_shape == env.reset().shape
+        clean, _ = _drive_poisoned(service, demo_manifest, traces[0], "clean")
+        poisoned, rejected = _drive_poisoned(
+            service,
+            demo_manifest,
+            traces[0],
+            "poisoned",
+            reshapes=(
+                np.ravel,
+                np.transpose,
+                lambda observation: observation[:5],
+                lambda observation: observation[0, :3],
+                lambda observation: observation[None],
+            ),
+        )
+        assert len(rejected) == 5
+        assert all("expects (6, 8)" in r["message"] for r in rejected)
+        assert any(decision["handoff"] for decision in clean)
+        assert poisoned == clean
 
     def test_step_unknown_session(self, service):
         response = _dispatch(
