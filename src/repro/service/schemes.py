@@ -24,10 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.monitor import SafetyController, SafetyMonitor
+from repro.core.monitor import SafetyMonitor
 from repro.domains import LinearSoftmaxPolicy, get_domain
 from repro.mdp.interfaces import Policy
-from repro.serve.engine import ServeEngine
 
 __all__ = [
     "DEMO_SCHEME",
@@ -62,33 +61,6 @@ class SchemeRuntime:
     def policy_for(self, defaulted: bool) -> Policy:
         """The policy that decides given the monitor's current mode."""
         return self.default if defaulted else self.learned
-
-    @classmethod
-    def from_controller(
-        cls, name: str, controller: SafetyController
-    ) -> "SchemeRuntime":
-        """A runtime serving sessions under *controller*'s scheme."""
-        return cls(
-            name=name,
-            learned=controller.learned,
-            default=controller.default,
-            prototype=controller.monitor,
-        )
-
-    @classmethod
-    def from_engine(cls, name: str, engine: ServeEngine) -> "SchemeRuntime":
-        """A runtime sharing a :class:`ServeEngine`'s scheme artifacts."""
-        return cls(
-            name=name,
-            learned=engine.learned,
-            default=engine.default,
-            prototype=SafetyMonitor(
-                engine.signal,
-                engine.trigger,
-                allow_revert=engine.allow_revert,
-                name=engine.name,
-            ),
-        )
 
 
 def build_demo_scheme(

@@ -10,6 +10,7 @@ as a congestion-control deployment would own its sender.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 
 import numpy as np
 import pytest
@@ -210,3 +211,34 @@ class TestCCScheme:
         assert all("expects (4, 8)" in r["message"] for r in rejected)
         assert any(decision["handoff"] for decision in clean)
         assert poisoned == clean
+
+    def test_mixed_shape_schemes_check_each_session_against_its_own(self, runtime):
+        # With schemes of different shapes, a shape some scheme declares
+        # passes the pre-checkout check and is then held to the
+        # session's own scheme; an unchecked scheme accepts any shape.
+        abr = build_demo_scheme(name="abr")
+        service = SafetyService([abr, runtime], ServiceConfig(max_sessions=4))
+        attach = {"op": "attach", "tenant": "t", "scheme": "demo", "seed": 1}
+        assert asyncio.run(service.dispatch(dict(attach, session="s")))["ok"]
+        step = {"op": "step", "tenant": "t", "session": "s"}
+        for shape, expected in (
+            ((6, 8), "scheme 'demo' expects (4, 8)"),
+            ((3,), "this service expects (4, 8) or (6, 8)"),
+        ):
+            line = dict(step, observation=np.zeros(shape).tolist())
+            response = asyncio.run(service.dispatch(line))
+            assert response["code"] == "bad-request"
+            assert expected in response["message"]
+        line = dict(step, observation=np.zeros((4, 8)).tolist())
+        assert asyncio.run(service.dispatch(line))["ok"]
+
+        unchecked = dataclasses.replace(abr, observation_shape=None)
+        service = SafetyService([unchecked, runtime], ServiceConfig(max_sessions=4))
+        for session, scheme in (("cc", "demo"), ("abr", "abr")):
+            line = dict(attach, session=session, scheme=scheme)
+            assert asyncio.run(service.dispatch(line))["ok"]
+        line = dict(step, session="cc", observation=np.zeros((3,)).tolist())
+        response = asyncio.run(service.dispatch(line))
+        assert "scheme 'demo' expects (4, 8)" in response["message"]
+        line = dict(step, session="abr", observation=np.zeros((6, 8)).tolist())
+        assert asyncio.run(service.dispatch(line))["ok"]

@@ -129,14 +129,23 @@ def _dispatch(service, message):
 
 
 def _drive_poisoned(
-    service, manifest, trace, session, poisons=(), poison_at=3, reshapes=()
+    service,
+    manifest,
+    trace,
+    session,
+    poisons=(),
+    poison_at=3,
+    reshapes=(),
+    evict=False,
 ):
     """Serve one demo session through dispatch(); before step *poison_at*
     send one line per value in *poisons*, each with that value at
     observation entry [2][3], through the JSON codec, then one line per
     function in *reshapes*, each sending that function of the
-    observation array.  Returns the accepted decisions and the
-    rejections (each must be a bad-request).
+    observation array.  With *evict*, every session is evicted to cold
+    storage first, and the rejected lines must not resume any.  Returns
+    the accepted decisions and the rejections (each must be a
+    bad-request).
     """
     _dispatch(
         service,
@@ -153,6 +162,9 @@ def _drive_poisoned(
     decisions, rejected = [], []
     for index in range(manifest.num_chunks - 1):
         rows = np.asarray(observation, dtype=float).tolist()
+        if evict and index == poison_at:
+            assert _dispatch(service, {"op": "evict", "max_idle_s": 0.0})["ok"]
+            cold = service.store.cold_count
         for bad in poisons if index == poison_at else ():
             rows[2][3] = bad
             # json.dumps writes the NaN/Infinity literals.
@@ -176,6 +188,8 @@ def _drive_poisoned(
             assert not response["ok"], response
             assert response["code"] == "bad-request"
             rejected.append(response)
+        if evict and index == poison_at:
+            assert service.store.cold_count == cold
         response = _dispatch(
             service,
             {
@@ -324,10 +338,37 @@ class TestDispatch:
         assert any(decision["handoff"] for decision in clean)
         assert poisoned == clean
 
+    def test_wrong_shape_step_does_not_resume_an_evicted_session(
+        self, service, demo_manifest, traces
+    ):
+        # The shape is checked before the store checkout: a wrong-shape
+        # line for an evicted session costs no store round trip, and the
+        # next valid step is the one that resumes it.
+        clean, _ = _drive_poisoned(
+            service, demo_manifest, traces[0], "clean", evict=True
+        )
+        poisoned, rejected = _drive_poisoned(
+            service,
+            demo_manifest,
+            traces[0],
+            "poisoned",
+            reshapes=(np.ravel, lambda observation: observation[None]),
+            evict=True,
+        )
+        assert len(rejected) == 2
+        assert poisoned[3]["resumed"] and clean[3]["resumed"]
+        assert poisoned == clean
+
     def test_step_unknown_session(self, service):
+        observation = np.zeros(service.schemes["demo"].observation_shape)
         response = _dispatch(
             service,
-            {"op": "step", "tenant": "t", "session": "s", "observation": [1.0]},
+            {
+                "op": "step",
+                "tenant": "t",
+                "session": "s",
+                "observation": observation.tolist(),
+            },
         )
         assert not response["ok"] and response["code"] == "unknown-session"
 
