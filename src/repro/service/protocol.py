@@ -95,11 +95,12 @@ def encode_message(message: dict) -> bytes:
 def decode_message(line: bytes) -> dict:
     """Parse one received line into a message mapping.
 
-    Raises :class:`ProtocolError` when the line is not a JSON object.
+    Raises :class:`ProtocolError` when the line is not a JSON object
+    (nesting too deep for the parser included).
     """
     try:
         message = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ProtocolError(f"line is not valid JSON: {exc}") from exc
     if not isinstance(message, dict):
         raise ProtocolError(

@@ -128,6 +128,12 @@ def _require_str(message: dict, fld: str) -> str:
     value = message.get(fld)
     if not isinstance(value, str) or not value:
         raise ProtocolError(f"field {fld!r} must be a non-empty string")
+    # json.loads passes lone surrogates ("\ud800") through; the SQLite
+    # store cannot encode them, so such a key would fail every sweep.
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ProtocolError(f"field {fld!r} is not valid UTF-8: {exc}") from exc
     return value
 
 
@@ -154,7 +160,7 @@ def _require_observation(message: dict) -> np.ndarray:
         raise ProtocolError(f"observation entries must be JSON numbers, got {bad!r}")
     try:
         array = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"observation is not numeric: {exc}") from exc
     if array.size == 0:
         raise ProtocolError("observation must not be empty")
@@ -301,8 +307,10 @@ class SafetyService:
         session = _require_str(message, "session")
         scheme = _require_str(message, "scheme")
         seed = message.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ProtocolError(f"field 'seed' must be an integer, got {seed!r}")
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise ProtocolError(
+                f"field 'seed' must be a non-negative integer, got {seed!r}"
+            )
         if scheme not in self.schemes:
             raise UnknownSchemeError(
                 f"unknown scheme {scheme!r};"

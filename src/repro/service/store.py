@@ -36,7 +36,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -78,8 +78,10 @@ class StoreBackend:
 
     Implementations store opaque JSON payload strings; the
     :class:`SessionStore` owns the snapshot schema.  All methods are
-    synchronous — the service calls them off the hot path only
-    (eviction, resume, detach).
+    synchronous and some run on the step path: a step that resumes an
+    evicted session pays one ``get`` and one ``delete``.
+    :meth:`put_many` is the one write method; an eviction sweep is one
+    call, so it commits (or fails) as a whole.
     """
 
     #: CLI-friendly backend name (``"memory"`` / ``"sqlite"``).
@@ -87,6 +89,10 @@ class StoreBackend:
 
     def put(self, tenant: str, session: str, payload: str) -> None:
         """Insert or replace the snapshot for ``(tenant, session)``."""
+        self.put_many([(tenant, session, payload)])
+
+    def put_many(self, items: Iterable[tuple[str, str, str]]) -> None:
+        """Insert or replace every ``(tenant, session, payload)``: all or none."""
         raise NotImplementedError
 
     def get(self, tenant: str, session: str) -> str | None:
@@ -122,9 +128,11 @@ class DictBackend(StoreBackend):
     def __init__(self) -> None:
         self._payloads: dict[tuple[str, str], str] = {}
 
-    def put(self, tenant: str, session: str, payload: str) -> None:
-        """Insert or replace the snapshot for ``(tenant, session)``."""
-        self._payloads[(tenant, session)] = payload
+    def put_many(self, items: Iterable[tuple[str, str, str]]) -> None:
+        """Insert or replace every ``(tenant, session, payload)``: all or none."""
+        self._payloads.update(
+            {(tenant, session): payload for tenant, session, payload in items}
+        )
 
     def get(self, tenant: str, session: str) -> str | None:
         """The stored snapshot payload, or ``None`` when absent."""
@@ -143,9 +151,12 @@ class SQLiteBackend(StoreBackend):
     """A SQLite file backend: snapshots shared across workers/restarts.
 
     One table keyed by ``(tenant, session)`` with an ``updated_at``
-    wall-clock column for operators.  The connection is guarded by a
-    lock and created with ``check_same_thread=False`` so a background
-    service thread and a foreground CLI can share one handle.
+    wall-clock column for operators.  The database runs in WAL mode
+    with ``synchronous=FULL``: every commit is durable before the call
+    returns, and costs one append to the ``-wal`` file plus one fsync.
+    The connection is guarded by a lock and created with
+    ``check_same_thread=False`` so a background service thread and a
+    foreground CLI can share one handle.
     """
 
     kind = "sqlite"
@@ -154,7 +165,9 @@ class SQLiteBackend(StoreBackend):
         self.path = Path(path)
         self._lock = threading.Lock()
         self._conn = sqlite3.connect(str(self.path), check_same_thread=False)
-        with self._lock:
+        with self._lock, self._conn:
+            self._conn.execute("PRAGMA journal_mode=WAL")
+            self._conn.execute("PRAGMA synchronous=FULL")
             self._conn.execute(
                 "CREATE TABLE IF NOT EXISTS sessions ("
                 " tenant TEXT NOT NULL,"
@@ -163,20 +176,26 @@ class SQLiteBackend(StoreBackend):
                 " updated_at REAL NOT NULL,"
                 " PRIMARY KEY (tenant, session))"
             )
-            self._conn.commit()
 
-    def put(self, tenant: str, session: str, payload: str) -> None:
-        """Insert or replace the snapshot for ``(tenant, session)``."""
-        with self._lock:
-            self._conn.execute(
+    def put_many(self, items: Iterable[tuple[str, str, str]]) -> None:
+        """Insert or replace every ``(tenant, session, payload)``: all or none.
+
+        The batch is one transaction: it commits once, and any error
+        (or a crash) part-way leaves every stored row as it was.
+        """
+        now = time.time()
+        with self._lock, self._conn:
+            self._conn.executemany(
                 "INSERT INTO sessions (tenant, session, payload, updated_at)"
                 " VALUES (?, ?, ?, ?)"
                 " ON CONFLICT (tenant, session)"
                 " DO UPDATE SET payload = excluded.payload,"
                 " updated_at = excluded.updated_at",
-                (tenant, session, payload, time.time()),
+                (
+                    (tenant, session, payload, now)
+                    for tenant, session, payload in items
+                ),
             )
-            self._conn.commit()
 
     def get(self, tenant: str, session: str) -> str | None:
         """The stored snapshot payload, or ``None`` when absent."""
@@ -189,12 +208,11 @@ class SQLiteBackend(StoreBackend):
 
     def delete(self, tenant: str, session: str) -> bool:
         """Remove the snapshot; returns whether one existed."""
-        with self._lock:
+        with self._lock, self._conn:
             cursor = self._conn.execute(
                 "DELETE FROM sessions WHERE tenant = ? AND session = ?",
                 (tenant, session),
             )
-            self._conn.commit()
         return cursor.rowcount > 0
 
     def keys(self) -> list[tuple[str, str]]:
@@ -394,8 +412,11 @@ class SessionStore:
                     f"session {tenant}/{session} is not attached"
                 )
             entry = self._resume(payload)
-            self._hot[key] = entry
+            # The cold row goes (durably) before the entry turns hot: a
+            # hot session never has a cold copy a crash could leave
+            # behind to be resumed stale.
             self.backend.delete(tenant, session)
+            self._hot[key] = entry
             self.resumes += 1
             obs.inc("service.resumes", tenant=tenant)
             return entry, True
@@ -427,24 +448,26 @@ class SessionStore:
         """Snapshot hot sessions idle for ``>= max_idle_s`` to cold.
 
         *max_idle_s* defaults to the store's TTL; ``0`` evicts
-        everything (the ``reopen``/shutdown path).  Returns how many
-        sessions moved.
+        everything (the ``reopen``/shutdown path).  The sweep is one
+        :meth:`StoreBackend.put_many` call: sessions leave the hot tier
+        only once it has returned, so a failed write loses none.
+        Returns how many sessions moved.
         """
         bound = self.hot_ttl_s if max_idle_s is None else float(max_idle_s)
         with self._lock:
             current = self._clock() if now is None else now
             idle = [
-                key
+                (key, entry)
                 for key, entry in self._hot.items()
                 if current - entry.last_used >= bound
             ]
-            for tenant, session in idle:
-                entry = self._hot.pop((tenant, session))
-                self.backend.put(
-                    tenant, session, json.dumps(entry.snapshot())
-                )
-                self.evictions += 1
+            self.backend.put_many(
+                [(*key, json.dumps(entry.snapshot())) for key, entry in idle]
+            )
+            for (tenant, session), _ in idle:
+                del self._hot[tenant, session]
                 obs.inc("service.evictions", tenant=tenant)
+            self.evictions += len(idle)
         return len(idle)
 
     def evict_all(self) -> int:

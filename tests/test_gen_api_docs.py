@@ -33,3 +33,11 @@ def test_function_defaults_render_by_name(gen_api_docs):
     signature = gen_api_docs.signature_of(sample)
     assert signature == "(values, statistic=mean, clock=monotonic, scale=2.0)"
     assert "initializer=glorot_uniform" in gen_api_docs.signature_of(Dense)
+
+
+def test_classmethods_are_listed(gen_api_docs):
+    # Read off its class, a classmethod is a bound method, not a function.
+    from repro.serve import ServeEngine
+
+    rendered = "\n".join(gen_api_docs.render_symbol("ServeEngine", ServeEngine))
+    assert "- classmethod `from_controller(controller: " in rendered

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sqlite3
 
 import numpy as np
 import pytest
@@ -85,6 +86,24 @@ class TestBackends:
         assert backend.delete("t", "s")
         assert not backend.delete("t", "s")
         assert len(backend) == 1
+        backend.close()
+
+    @pytest.mark.parametrize("kind", ["memory", "sqlite"])
+    def test_put_many_is_all_or_none(self, kind, tmp_path):
+        backend = make_backend(kind, tmp_path / "store.sqlite")
+        backend.put_many([("t", "a", "old"), ("t", "b", "old")])
+
+        def sweep():
+            yield "t", "a", "new"
+            yield "t", "c", "new"
+            raise RuntimeError("disk full")
+
+        with pytest.raises(RuntimeError, match="disk full"):
+            backend.put_many(sweep())
+        assert backend.keys() == [("t", "a"), ("t", "b")]
+        assert backend.get("t", "a") == "old"
+        backend.put_many(iter([("t", "a", "new"), ("t", "c", "new")]))
+        assert [backend.get("t", s) for s in "abc"] == ["new", "old", "new"]
         backend.close()
 
     def test_sqlite_payloads_survive_a_fresh_handle(self, tmp_path):
@@ -201,6 +220,60 @@ class TestTTLEviction:
         assert store.resumes == 1
         # Moving back to hot clears the cold copy (single home of state).
         assert store.cold_count == 0
+
+
+class FlakyBackend(DictBackend):
+    """A dict backend whose writes fail while ``failing`` is set."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.failing = False
+
+    def put_many(self, items) -> None:
+        if self.failing:
+            raise sqlite3.OperationalError("database is locked")
+        super().put_many(items)
+
+
+class TestFailedEviction:
+    def test_failed_sweep_loses_no_session(self, runtime):
+        backend = FlakyBackend()
+        store = SessionStore(backend, lambda scheme: runtime.new_monitor())
+        store.attach("t", "cold", "demo", seed=0)
+        assert store.evict_all() == 1
+        cold_payload = backend.get("t", "cold")
+        seeds = (3, 4, 5)
+        observations = {seed: _observations(12, seed=seed) for seed in seeds}
+        streams = {seed: [] for seed in seeds}
+        for seed in seeds:
+            store.attach("t", f"s{seed}", "demo", seed=seed)
+
+        def play(steps):
+            for index in steps:
+                for seed in seeds:
+                    entry, _ = store.checkout("t", f"s{seed}")
+                    decision = entry.monitor.observe(observations[seed][index])
+                    streams[seed].append(
+                        _decision_key(decision) + (float(entry.rng.random()),)
+                    )
+
+        play(range(5))
+        backend.failing = True
+        with pytest.raises(sqlite3.OperationalError, match="locked"):
+            store.evict_all()
+        # Nothing moved: every session is still hot, the cold tier and
+        # the eviction counter are as they were.
+        assert store.hot_keys() == [("t", f"s{seed}") for seed in seeds]
+        assert backend.keys() == [("t", "cold")]
+        assert backend.get("t", "cold") == cold_payload
+        assert store.evictions == 1
+        play(range(5, 8))
+        backend.failing = False
+        assert store.evict_all() == 3
+        play(range(8, 12))
+        for seed in seeds:
+            assert streams[seed] == _reference_stream(runtime, 12, seed)
+        assert store.resumes == 3
 
 
 class TestSnapshotGuards:
