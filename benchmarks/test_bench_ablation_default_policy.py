@@ -9,8 +9,8 @@ and compares the rescued OOD QoE.
 import numpy as np
 import pytest
 
-from repro.abr.session import run_session
-from repro.core.monitor import SafetyController
+from repro.abr.session import ABRSessionFactory, run_session
+from repro.core.runner import MonitoredScheme
 from repro.core.thresholding import ConsecutiveTrigger
 from repro.policies.buffer_based import BufferBasedPolicy
 from repro.policies.mpc import RobustMPCPolicy
@@ -46,11 +46,13 @@ def test_default_policy_table(benchmark, artifacts, config, ood_traces, emit):
 
     def evaluate_all():
         for name, default in make_defaults(artifacts.manifest).items():
-            controller = SafetyController(
+            controller = MonitoredScheme(
+                name="ND",
                 learned=artifacts.agent,
                 default=default,
                 signal=artifacts.signals["U_S"],
                 trigger=ConsecutiveTrigger(l=config.safety.l),
+                factory=ABRSessionFactory(artifacts.manifest),
             )
             qoe = float(
                 np.mean(

@@ -9,9 +9,9 @@ in-distribution and OOD sessions.
 import numpy as np
 import pytest
 
-from repro.abr.session import run_session
+from repro.abr.session import ABRSessionFactory, run_session
 from repro.core.ensemble_signals import ValueEnsembleSignal
-from repro.core.monitor import SafetyController
+from repro.core.runner import MonitoredScheme
 from repro.core.strategies import CusumTrigger, EWMATrigger, HysteresisTrigger
 from repro.core.thresholding import VarianceTrigger
 from repro.policies.buffer_based import BufferBasedPolicy
@@ -70,11 +70,13 @@ def test_strategy_table(benchmark, artifacts, config, strategy_setup, emit):
             _evaluate(name, trigger, revert)
 
     def _evaluate(name, trigger, revert):
-        controller = SafetyController(
+        controller = MonitoredScheme(
+            name=name,
             learned=artifacts.agent,
             default=bb,
             signal=signal,
             trigger=trigger,
+            factory=ABRSessionFactory(artifacts.manifest),
             allow_revert=revert,
         )
         in_sessions = [

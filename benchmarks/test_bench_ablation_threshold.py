@@ -9,9 +9,9 @@ the paper says the system designer must balance.
 import numpy as np
 import pytest
 
-from repro.abr.session import run_session
+from repro.abr.session import ABRSessionFactory, run_session
 from repro.core.ensemble_signals import ValueEnsembleSignal
-from repro.core.monitor import SafetyController
+from repro.core.runner import MonitoredScheme
 from repro.core.thresholding import VarianceTrigger
 from repro.policies.buffer_based import BufferBasedPolicy
 from repro.traces.dataset import make_dataset
@@ -34,13 +34,15 @@ def sweep_setup(artifacts, config):
 
 
 def controller_for(artifacts, bb, signal, alpha, config):
-    return SafetyController(
+    return MonitoredScheme(
+        name="V-ensemble",
         learned=artifacts.agent,
         default=bb,
         signal=signal,
         trigger=VarianceTrigger(
             alpha=alpha, k=config.safety.variance_k, l=config.safety.l
         ),
+        factory=ABRSessionFactory(artifacts.manifest),
     )
 
 

@@ -11,9 +11,9 @@ under shift — and that the same U_S safety net rescues it.
 import numpy as np
 import pytest
 
-from repro.abr.session import run_session
-from repro.core.monitor import SafetyController
+from repro.abr.session import ABRSessionFactory, run_session
 from repro.core.novelty_signal import StateNoveltySignal, throughput_window_samples
+from repro.core.runner import MonitoredScheme
 from repro.core.thresholding import ConsecutiveTrigger
 from repro.novelty.ocsvm import OneClassSVM
 from repro.policies.buffer_based import BufferBasedPolicy
@@ -59,7 +59,8 @@ def fugu_setup(config):
         throughputs, k=k, throughput_window=config.safety.throughput_window
     )
     detector = OneClassSVM(nu=config.safety.ocsvm_nu).fit(samples)
-    safe_fugu = SafetyController(
+    safe_fugu = MonitoredScheme(
+        name="ND",
         learned=fugu,
         default=bb,
         signal=StateNoveltySignal(
@@ -69,6 +70,7 @@ def fugu_setup(config):
             throughput_window=config.safety.throughput_window,
         ),
         trigger=ConsecutiveTrigger(l=config.safety.l),
+        factory=ABRSessionFactory(manifest),
     )
     return manifest, train, ood, fugu, bb, safe_fugu
 

@@ -11,7 +11,8 @@ shift grows, and the controlled curve tracking max(learned, BB).
 import numpy as np
 import pytest
 
-from repro.core.monitor import SafetyController
+from repro.abr.session import ABRSessionFactory
+from repro.core.runner import MonitoredScheme
 from repro.core.thresholding import ConsecutiveTrigger
 from repro.experiments.robustness import capacity_loss_shift, graded_shift_curve
 from repro.policies.buffer_based import BufferBasedPolicy
@@ -23,22 +24,23 @@ MAGNITUDES = [0.0, 0.2, 0.4, 0.6, 0.8]
 _CURVE_CACHE: dict = {}
 
 
+def nd_scheme(artifacts, config):
+    return MonitoredScheme(
+        name="ND",
+        learned=artifacts.agent,
+        default=BufferBasedPolicy(artifacts.manifest.bitrates_kbps),
+        signal=artifacts.signals["U_S"],
+        trigger=ConsecutiveTrigger(l=config.safety.l),
+        factory=ABRSessionFactory(artifacts.manifest),
+    )
+
+
 @pytest.fixture(scope="module")
 def curve_factory(artifacts, config):
     def compute():
         if "curve" not in _CURVE_CACHE:
-            bb = BufferBasedPolicy(artifacts.manifest.bitrates_kbps)
-            controller = SafetyController(
-                learned=artifacts.agent,
-                default=bb,
-                signal=artifacts.signals["U_S"],
-                trigger=ConsecutiveTrigger(l=config.safety.l),
-            )
             _CURVE_CACHE["curve"] = graded_shift_curve(
-                learned=artifacts.agent,
-                controller=controller,
-                default=bb,
-                manifest=artifacts.manifest,
+                scheme=nd_scheme(artifacts, config),
                 base_traces=artifacts.split.test,
                 shift=capacity_loss_shift,
                 magnitudes=MAGNITUDES,
@@ -87,19 +89,9 @@ def test_default_rate_monotone_in_shift(benchmark, curve_factory):
 
 
 def test_curve_point_cost(benchmark, artifacts, config):
-    bb = BufferBasedPolicy(artifacts.manifest.bitrates_kbps)
-    controller = SafetyController(
-        learned=artifacts.agent,
-        default=bb,
-        signal=artifacts.signals["U_S"],
-        trigger=ConsecutiveTrigger(l=config.safety.l),
-    )
     benchmark(
         graded_shift_curve,
-        artifacts.agent,
-        controller,
-        bb,
-        artifacts.manifest,
+        nd_scheme(artifacts, config),
         artifacts.split.test[:1],
         capacity_loss_shift,
         [0.5],

@@ -13,7 +13,7 @@ Run:  python examples/gridworld_osap.py     (a few seconds)
 
 import numpy as np
 
-from repro.core.monitor import SafetyController
+from repro.core.monitor import SafetyMonitor
 from repro.core.signals import UncertaintySignal
 from repro.core.thresholding import ConsecutiveTrigger
 from repro.mdp.gridworld import GridWorld, make_shifted_gridworld
@@ -47,6 +47,23 @@ class _DetectorSignal(UncertaintySignal):
 
     def measure(self, observation):
         return 1.0 if self.detector.is_outlier(observation) else 0.0
+
+
+def monitored_return(env, learned, default, monitor, rng, max_steps=10_000):
+    """One episode with the monitor deciding who acts at each step."""
+    learned.reset()
+    default.reset()
+    monitor.reset()
+    observation = env.reset()
+    total = 0.0
+    for _ in range(max_steps):
+        policy = default if monitor.observe(observation).defaulted else learned
+        step = env.step(policy.act(observation, rng))
+        total += step.reward
+        observation = step.observation
+        if step.done:
+            break
+    return total
 
 
 class _SafeWalk:
@@ -100,18 +117,15 @@ def main() -> None:
     rows = []
     for bias in [0.0, 0.6]:
         env = make_shifted_gridworld(train_env, observation_bias=bias, seed=11)
-        safe = SafetyController(
-            learned=agent,
-            default=_SafeWalk(),
-            signal=_DetectorSignal(detector),
-            trigger=ConsecutiveTrigger(l=3),
-        )
+        monitor = SafetyMonitor(_DetectorSignal(detector), ConsecutiveTrigger(l=3))
         vanilla_returns = [
             rollout(env, agent, np.random.default_rng(s)).total_reward
             for s in range(10)
         ]
         safe_returns = [
-            rollout(env, safe, np.random.default_rng(s)).total_reward
+            monitored_return(
+                env, agent, _SafeWalk(), monitor, np.random.default_rng(s)
+            )
             for s in range(10)
         ]
         rows.append(

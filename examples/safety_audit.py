@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Auditing the safety net: why did the system default, and when?
 
-Production operators will not trust a controller that silently swaps
+Production operators will not trust a system that silently swaps
 policies.  This example trains a small agent on Norway-like 3G traces,
-wraps it with a *monitored* ND safety controller, then streams
-progressively harsher versions of a test trace (using the trace
-transforms: cross traffic, outages, capacity loss) and prints, for each:
+pairs it with the ND safety scheme, then streams progressively harsher
+versions of a test trace (using the trace transforms: cross traffic,
+outages, capacity loss) and prints, for each:
 
-* whether the controller defaulted, at which chunk, and for how much of
+* whether the scheme defaulted, at which chunk, and for how much of
   the session, and
-* for the harshest shift, the step-by-step hand-off explanation.
+* for the last defaulting shift, the step-by-step hand-off explanation,
+  rebuilt by replaying the scheme's monitor over the recorded session.
 
 Run:  python examples/safety_audit.py     (about a minute)
 """
@@ -17,8 +18,9 @@ Run:  python examples/safety_audit.py     (about a minute)
 import numpy as np
 
 from repro import BufferBasedPolicy, TrainingConfig, envivio_dash3_manifest, make_dataset
-from repro.abr.session import run_session
-from repro.core.monitor import MonitoredController, explain_default
+from repro.abr.session import ABRSessionFactory, run_session
+from repro.core.monitor import explain_default
+from repro.core.runner import MonitoredScheme
 from repro.core.novelty_signal import StateNoveltySignal, throughput_window_samples
 from repro.core.thresholding import ConsecutiveTrigger
 from repro.novelty import OneClassSVM
@@ -57,19 +59,24 @@ def main() -> None:
         "periodic outages": inject_outages(base, outage_duration_s=8.0, period_s=40.0, seed=2),
         "70% capacity loss": scale(base, 0.3),
     }
+    scheme = MonitoredScheme(
+        name="ND",
+        learned=agent,
+        default=BufferBasedPolicy(manifest.bitrates_kbps),
+        signal=StateNoveltySignal(
+            detector, manifest.bitrates_kbps, k=5, throughput_window=10
+        ),
+        trigger=ConsecutiveTrigger(l=3),
+        factory=ABRSessionFactory(manifest),
+    )
     rows = []
-    last_controller = None
+    last_defaulted = None
     for name, trace in scenarios.items():
-        controller = MonitoredController(
-            learned=agent,
-            default=BufferBasedPolicy(manifest.bitrates_kbps),
-            signal=StateNoveltySignal(
-                detector, manifest.bitrates_kbps, k=5, throughput_window=10
-            ),
-            trigger=ConsecutiveTrigger(l=3),
+        result = run_session(scheme, manifest, trace, seed=0)
+        handoff = next(
+            (step for step, chunk in enumerate(result.chunks) if chunk.defaulted),
+            None,
         )
-        result = run_session(controller, manifest, trace, seed=0)
-        handoff = controller.handoff_step
         rows.append(
             [
                 name,
@@ -79,7 +86,7 @@ def main() -> None:
             ]
         )
         if handoff is not None:
-            last_controller = controller
+            last_defaulted = result
     print()
     print(
         render_table(
@@ -87,9 +94,9 @@ def main() -> None:
             rows,
         )
     )
-    if last_controller is not None:
+    if last_defaulted is not None:
         print("\nHand-off explanation for the last defaulting scenario:\n")
-        print(explain_default(last_controller, context_steps=4))
+        print(explain_default(last_defaulted, scheme.monitor(), context_steps=4))
 
 
 if __name__ == "__main__":

@@ -18,14 +18,15 @@ import numpy as np
 
 from repro import (
     BufferBasedPolicy,
+    MonitoredScheme,
     SafetyConfig,
-    SafetyController,
     TrainingConfig,
     ValueEnsembleSignal,
     envivio_dash3_manifest,
     make_dataset,
     run_session,
 )
+from repro.abr.session import ABRSessionFactory
 from repro.core.thresholding import VarianceTrigger
 from repro.pensieve.ensemble import train_agent_ensemble, train_value_ensemble
 from repro.util.tables import render_table
@@ -76,14 +77,16 @@ def main() -> None:
     alphas = [0.0, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, float("inf")]
     rows = []
     for alpha in alphas:
-        controller = SafetyController(
+        scheme = MonitoredScheme(
+            name="V-ensemble",
             learned=agent,
             default=bb,
             signal=signal,
             trigger=VarianceTrigger(alpha=alpha, k=safety.variance_k, l=safety.l),
+            factory=ABRSessionFactory(manifest),
         )
-        in_qoe, in_frac = mean_qoe(controller, manifest, split.test)
-        ood_qoe, ood_frac = mean_qoe(controller, manifest, ood_split.test)
+        in_qoe, in_frac = mean_qoe(scheme, manifest, split.test)
+        ood_qoe, ood_frac = mean_qoe(scheme, manifest, ood_split.test)
         rows.append(
             [
                 f"{alpha:g}",

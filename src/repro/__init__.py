@@ -29,9 +29,9 @@ from repro.abr.session import run_monitored_session
 from repro.abr.suite import SafetySuite, build_safety_suite
 from repro.config import FAST, PAPER, ExperimentConfig, get_config
 from repro.core import (
+    MonitoredScheme,
     PolicyEnsembleSignal,
     SafetyConfig,
-    SafetyController,
     SafetyMonitor,
     StateNoveltySignal,
     ValueEnsembleSignal,
@@ -49,7 +49,7 @@ from repro.policies import (
     RateBasedPolicy,
     RobustMPCPolicy,
 )
-from repro.serve import ServeEngine, SessionSpec, serve_sessions
+from repro.serve import ServeEngine, SessionSpec
 from repro.traces import Dataset, Trace, make_dataset
 from repro.video import LinearQoE, LogQoE, VideoManifest, envivio_dash3_manifest
 
@@ -68,6 +68,7 @@ __all__ = [
     "LinearQoE",
     "LogQoE",
     "MahalanobisDetector",
+    "MonitoredScheme",
     "OneClassSVM",
     "PAPER",
     "PensieveAgent",
@@ -78,7 +79,6 @@ __all__ = [
     "ReproError",
     "RobustMPCPolicy",
     "SafetyConfig",
-    "SafetyController",
     "SafetyMonitor",
     "SafetySuite",
     "ServeEngine",
@@ -97,5 +97,4 @@ __all__ = [
     "resolve_max_workers",
     "run_monitored_session",
     "run_session",
-    "serve_sessions",
 ]

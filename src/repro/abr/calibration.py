@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.abr.session import run_session
+from repro.abr.session import ABRSessionFactory, run_session
 from repro.core.calibration import (
     CANDIDATE_QUANTILES,
     CalibrationResult,
     select_threshold,
 )
-from repro.core.monitor import SafetyController
+from repro.core.runner import MonitoredScheme
 from repro.core.signals import UncertaintySignal
 from repro.core.thresholding import VarianceTrigger
 from repro.errors import CalibrationError
@@ -35,13 +35,13 @@ __all__ = [
 
 
 def evaluate_mean_qoe(
-    policy: Policy,
+    policy: Policy | MonitoredScheme,
     manifest: VideoManifest,
     traces: tuple[Trace, ...] | list[Trace],
     qoe_metric: QoEMetric | None = None,
     seed: int = 0,
 ) -> float:
-    """Mean session QoE of *policy* over *traces*."""
+    """Mean session QoE of *policy* (or a monitored scheme) over *traces*."""
     if not traces:
         raise CalibrationError("no traces to evaluate on")
     scores = [
@@ -127,16 +127,19 @@ def calibrate_variance_threshold(
             quantiles = np.quantile(positive, CANDIDATE_QUANTILES)
             candidate_alphas = sorted(set(float(q) for q in quantiles))
             candidate_alphas.append(float(positive.max()) * 2.0)
+    factory = ABRSessionFactory(manifest, qoe_metric)
     candidates: list[tuple[float, float]] = []
     for alpha in candidate_alphas:
-        controller = SafetyController(
+        scheme = MonitoredScheme(
+            name="safe",
             learned=learned,
             default=default,
             signal=signal,
             trigger=VarianceTrigger(alpha=alpha, k=k, l=l),
+            factory=factory,
         )
         qoe = evaluate_mean_qoe(
-            controller, manifest, traces, qoe_metric=qoe_metric, seed=seed
+            scheme, manifest, traces, qoe_metric=qoe_metric, seed=seed
         )
         candidates.append((float(alpha), qoe))
     return select_threshold(

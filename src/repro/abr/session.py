@@ -20,7 +20,12 @@ import numpy as np
 from repro.abr.env import ABREnv
 from repro.core import runner
 from repro.core.monitor import SafetyMonitor
-from repro.core.runner import MonitoredSessionResult, SessionFactory, SessionSpec
+from repro.core.runner import (
+    MonitoredScheme,
+    MonitoredSessionResult,
+    SessionFactory,
+    SessionSpec,
+)
 from repro.mdp.interfaces import Policy, StepResult
 from repro.traces.trace import Trace
 from repro.video.manifest import VideoManifest
@@ -114,7 +119,7 @@ class ABRSessionFactory(SessionFactory):
 
 
 def run_session(
-    policy: Policy,
+    policy: Policy | MonitoredScheme,
     manifest: VideoManifest,
     trace: Trace,
     qoe_metric: QoEMetric | None = None,
@@ -125,8 +130,9 @@ def run_session(
     """Stream the whole video through *trace* under *policy*.
 
     The environment fetches the first chunk at the lowest rung (reference
-    behaviour); the policy then decides every remaining chunk.  Returns the
-    complete per-chunk record.
+    behaviour); the policy then decides every remaining chunk.  A
+    :class:`~repro.core.runner.MonitoredScheme` runs under a fresh
+    monitor.  Returns the complete per-chunk record.
     """
     return runner.run_session(
         ABRSessionFactory(manifest, qoe_metric),
@@ -149,11 +155,10 @@ def run_monitored_session(
 ) -> SessionResult:
     """Stream one session with the monitor deciding who acts at each step.
 
-    The explicit form of wrapping *learned*/*default* in a
-    :class:`~repro.core.monitor.SafetyController`: the monitor observes
-    every step, and the policy it picks makes the decision.  Bitwise
-    identical to the controller path (asserted by the equivalence sweep);
-    the serve engine multiplexes many of these loops concurrently.
+    The monitor observes every step, and the policy it picks makes the
+    decision.  :func:`run_session` runs a monitored scheme through this
+    same loop; the serve engine multiplexes many of these loops
+    concurrently.
     """
     return runner.run_monitored_session(
         ABRSessionFactory(manifest, qoe_metric),

@@ -11,7 +11,8 @@ training distribution:
    signals' thresholds to the ND scheme's in-distribution QoE.
 
 The result is a :class:`SafetySuite`: the vanilla agent plus the three
-safety-enhanced controllers (ND, A-ensemble, V-ensemble), ready to be
+safety-enhanced schemes (ND, A-ensemble, V-ensemble), each a
+:class:`~repro.core.runner.MonitoredScheme`, ready to be
 evaluated on any test distribution — per session through
 :func:`repro.abr.session.run_session`, or many sessions at once through
 the :mod:`repro.serve` engine.
@@ -25,12 +26,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.abr.calibration import calibrate_variance_threshold, evaluate_mean_qoe
-from repro.abr.session import run_session
+from repro.abr.session import ABRSessionFactory, run_session
 from repro.core.calibration import CalibrationResult
 from repro.core.ensemble_signals import PolicyEnsembleSignal, ValueEnsembleSignal
-from repro.core.monitor import SafetyController
 from repro.core.novelty_signal import StateNoveltySignal, throughput_window_samples
 from repro.core.osap import SafetyConfig
+from repro.core.runner import MonitoredScheme
 from repro.core.thresholding import ConsecutiveTrigger, VarianceTrigger
 from repro.errors import SafetyError
 from repro.novelty.base import NoveltyDetector
@@ -58,15 +59,15 @@ class SafetySuite:
     agents: list[PensieveAgent]
     value_functions: list[PensieveValueFunction]
     detector: NoveltyDetector
-    nd_controller: SafetyController
-    a_ensemble_controller: SafetyController
-    v_ensemble_controller: SafetyController
+    nd_controller: MonitoredScheme
+    a_ensemble_controller: MonitoredScheme
+    v_ensemble_controller: MonitoredScheme
     nd_qoe_in_distribution: float
     calibration_a: CalibrationResult
     calibration_v: CalibrationResult
     config: SafetyConfig = field(default_factory=SafetyConfig)
 
-    def controllers(self) -> dict[str, SafetyController]:
+    def controllers(self) -> dict[str, MonitoredScheme]:
         """The three schemes by their paper names."""
         return {
             "ND": self.nd_controller,
@@ -182,13 +183,15 @@ def build_safety_suite(
         k=k_ocsvm,
         throughput_window=safety.throughput_window,
     )
-    nd_controller = SafetyController(
+    factory = ABRSessionFactory(manifest, qoe_metric)
+    nd_controller = MonitoredScheme(
+        name="ND",
         learned=agent,
         default=default_policy,
         signal=nd_signal,
         trigger=ConsecutiveTrigger(l=safety.l),
+        factory=factory,
         allow_revert=safety.allow_revert,
-        name="ND",
     )
     nd_qoe = evaluate_mean_qoe(
         nd_controller, manifest, calibration_traces, qoe_metric=qoe_metric, seed=seed
@@ -206,15 +209,16 @@ def build_safety_suite(
         qoe_metric=qoe_metric,
         seed=seed,
     )
-    a_controller = SafetyController(
+    a_controller = MonitoredScheme(
+        name="A-ensemble",
         learned=agent,
         default=default_policy,
         signal=pi_signal,
         trigger=VarianceTrigger(
             alpha=calibration_a.alpha, k=safety.variance_k, l=safety.l
         ),
+        factory=factory,
         allow_revert=safety.allow_revert,
-        name="A-ensemble",
     )
     v_signal = ValueEnsembleSignal(value_functions, trim=safety.trim)
     calibration_v = calibrate_variance_threshold(
@@ -229,15 +233,16 @@ def build_safety_suite(
         qoe_metric=qoe_metric,
         seed=seed,
     )
-    v_controller = SafetyController(
+    v_controller = MonitoredScheme(
+        name="V-ensemble",
         learned=agent,
         default=default_policy,
         signal=v_signal,
         trigger=VarianceTrigger(
             alpha=calibration_v.alpha, k=safety.variance_k, l=safety.l
         ),
+        factory=factory,
         allow_revert=safety.allow_revert,
-        name="V-ensemble",
     )
     return SafetySuite(
         agent=agent,

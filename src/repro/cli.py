@@ -411,7 +411,7 @@ def _cmd_shapes(args, out) -> int:
 
 def _cmd_serve_demo(args, out) -> int:
     from repro.domains import get_domain
-    from repro.serve import ServeEngine, SessionSpec, serve_sessions
+    from repro.serve import ServeEngine, SessionSpec
 
     if args.sessions < 1:
         raise ReproError(f"--sessions must be >= 1, got {args.sessions}")
@@ -449,17 +449,6 @@ def _cmd_serve_demo(args, out) -> int:
             file=out,
         )
         scheme = domain.demo_scheme()
-        engine = ServeEngine(
-            factory=scheme.factory,
-            learned=scheme.learned,
-            default=scheme.default,
-            signal=scheme.signal,
-            trigger=scheme.trigger,
-            allow_revert=scheme.allow_revert,
-            name=scheme.name,
-            max_slots=max_slots,
-        )
-        serve = lambda: engine.run(specs)  # noqa: E731
     else:
         if args.domain != "abr":
             raise ReproError(
@@ -489,11 +478,8 @@ def _cmd_serve_demo(args, out) -> int:
             seed=config.suite_seed,
             max_workers=args.workers,
         )
-        controller = suite.controllers()[scheme_name]
-        factory = domain.session_factory(manifest=manifest)
-        serve = lambda: serve_sessions(  # noqa: E731
-            controller, factory, specs, max_slots=max_slots
-        )
+        scheme = suite.controllers()[scheme_name]
+    engine = ServeEngine.from_scheme(scheme, max_slots=max_slots)
     print(
         f"serving {args.sessions} concurrent sessions "
         f"({len(split.test)} test traces"
@@ -501,7 +487,7 @@ def _cmd_serve_demo(args, out) -> int:
         + ") ...",
         file=out,
     )
-    results = serve()
+    results = engine.run(specs)
     rows = [
         [
             spec.name,

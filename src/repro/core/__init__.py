@@ -14,11 +14,12 @@ its training distribution, and default to a safe policy when it is:
   defaulting rules, each one bank of per-session rows.
 * :mod:`repro.core.monitor` — :class:`~repro.core.monitor.SafetyMonitor`,
   the serializable step-stream state machine, and
-  :class:`~repro.core.monitor.SafetyController`, its policy-facing
-  adapter.
+  :func:`~repro.core.monitor.explain_default`, which replays one over a
+  served session to explain its hand-off.
 * :mod:`repro.core.runner` — the one session loop (the monitor decides,
-  then the chosen policy acts) and the interface a workload plugs into
-  it: :class:`~repro.core.runner.SessionSpec`,
+  then the chosen policy acts), :class:`~repro.core.runner.MonitoredScheme`
+  (the safety-enhanced agent as data) and the interface a workload plugs
+  into it: :class:`~repro.core.runner.SessionSpec`,
   :class:`~repro.core.runner.SessionFactory` and
   :class:`~repro.core.runner.MonitoredSessionResult`.  Every one-call
   session function (ABR's included) runs through it.
@@ -42,16 +43,10 @@ from repro.core.ensemble_signals import (
     trim_by_distance,
     value_disagreement,
 )
-from repro.core.monitor import (
-    DecisionRecord,
-    MonitorDecision,
-    MonitoredController,
-    SafetyController,
-    SafetyMonitor,
-    explain_default,
-)
+from repro.core.monitor import MonitorDecision, SafetyMonitor, explain_default
 from repro.core.novelty_signal import StateNoveltySignal, throughput_window_samples
 from repro.core.osap import SafetyConfig
+from repro.core.runner import MonitoredScheme
 from repro.core.signals import (
     DETECTORS,
     SIGNALS,
@@ -73,14 +68,12 @@ __all__ = [
     "ComponentRegistry",
     "ConsecutiveTrigger",
     "DETECTORS",
-    "DecisionRecord",
     "DefaultTrigger",
     "MonitorDecision",
-    "MonitoredController",
+    "MonitoredScheme",
     "PolicyEnsembleSignal",
     "SIGNALS",
     "SafetyConfig",
-    "SafetyController",
     "SafetyMonitor",
     "StateNoveltySignal",
     "TRIGGERS",

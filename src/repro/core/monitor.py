@@ -15,21 +15,21 @@ trigger counters, mode, step counters) is serializable
 suspended, shipped to another worker, and resumed with bitwise-identical
 subsequent decisions.
 
-:class:`SafetyController` is the policy-facing adapter: the same object
-the paper calls the safety-enhanced agent — ``learned`` inside its
-comfort zone, ``default`` outside — now a thin wrapper that lets the
-monitor decide and the chosen policy act.
+The paper's safety-enhanced agent — ``learned`` inside its comfort
+zone, ``default`` outside — is :class:`repro.core.runner.MonitoredScheme`:
+the monitor decides, the chosen policy acts.
 
-The telemetry layer rides on top: :class:`MonitoredController` keeps a
-full decision log (the signal value of each step, NaN for steps the
-monitor did not measure), and :func:`explain_default` renders the
-moments around a hand-off.
+:func:`explain_default` renders the moments around a hand-off.  It
+keeps no log while serving: it replays a monitor over a finished
+session's observations and checks each replayed mode against the
+recorded one, so it explains a session from any serving path.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -37,15 +37,14 @@ from repro import obs
 from repro.core.signals import UncertaintySignal
 from repro.core.thresholding import DefaultTrigger
 from repro.errors import SafetyError
-from repro.mdp.interfaces import Policy
 from repro.util.tables import render_table
 
+if TYPE_CHECKING:  # the runner imports this module
+    from repro.core.runner import MonitoredSessionResult
+
 __all__ = [
-    "DecisionRecord",
     "MonitorDecision",
     "MonitorTable",
-    "MonitoredController",
-    "SafetyController",
     "SafetyMonitor",
     "explain_default",
 ]
@@ -133,9 +132,6 @@ class SafetyMonitor:
     def defaulted(self) -> bool:
         """Current mode: is the default policy deciding?"""
         return bool(self._table.defaulted[0])
-
-    #: The mode the latest decision was made in (the current mode).
-    last_decision_defaulted = defaulted
 
     @property
     def total_steps(self) -> int:
@@ -412,186 +408,57 @@ class MonitorTable:
                 )
 
 
-class SafetyController:
-    """A policy that is ``learned`` inside its comfort zone, ``default``
-    outside — the monitor decides, the chosen policy acts."""
-
-    def __init__(
-        self,
-        learned: Policy,
-        default: Policy,
-        signal: UncertaintySignal,
-        trigger: DefaultTrigger,
-        allow_revert: bool = False,
-        name: str = "safe",
-    ) -> None:
-        if learned is default:
-            raise SafetyError("learned and default policies must be distinct")
-        self.learned = learned
-        self.default = default
-        self.monitor = SafetyMonitor(
-            signal, trigger, allow_revert=allow_revert, name=name
-        )
-
-    # The monitor owns every piece of OSAP bookkeeping; these delegating
-    # accessors keep the controller's historical surface intact.
-    @property
-    def signal(self) -> UncertaintySignal:
-        return self.monitor.signal
-
-    @property
-    def trigger(self) -> DefaultTrigger:
-        return self.monitor.trigger
-
-    @property
-    def allow_revert(self) -> bool:
-        return self.monitor.allow_revert
-
-    @property
-    def name(self) -> str:
-        return self.monitor.name
-
-    @name.setter
-    def name(self, value: str) -> None:
-        self.monitor.name = value
-
-    @property
-    def _defaulted(self) -> bool:
-        return self.monitor.defaulted
-
-    @property
-    def last_decision_defaulted(self) -> bool:
-        return self.monitor.last_decision_defaulted
-
-    @property
-    def default_steps(self) -> int:
-        return self.monitor.default_steps
-
-    @property
-    def total_steps(self) -> int:
-        return self.monitor.total_steps
-
-    @property
-    def default_fraction(self) -> float:
-        """Fraction of this session's decisions made by the default policy."""
-        return self.monitor.default_fraction
-
-    def reset(self) -> None:
-        """Reset the wrapped policies and the monitor."""
-        self.learned.reset()
-        self.default.reset()
-        self.monitor.reset()
-
-    def act(self, observation: np.ndarray, rng: np.random.Generator) -> int:
-        """One decision: measure uncertainty, maybe default, then act."""
-        decision = self.monitor.observe(observation)
-        policy = self.default if decision.defaulted else self.learned
-        return policy.act(observation, rng)
-
-    def action_probabilities(self, observation: np.ndarray) -> np.ndarray:
-        """The active policy's action distribution.
-
-        Reads the monitor's current mode without advancing the signal —
-        only :meth:`act` consumes a decision step, so rollout bookkeeping
-        that inspects probabilities does not double-count.
-        """
-        policy = self.default if self.monitor.defaulted else self.learned
-        return policy.action_probabilities(observation)
-
-
-@dataclass(frozen=True)
-class DecisionRecord:
-    """One decision step as the safety controller saw it."""
-
-    step: int
-    #: NaN when the monitor did not measure this step (sticky default).
-    signal_value: float
-    trigger_fired: bool
-    defaulted: bool
-    action: int
-
-
-class MonitoredController(SafetyController):
-    """A :class:`SafetyController` that keeps a per-decision log."""
-
-    def __init__(
-        self,
-        learned: Policy,
-        default: Policy,
-        signal: UncertaintySignal,
-        trigger: DefaultTrigger,
-        allow_revert: bool = False,
-        name: str = "monitored",
-    ) -> None:
-        super().__init__(
-            learned=learned,
-            default=default,
-            signal=signal,
-            trigger=trigger,
-            allow_revert=allow_revert,
-            name=name,
-        )
-        self.log: list[DecisionRecord] = []
-
-    def reset(self) -> None:
-        super().reset()
-        self.log = []
-
-    def act(self, observation: np.ndarray, rng: np.random.Generator) -> int:
-        was_defaulted = self._defaulted
-        action = super().act(observation, rng)
-        self.log.append(
-            DecisionRecord(
-                step=self.total_steps - 1,
-                signal_value=self.monitor.last_decision.signal_value,
-                trigger_fired=self._defaulted and not was_defaulted,
-                defaulted=self.last_decision_defaulted,
-                action=action,
-            )
-        )
-        return action
-
-    @property
-    def handoff_step(self) -> int | None:
-        """The decision index at which control first moved to the default
-        policy, or ``None`` if it never did."""
-        for record in self.log:
-            if record.defaulted:
-                return record.step
-        return None
-
-
 def explain_default(
-    controller: MonitoredController, context_steps: int = 5
+    result: MonitoredSessionResult,
+    monitor: SafetyMonitor,
+    context_steps: int = 5,
 ) -> str:
-    """Render the decisions around the hand-off as a monospace table.
+    """Render the decisions around *result*'s hand-off as a monospace table.
 
-    Raises :class:`SafetyError` when the controller never defaulted
-    (there is nothing to explain).
+    *result* is a served session from any path (the runner, the serve
+    kernel, or one assembled from a service's step responses) and
+    *monitor* is built like the scheme that served it.  The monitor is
+    reset and replayed over ``result.observation_list``, so the table
+    shows the signal value it measured at each step next to the
+    recorded ``defaulted`` flag and ``reward``.  Raises
+    :class:`SafetyError` at the first step whose replayed mode differs
+    from the recorded one (the monitor is not the one that served the
+    session), and when the session never defaulted (there is nothing to
+    explain).
     """
-    handoff = controller.handoff_step
+    monitor.reset()
+    decisions = []
+    for record, observation in zip(result.chunks, result.observation_list):
+        decision = monitor.observe(observation)
+        if decision.defaulted != bool(record.defaulted):
+            raise SafetyError(
+                f"replay diverges at decision {decision.step}: the monitor"
+                f" says defaulted={decision.defaulted}, the session recorded"
+                f" defaulted={bool(record.defaulted)}"
+            )
+        decisions.append(decision)
+    handoff = next((d.step for d in decisions if d.defaulted), None)
     if handoff is None:
-        raise SafetyError("controller never defaulted in this session")
+        raise SafetyError("the session never defaulted")
     start = max(handoff - context_steps, 0)
-    end = min(handoff + context_steps + 1, len(controller.log))
+    end = min(handoff + context_steps + 1, len(decisions))
     rows = []
-    for record in controller.log[start:end]:
-        marker = "<< hand-off" if record.step == handoff else ""
-        value = record.signal_value
+    for decision in decisions[start:end]:
+        value = decision.signal_value
         rows.append(
             [
-                record.step,
+                decision.step,
                 "not measured" if np.isnan(value) else round(value, 5),
-                "yes" if record.defaulted else "no",
-                record.action,
-                marker,
+                "yes" if decision.defaulted else "no",
+                round(float(result.chunks[decision.step].reward), 3),
+                "<< hand-off" if decision.step == handoff else "",
             ]
         )
     header = (
         f"defaulted at decision {handoff} "
-        f"(of {len(controller.log)}; "
-        f"{controller.default_fraction:.0%} of session under default)\n"
+        f"(of {len(decisions)}; "
+        f"{monitor.default_fraction:.0%} of session under default)\n"
     )
     return header + render_table(
-        ["step", "signal", "defaulted", "action", ""], rows
+        ["step", "signal", "defaulted", "reward", ""], rows
     )

@@ -5,7 +5,11 @@ domain enters only through a :class:`SessionFactory` — it builds the
 seeded environment for a :class:`SessionSpec`, says how many decision
 steps a session has, and produces the per-step record and the result
 object — so the same loop, with the same decision ordering and the same
-observability output, runs every workload.  The ABR entry points
+observability output, runs every workload.  :class:`MonitoredScheme` is
+the paper's safety-enhanced agent as data — ``learned`` inside its
+comfort zone, ``default`` outside, the monitor's signal and trigger
+deciding which — and :func:`run_session` streams it like any policy.
+The ABR entry points
 (:func:`repro.abr.session.run_session` and
 :func:`repro.abr.session.run_monitored_session`) are one call each into
 it, and it is the serial bitwise reference the serve engine's batched
@@ -16,13 +20,16 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from repro import obs
 from repro.core.monitor import SafetyMonitor
-from repro.errors import SimulationError
+from repro.core.signals import UncertaintySignal
+from repro.core.thresholding import DefaultTrigger
+from repro.errors import SafetyError, SimulationError
 from repro.mdp.interfaces import Environment, Policy, StepResult
 from repro.util.rng import rng_from_seed
 
@@ -30,6 +37,7 @@ if TYPE_CHECKING:
     from repro.traces.trace import Trace
 
 __all__ = [
+    "MonitoredScheme",
     "MonitoredSessionResult",
     "SessionFactory",
     "SessionSpec",
@@ -151,8 +159,42 @@ class SessionFactory(ABC):
         """The domain's per-step record for one environment step."""
 
 
+@dataclass(frozen=True)
+class MonitoredScheme:
+    """One safety-enhanced scheme: who acts, and the rule that decides.
+
+    ``learned`` decides inside its comfort zone and ``default`` outside
+    it; the monitor built from ``signal`` and ``trigger`` decides which
+    (sticky unless ``allow_revert``).  ``factory`` is the domain wiring
+    the scheme's sessions stream through.  A scheme holds no session
+    state: :meth:`monitor` builds the monitor a session runs, and
+    :func:`run_session` streams a scheme like any policy.
+    """
+
+    name: str
+    learned: Policy
+    default: Policy
+    signal: UncertaintySignal
+    trigger: DefaultTrigger
+    factory: SessionFactory
+    allow_revert: bool = False
+
+    def __post_init__(self) -> None:
+        if self.learned is self.default:
+            raise SafetyError("learned and default policies must be distinct")
+
+    def monitor(self) -> SafetyMonitor:
+        """A monitor over this scheme's signal and trigger."""
+        return SafetyMonitor(
+            self.signal,
+            self.trigger,
+            allow_revert=self.allow_revert,
+            name=self.name,
+        )
+
+
 def _stream_session(
-    select: Callable[[np.ndarray, np.random.Generator], tuple[int, bool | None]],
+    select: Callable[[np.ndarray, np.random.Generator], tuple[int, bool]],
     factory: SessionFactory,
     spec: SessionSpec,
     policy_name: str,
@@ -160,8 +202,7 @@ def _stream_session(
     """The shared session loop behind both entry points.
 
     *select* makes one decision: it receives the observation and the
-    session RNG and returns ``(action, defaulted)``, where ``defaulted``
-    may be ``None`` to fall back to the environment's own flag.
+    session RNG and returns ``(action, defaulted)``.
     """
     watching = obs.enabled()
     start = time.perf_counter() if watching else 0.0
@@ -173,8 +214,6 @@ def _stream_session(
         action, defaulted = select(observation, rng)
         result.observation_list.append(np.asarray(observation, dtype=float).copy())
         step = env.step(action)
-        if defaulted is None:
-            defaulted = bool(step.info.get("defaulted", False))
         result.chunks.append(factory.record(step, defaulted))
         observation = step.observation
         if step.done:
@@ -197,23 +236,29 @@ def _stream_session(
 def run_session(
     factory: SessionFactory,
     spec: SessionSpec,
-    policy: Policy,
+    policy: Policy | MonitoredScheme,
     policy_name: str | None = None,
 ):
     """Stream one full session of *factory*'s domain under *policy*.
 
     The policy decides every agent-controlled step; the complete
-    per-step record comes back in the domain's result type.
+    per-step record comes back in the domain's result type.  A
+    :class:`MonitoredScheme` runs as :func:`run_monitored_session` under
+    a fresh :meth:`~MonitoredScheme.monitor`.
     """
+    if isinstance(policy, MonitoredScheme):
+        return run_monitored_session(
+            factory,
+            spec,
+            policy.learned,
+            policy.default,
+            policy.monitor(),
+            policy_name,
+        )
     policy.reset()
 
-    def select(
-        observation: np.ndarray, rng: np.random.Generator
-    ) -> tuple[int, bool | None]:
-        action = policy.act(observation, rng)
-        if hasattr(policy, "last_decision_defaulted"):
-            return action, bool(policy.last_decision_defaulted)
-        return action, None
+    def select(observation: np.ndarray, rng: np.random.Generator) -> tuple[int, bool]:
+        return policy.act(observation, rng), False
 
     return _stream_session(
         select, factory, spec, policy_name or type(policy).__name__
@@ -230,18 +275,15 @@ def run_monitored_session(
 ):
     """Stream one session with the monitor deciding who acts each step.
 
-    The explicit form of wrapping *learned*/*default* in a
-    :class:`~repro.core.monitor.SafetyController`: the monitor observes
-    every step, and the policy it picks makes the decision.  This is the
-    serial bitwise reference for every serve-engine path over *factory*.
+    The monitor observes every step, and the policy it picks makes the
+    decision.  This is the serial bitwise reference for every
+    serve-engine path over *factory*.
     """
     learned.reset()
     default.reset()
     monitor.reset()
 
-    def select(
-        observation: np.ndarray, rng: np.random.Generator
-    ) -> tuple[int, bool | None]:
+    def select(observation: np.ndarray, rng: np.random.Generator) -> tuple[int, bool]:
         decision = monitor.observe(observation)
         policy = default if decision.defaulted else learned
         return policy.act(observation, rng), decision.defaulted

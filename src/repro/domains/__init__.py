@@ -9,8 +9,9 @@ never import a workload module directly — ``tools/check_layers.py``
 enforces that they reach this package only through its root.
 
 The session loop and its interface (:class:`SessionSpec`,
-:class:`SessionFactory`, :class:`MonitoredSessionResult`,
-:func:`run_session`, :func:`run_monitored_session`) live in
+:class:`SessionFactory`, :class:`MonitoredScheme`,
+:class:`MonitoredSessionResult`, :func:`run_session`,
+:func:`run_monitored_session`) live in
 :mod:`repro.core.runner` and are re-exported here, so the layers above
 reach everything a session needs through this root.
 
@@ -20,6 +21,7 @@ and the distribution-shift scenario corpus; look them up with
 """
 
 from repro.core.runner import (
+    MonitoredScheme,
     MonitoredSessionResult,
     SessionFactory,
     SessionSpec,
@@ -28,7 +30,6 @@ from repro.core.runner import (
 )
 from repro.domains.base import (
     DOMAINS,
-    DemoScheme,
     Domain,
     LinearSoftmaxPolicy,
     domain_keys,
@@ -48,9 +49,9 @@ from repro.domains import cc as _cc  # noqa: E402,F401
 
 __all__ = [
     "DOMAINS",
-    "DemoScheme",
     "Domain",
     "LinearSoftmaxPolicy",
+    "MonitoredScheme",
     "MonitoredSessionResult",
     "SCENARIOS",
     "SessionFactory",

@@ -16,8 +16,9 @@ import numpy as np
 from repro.abr.session import ABRSessionFactory
 from repro.abr.state import S_INFO, S_LEN
 from repro.core.ensemble_signals import PolicyEnsembleSignal
+from repro.core.runner import MonitoredScheme
 from repro.core.thresholding import VarianceTrigger
-from repro.domains.base import DOMAINS, DemoScheme, Domain, LinearSoftmaxPolicy
+from repro.domains.base import DOMAINS, Domain, LinearSoftmaxPolicy
 from repro.errors import ConfigError
 from repro.policies.buffer_based import BufferBasedPolicy
 from repro.traces.dataset import DATASET_NAMES, DatasetSplit, make_dataset
@@ -68,7 +69,7 @@ class ABRDomain(Domain):
         ensemble_size: int = 4,
         seed: int = 0,
         name: str = "demo",
-    ) -> DemoScheme:
+    ) -> MonitoredScheme:
         """The seeded linear-softmax ``U_pi`` scheme over Envivio + BBA.
 
         Construction order and seeding are the service layer's
@@ -93,7 +94,7 @@ class ABRDomain(Domain):
         ]
         signal = PolicyEnsembleSignal(members, trim=1)
         trigger = VarianceTrigger(alpha=alpha, k=3, l=1)
-        return DemoScheme(
+        return MonitoredScheme(
             name=name,
             learned=learned,
             default=default,

@@ -18,8 +18,9 @@ service, the experiment harnesses, the CLI — to run it unmodified:
   define their factories below this package; :mod:`repro.domains`
   re-exports them.
 * :class:`Domain` — the full workload description: dataset enumeration,
-  split loading, a session factory, a self-contained demo scheme
-  (learned policy + safe fallback + uncertainty signal + trigger), and
+  split loading, a session factory, a self-contained demo
+  :class:`~repro.core.runner.MonitoredScheme` (learned policy + safe
+  fallback + uncertainty signal + trigger + session factory), and
   the observation adapter (:meth:`Domain.throughput_of`) that lets the
   state-novelty signal ``U_S`` read a domain's observations.
 
@@ -35,20 +36,15 @@ those layers reach domains only through this registry
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.monitor import SafetyMonitor
-from repro.core.runner import SessionFactory
-from repro.core.signals import ComponentRegistry, UncertaintySignal
-from repro.core.thresholding import DefaultTrigger
-from repro.mdp.interfaces import Policy
+from repro.core.runner import MonitoredScheme, SessionFactory
+from repro.core.signals import ComponentRegistry
 from repro.traces.dataset import DatasetSplit
 
 __all__ = [
     "DOMAINS",
-    "DemoScheme",
     "Domain",
     "LinearSoftmaxPolicy",
     "domain_keys",
@@ -83,36 +79,6 @@ class LinearSoftmaxPolicy:
     def act(self, observation: np.ndarray, rng: np.random.Generator) -> int:
         """The argmax action (deterministic; *rng* is unused)."""
         return int(np.argmax(self.action_probabilities(observation)))
-
-
-@dataclass(frozen=True)
-class DemoScheme:
-    """A self-contained monitored scheme a domain can hand out.
-
-    Everything needed to serve monitored sessions without trained
-    artifacts on disk: the learned policy, the safe fallback, the
-    uncertainty signal, the trigger, and the session factory.  The
-    service layer wraps one of these into a
-    :class:`repro.service.schemes.SchemeRuntime`; tools drive it through
-    the serve engine directly.
-    """
-
-    name: str
-    learned: Policy
-    default: Policy
-    signal: UncertaintySignal
-    trigger: DefaultTrigger
-    factory: SessionFactory
-    allow_revert: bool = False
-
-    def monitor(self) -> SafetyMonitor:
-        """A configured monitor prototype over this scheme."""
-        return SafetyMonitor(
-            self.signal,
-            self.trigger,
-            allow_revert=self.allow_revert,
-            name=self.name,
-        )
 
 
 class Domain(ABC):
@@ -154,7 +120,7 @@ class Domain(ABC):
         ensemble_size: int = 4,
         seed: int = 0,
         name: str = "demo",
-    ) -> DemoScheme:
+    ) -> MonitoredScheme:
         """A self-contained seeded ``U_pi`` scheme for demos and CI.
 
         ``alpha=None`` picks the domain's calibrated default threshold.

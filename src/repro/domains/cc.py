@@ -56,9 +56,14 @@ from functools import lru_cache
 import numpy as np
 
 from repro.core.ensemble_signals import PolicyEnsembleSignal, policy_disagreement
-from repro.core.runner import MonitoredSessionResult, SessionFactory, SessionSpec
+from repro.core.runner import (
+    MonitoredScheme,
+    MonitoredSessionResult,
+    SessionFactory,
+    SessionSpec,
+)
 from repro.core.strategies import CusumTrigger
-from repro.domains.base import DOMAINS, DemoScheme, Domain
+from repro.domains.base import DOMAINS, Domain
 from repro.errors import ConfigError, SimulationError
 from repro.mdp.interfaces import StepResult
 from repro.mdp.qlearning import QLearningAgent, train_q_learning
@@ -571,7 +576,7 @@ class CCDomain(Domain):
         ensemble_size: int = 4,
         seed: int = 0,
         name: str = "demo",
-    ) -> DemoScheme:
+    ) -> MonitoredScheme:
         """A trained ``U_pi`` scheme: randomized-prior Q ensemble + CUSUM.
 
         *alpha* is the CUSUM threshold here (each domain's demo scheme
@@ -592,7 +597,7 @@ class CCDomain(Domain):
         ]
         signal = TabularEnsembleSignal(members, trim=1)
         trigger = CusumTrigger(threshold=alpha, drift=_DEMO_DRIFT)
-        return DemoScheme(
+        return MonitoredScheme(
             name=name,
             learned=learned,
             default=ConservativeRatePolicy(),

@@ -16,10 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.monitor import SafetyController
 from repro.core.novelty_signal import StateNoveltySignal
 from repro.core.thresholding import ConsecutiveTrigger
-from repro.domains import SessionSpec, get_domain, run_session
+from repro.domains import MonitoredScheme, SessionSpec, get_domain, run_session
 from repro.errors import ConfigError
 from repro.mdp.interfaces import Policy
 from repro.novelty.ocsvm import OneClassSVM
@@ -69,7 +68,8 @@ def nd_parameter_sweep(
     for nu in nus:
         detector = OneClassSVM(nu=nu).fit(training_samples)
         for l in ls:
-            controller = SafetyController(
+            scheme = MonitoredScheme(
+                name="ND",
                 learned=learned,
                 default=default,
                 signal=StateNoveltySignal(
@@ -79,13 +79,14 @@ def nd_parameter_sweep(
                     throughput_window=throughput_window,
                 ),
                 trigger=ConsecutiveTrigger(l=l),
+                factory=factory,
             )
             in_sessions = [
-                run_session(factory, SessionSpec(trace=trace, seed=seed), controller)
+                run_session(factory, SessionSpec(trace=trace, seed=seed), scheme)
                 for trace in in_distribution_traces
             ]
             ood_sessions = [
-                run_session(factory, SessionSpec(trace=trace, seed=seed), controller)
+                run_session(factory, SessionSpec(trace=trace, seed=seed), scheme)
                 for trace in ood_traces
             ]
             points.append(

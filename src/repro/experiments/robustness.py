@@ -16,18 +16,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.monitor import SafetyMonitor
-from repro.domains import (
-    SessionSpec,
-    get_domain,
-    run_monitored_session,
-    run_session,
-)
+from repro.domains import MonitoredScheme, SessionSpec, run_session
 from repro.errors import ConfigError
-from repro.mdp.interfaces import Policy
 from repro.traces.trace import Trace
 from repro.traces.transforms import add_cross_traffic, inject_outages, scale
-from repro.video.manifest import VideoManifest
 
 __all__ = [
     "RobustnessPoint",
@@ -83,66 +75,42 @@ def outage_shift(trace: Trace, magnitude: float) -> Trace:
 
 
 def graded_shift_curve(
-    learned: Policy,
-    controller: "Policy | SafetyMonitor",
-    default: Policy,
-    manifest: VideoManifest,
+    scheme: MonitoredScheme,
     base_traces: Sequence[Trace],
     shift: Callable[[Trace, float], Trace],
     magnitudes: Sequence[float],
     seed: int = 0,
 ) -> list[RobustnessPoint]:
-    """Measure all three policies across a family of graded shifts.
+    """Measure a scheme and both of its policies across graded shifts.
 
-    *controller* is either a safety controller wrapping *learned* with
-    *default*, or a bare :class:`~repro.core.monitor.SafetyMonitor` —
-    in which case *learned* and *default* themselves act under the
-    monitor's decisions (the two forms are bitwise-identical).  Its
-    per-session default fraction is averaged over the traces at each
-    magnitude.
+    At each magnitude every shifted trace is streamed through the
+    scheme's factory three times: under ``scheme.learned`` alone, under
+    ``scheme.default`` alone, and under the scheme itself, whose
+    per-session default fraction is averaged over the traces.
     """
     if not base_traces:
         raise ConfigError("no base traces supplied")
     if not magnitudes:
         raise ConfigError("no shift magnitudes supplied")
-    factory = get_domain("abr").session_factory(manifest=manifest)
+
+    def sessions(policy, traces):
+        return [
+            run_session(scheme.factory, SessionSpec(trace=t, seed=seed), policy)
+            for t in traces
+        ]
+
     points = []
     for magnitude in magnitudes:
         shifted = [shift(trace, float(magnitude)) for trace in base_traces]
-        learned_qoe = np.mean(
-            [
-                run_session(factory, SessionSpec(trace=t, seed=seed), learned).qoe
-                for t in shifted
-            ]
-        )
-        default_qoe = np.mean(
-            [
-                run_session(factory, SessionSpec(trace=t, seed=seed), default).qoe
-                for t in shifted
-            ]
-        )
-        if isinstance(controller, SafetyMonitor):
-            controlled = [
-                run_monitored_session(
-                    factory,
-                    SessionSpec(trace=t, seed=seed),
-                    learned,
-                    default,
-                    controller,
-                )
-                for t in shifted
-            ]
-        else:
-            controlled = [
-                run_session(factory, SessionSpec(trace=t, seed=seed), controller)
-                for t in shifted
-            ]
+        learned = sessions(scheme.learned, shifted)
+        default = sessions(scheme.default, shifted)
+        controlled = sessions(scheme, shifted)
         points.append(
             RobustnessPoint(
                 magnitude=float(magnitude),
-                learned_qoe=float(learned_qoe),
+                learned_qoe=float(np.mean([r.qoe for r in learned])),
                 controlled_qoe=float(np.mean([r.qoe for r in controlled])),
-                default_qoe=float(default_qoe),
+                default_qoe=float(np.mean([r.qoe for r in default])),
                 default_fraction=float(
                     np.mean([r.default_fraction for r in controlled])
                 ),

@@ -37,12 +37,11 @@ flow through :mod:`repro.obs` (``serve.sessions``, ``serve.steps``,
 """
 
 from repro.domains import SessionSpec
-from repro.serve.engine import ServeEngine, serve_sessions
+from repro.serve.engine import ServeEngine
 from repro.serve.table import SessionTable
 
 __all__ = [
     "ServeEngine",
     "SessionSpec",
     "SessionTable",
-    "serve_sessions",
 ]

@@ -56,16 +56,21 @@ import time
 import numpy as np
 
 from repro import obs
-from repro.core.monitor import MonitorTable, SafetyController, SafetyMonitor
+from repro.core.monitor import MonitorTable, SafetyMonitor
 from repro.core.signals import UncertaintySignal
 from repro.core.thresholding import DefaultTrigger
-from repro.domains import MonitoredSessionResult, SessionFactory, SessionSpec
+from repro.domains import (
+    MonitoredScheme,
+    MonitoredSessionResult,
+    SessionFactory,
+    SessionSpec,
+)
 from repro.errors import SafetyError
 from repro.mdp.interfaces import Policy
 from repro.serve.table import SessionTable
 from repro.util.rng import rng_from_seed
 
-__all__ = ["ServeEngine", "serve_sessions"]
+__all__ = ["ServeEngine"]
 
 
 class ServeEngine:
@@ -110,21 +115,18 @@ class ServeEngine:
         self.max_slots = max_slots
 
     @classmethod
-    def from_controller(
-        cls,
-        controller: SafetyController,
-        factory: SessionFactory,
-        max_slots: int | None = None,
+    def from_scheme(
+        cls, scheme: MonitoredScheme, max_slots: int | None = None
     ) -> "ServeEngine":
-        """An engine that serves sessions under *controller*'s scheme."""
+        """An engine that serves *scheme*'s sessions through its factory."""
         return cls(
-            factory=factory,
-            learned=controller.learned,
-            default=controller.default,
-            signal=controller.signal,
-            trigger=controller.trigger,
-            allow_revert=controller.allow_revert,
-            name=controller.name,
+            factory=scheme.factory,
+            learned=scheme.learned,
+            default=scheme.default,
+            signal=scheme.signal,
+            trigger=scheme.trigger,
+            allow_revert=scheme.allow_revert,
+            name=scheme.name,
             max_slots=max_slots,
         )
 
@@ -417,13 +419,3 @@ def _replay(actions: list[int]):
 
     return act
 
-
-def serve_sessions(
-    controller: SafetyController,
-    factory: SessionFactory,
-    specs: list[SessionSpec],
-    max_slots: int | None = None,
-) -> list[MonitoredSessionResult]:
-    """One-call serving: N sessions under *controller*'s scheme."""
-    engine = ServeEngine.from_controller(controller, factory, max_slots=max_slots)
-    return engine.run(specs)

@@ -30,6 +30,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import math
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -210,6 +211,8 @@ class SafetyService:
         self.shed_count = 0
         #: Attaches refused by admission control since boot.
         self.overload_count = 0
+        #: Background TTL sweeps that raised since boot.
+        self.failed_sweeps = 0
         self._inflight = 0
         self._shutdown_event: asyncio.Event | None = None
         self._writers: set[asyncio.StreamWriter] = set()
@@ -401,6 +404,7 @@ class SafetyService:
             resumes=self.store.resumes,
             shed=self.shed_count,
             overloaded=self.overload_count,
+            failed_sweeps=self.failed_sweeps,
             inflight=self._inflight,
             max_sessions=self.config.max_sessions,
             max_inflight=self.config.max_inflight,
@@ -409,10 +413,21 @@ class SafetyService:
         )
 
     async def _op_evict(self, message: dict) -> dict:
-        """Run one eviction pass now (idle bound overridable)."""
+        """Run one eviction pass now (idle bound overridable).
+
+        ``max_idle_s`` must be a finite number of seconds ``>= 0``: a
+        bool, NaN, an infinity or a negative bound is refused, not read
+        as 1 s, as "evict nothing" or as "evict everything".
+        """
         bound = message.get("max_idle_s")
-        if bound is not None and not isinstance(bound, (int, float)):
-            raise ProtocolError("field 'max_idle_s' must be a number")
+        if bound is not None and (
+            isinstance(bound, bool)
+            or not isinstance(bound, (int, float))
+            or not 0 <= bound <= sys.float_info.max
+        ):
+            raise ProtocolError(
+                "field 'max_idle_s' must be a finite number of seconds >= 0"
+            )
         evicted = self.store.evict_idle(
             None if bound is None else float(bound)
         )
@@ -511,11 +526,20 @@ class SafetyService:
                 await writer.wait_closed()
 
     async def _evict_loop(self) -> None:
-        """Background TTL sweeps every ``evict_interval_s`` seconds."""
+        """Background TTL sweeps every ``evict_interval_s`` seconds.
+
+        A sweep that raises (a locked database, a disk error) moved no
+        session — they all stay hot — so it is counted and reported, and
+        the next period sweeps again.
+        """
         interval = self.config.evict_interval_s
         while True:
             await asyncio.sleep(interval)
-            self.store.evict_idle()
+            try:
+                self.store.evict_idle()
+            except Exception as exc:  # noqa: BLE001 - the loop must survive
+                self.failed_sweeps += 1
+                obs.event("service.sweep_failed", error=f"{type(exc).__name__}: {exc}")
 
     async def run(self) -> None:
         """Serve until :meth:`request_shutdown` (or the ``shutdown`` op).
@@ -524,7 +548,8 @@ class SafetyService:
         published as :attr:`bound_port`), starts the background eviction
         task when configured, fires :attr:`on_ready`, and on the way out
         snapshots every hot session to cold storage so a durable backend
-        carries them across the restart.
+        carries them across the restart — whatever the sweep task ended
+        with.
         """
         self._shutdown_event = asyncio.Event()
         server = await asyncio.start_server(
@@ -548,12 +573,13 @@ class SafetyService:
         finally:
             if evict_task is not None:
                 evict_task.cancel()
-                with contextlib.suppress(asyncio.CancelledError):
-                    await evict_task
+                await asyncio.gather(evict_task, return_exceptions=True)
             for writer in list(self._writers):
                 writer.close()
-            self.store.evict_all()
-            self.store.close()
+            try:
+                self.store.evict_all()
+            finally:
+                self.store.close()
 
 
 class BackgroundService:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.abr.suite import build_safety_suite
-from repro.core.monitor import SafetyController
+from repro.core.runner import MonitoredScheme
 from repro.core.osap import SafetyConfig
 from repro.errors import ConfigError
 from repro.pensieve.training import TrainingConfig
@@ -99,7 +99,7 @@ class TestBuildSafetySuite:
         controllers = suite.controllers()
         assert set(controllers) == {"ND", "A-ensemble", "V-ensemble"}
         assert all(
-            isinstance(c, SafetyController) for c in controllers.values()
+            isinstance(c, MonitoredScheme) for c in controllers.values()
         )
 
     def test_ensembles_have_configured_size(self, tiny_suite):

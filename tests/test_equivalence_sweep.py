@@ -22,11 +22,12 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.abr.session import run_monitored_session, run_session
+from repro.abr.session import ABRSessionFactory, run_monitored_session, run_session
 from repro.abr.suite import collect_training_throughputs
 from repro.core.ensemble_signals import PolicyEnsembleSignal, ValueEnsembleSignal
-from repro.core.monitor import MonitoredController, SafetyController, SafetyMonitor
+from repro.core.monitor import SafetyMonitor
 from repro.core.novelty_signal import StateNoveltySignal, throughput_window_samples
+from repro.core.runner import MonitoredScheme
 from repro.core.thresholding import ConsecutiveTrigger, VarianceTrigger
 from repro.novelty.ocsvm import OneClassSVM
 from repro.parallel import worker as parallel_worker
@@ -100,21 +101,23 @@ def _weights(networks) -> list[np.ndarray]:
     return [param.copy() for net in networks for param in net.params]
 
 
-def _controller(agents, manifest, allow_revert: bool):
-    return MonitoredController(
+def _scheme(agents, manifest, allow_revert: bool):
+    return MonitoredScheme(
+        name="A-ensemble",
         learned=agents[0],
         default=BufferBasedPolicy(manifest.bitrates_kbps),
         signal=PolicyEnsembleSignal(agents, trim=1),
         trigger=VarianceTrigger(alpha=1e-4, k=3, l=1),
+        factory=ABRSessionFactory(manifest),
         allow_revert=allow_revert,
     )
 
 
 def _pooled_qoe(agents, manifest, test_traces, workers: int):
     """Mean-free per-(policy, trace) outcomes through the real pool path:
-    the sticky safety controller and the bare agent on every test trace."""
+    the sticky safety scheme and the bare agent on every test trace."""
     policies = {
-        "safe": _controller(agents, manifest, allow_revert=False),
+        "safe": _scheme(agents, manifest, allow_revert=False),
         "agent": agents[0],
     }
     trace_groups = {"test": list(test_traces)}
@@ -135,17 +138,21 @@ def _pooled_qoe(agents, manifest, test_traces, workers: int):
 def _signal_log(agents, manifest, trace):
     """Per-decision signal values and actions from an in-process session.
 
-    Uses ``allow_revert=True`` so the signal is measured on *every* step
-    (the sticky controller deliberately stops measuring after its
-    hand-off).
+    The signal values come from replaying a fresh monitor over the
+    session's observations, the way ``explain_default`` rebuilds a
+    hand-off.  Uses ``allow_revert=True`` so the signal is measured on
+    *every* step (the sticky monitor deliberately stops measuring after
+    its hand-off).
     """
-    from repro.abr.session import run_session
-
-    controller = _controller(agents, manifest, allow_revert=True)
-    run_session(controller, manifest, trace, seed=0)
+    scheme = _scheme(agents, manifest, allow_revert=True)
+    result = run_session(scheme, manifest, trace, seed=0)
+    monitor = scheme.monitor()
+    monitor.reset()
+    replayed = [monitor.observe(obs) for obs in result.observation_list]
+    assert [d.defaulted for d in replayed] == [c.defaulted for c in result.chunks]
     return (
-        [record.signal_value for record in controller.log],
-        [record.action for record in controller.log],
+        [decision.signal_value for decision in replayed],
+        [chunk.bitrate_index for chunk in result.chunks],
     )
 
 
@@ -228,10 +235,10 @@ def _session_fingerprint(result):
 
 
 class TestMonitorPathEquivalence:
-    """The refactored monitor path vs. the legacy controller loop.
+    """A scheme run as a policy vs. the explicit monitor loop.
 
-    ``run_session(SafetyController(...))`` (the policy-adapter form every
-    pre-refactor experiment used) and ``run_monitored_session(learned,
+    ``run_session(MonitoredScheme(...))`` (the policy form every
+    experiment's policy dict uses) and ``run_monitored_session(learned,
     default, SafetyMonitor(...))`` (the step-stream form the serve engine
     builds on) must produce bitwise-identical sessions, for all three
     schemes, on in-distribution *and* shifted test traces.
@@ -248,14 +255,19 @@ class TestMonitorPathEquivalence:
             signal, trigger = _scheme_parts(
                 scheme, agents, value_functions, nd_detector, manifest
             )
-            controller = SafetyController(
-                learned=agents[0],
-                default=default,
-                signal=signal,
-                trigger=trigger,
-                name=scheme,
+            legacy = run_session(
+                MonitoredScheme(
+                    name=scheme,
+                    learned=agents[0],
+                    default=default,
+                    signal=signal,
+                    trigger=trigger,
+                    factory=ABRSessionFactory(manifest),
+                ),
+                manifest,
+                trace,
+                seed=0,
             )
-            legacy = run_session(controller, manifest, trace, seed=0)
             signal, trigger = _scheme_parts(
                 scheme, agents, value_functions, nd_detector, manifest
             )
@@ -264,7 +276,7 @@ class TestMonitorPathEquivalence:
                 agents[0], default, monitor, manifest, trace, seed=0
             )
             assert _session_fingerprint(monitored) == _session_fingerprint(legacy)
-            assert monitor.default_fraction == controller.default_fraction
+            assert monitor.default_fraction == legacy.default_fraction
 
 
 def _golden_fingerprint(result) -> str:

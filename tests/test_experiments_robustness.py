@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.monitor import SafetyController
+from repro.abr.session import ABRSessionFactory
+from repro.core.runner import MonitoredScheme
 from repro.core.signals import UncertaintySignal
 from repro.core.thresholding import ConsecutiveTrigger
 from repro.errors import ConfigError
@@ -37,13 +38,19 @@ class _ThroughputDropSignal(UncertaintySignal):
         return 1.0 if 0 < latest < self.floor else 0.0
 
 
-@pytest.fixture(scope="module")
-def setup():
+def throughput_drop_scheme(l, floor_mbps=3.0):
     manifest = envivio_dash3_manifest(repeats=1)
-    learned = ConstantPolicy(manifest.bitrates_kbps, bitrate_index=5)
-    default = BufferBasedPolicy(manifest.bitrates_kbps)
-    traces = [Trace.from_bandwidths([6.0] * 300, name="base")]
-    return manifest, learned, default, traces
+    return MonitoredScheme(
+        name="drop",
+        learned=ConstantPolicy(manifest.bitrates_kbps, bitrate_index=5),
+        default=BufferBasedPolicy(manifest.bitrates_kbps),
+        signal=_ThroughputDropSignal(floor_mbps=floor_mbps),
+        trigger=ConsecutiveTrigger(l=l),
+        factory=ABRSessionFactory(manifest),
+    )
+
+
+TRACES = [Trace.from_bandwidths([6.0] * 300, name="base")]
 
 
 class TestShiftFamilies:
@@ -77,20 +84,10 @@ class TestShiftFamilies:
 
 
 class TestGradedShiftCurve:
-    def test_curve_structure_and_behaviour(self, setup):
-        manifest, learned, default, traces = setup
-        controller = SafetyController(
-            learned=learned,
-            default=default,
-            signal=_ThroughputDropSignal(floor_mbps=3.0),
-            trigger=ConsecutiveTrigger(l=3),
-        )
+    def test_curve_structure_and_behaviour(self):
         points = graded_shift_curve(
-            learned,
-            controller,
-            default,
-            manifest,
-            traces,
+            throughput_drop_scheme(l=3),
+            TRACES,
             capacity_loss_shift,
             magnitudes=[0.0, 0.7],
         )
@@ -103,19 +100,9 @@ class TestGradedShiftCurve:
         assert shifted.default_fraction > 0.5
         assert shifted.controlled_qoe > shifted.learned_qoe
 
-    def test_validation(self, setup):
-        manifest, learned, default, traces = setup
-        controller = SafetyController(
-            learned=learned,
-            default=default,
-            signal=_ThroughputDropSignal(),
-            trigger=ConsecutiveTrigger(l=1),
-        )
+    def test_validation(self):
+        scheme = throughput_drop_scheme(l=1)
         with pytest.raises(ConfigError):
-            graded_shift_curve(
-                learned, controller, default, manifest, [], capacity_loss_shift, [0.5]
-            )
+            graded_shift_curve(scheme, [], capacity_loss_shift, [0.5])
         with pytest.raises(ConfigError):
-            graded_shift_curve(
-                learned, controller, default, manifest, traces, capacity_loss_shift, []
-            )
+            graded_shift_curve(scheme, TRACES, capacity_loss_shift, [])

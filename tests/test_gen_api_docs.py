@@ -40,4 +40,4 @@ def test_classmethods_are_listed(gen_api_docs):
     from repro.serve import ServeEngine
 
     rendered = "\n".join(gen_api_docs.render_symbol("ServeEngine", ServeEngine))
-    assert "- classmethod `from_controller(controller: " in rendered
+    assert "- classmethod `from_scheme(scheme: " in rendered

@@ -12,9 +12,9 @@ controllers, simulator) with no mocks.
 import numpy as np
 import pytest
 
-from repro.abr.session import run_session
-from repro.core.monitor import SafetyController
+from repro.abr.session import ABRSessionFactory, run_session
 from repro.core.novelty_signal import StateNoveltySignal, throughput_window_samples
+from repro.core.runner import MonitoredScheme
 from repro.core.thresholding import ConsecutiveTrigger
 from repro.mdp.gridworld import GridWorld, make_shifted_gridworld
 from repro.novelty.ocsvm import OneClassSVM
@@ -90,11 +90,13 @@ class TestABRSafetyNetEndToEnd:
         signal = StateNoveltySignal(
             detector, manifest.bitrates_kbps, k=k, throughput_window=10
         )
-        controller = SafetyController(
+        controller = MonitoredScheme(
+            name="ND",
             learned=learned,
             default=default,
             signal=signal,
             trigger=ConsecutiveTrigger(l=3),
+            factory=ABRSessionFactory(manifest),
         )
         return manifest, learned, default, controller
 

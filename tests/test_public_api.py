@@ -65,7 +65,7 @@ def test_root_package_exports_core_workflow():
         "make_dataset",
         "envivio_dash3_manifest",
         "BufferBasedPolicy",
-        "SafetyController",
+        "MonitoredScheme",
         "TrainingConfig",
     ):
         assert symbol in repro.__all__

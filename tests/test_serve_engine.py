@@ -13,14 +13,13 @@ import pytest
 
 from repro.abr.session import run_monitored_session
 from repro.core.ensemble_signals import PolicyEnsembleSignal, ValueEnsembleSignal
-from repro.core.monitor import SafetyController
 from repro.core.novelty_signal import StateNoveltySignal, throughput_window_samples
 from repro.core.thresholding import ConsecutiveTrigger, VarianceTrigger
-from repro.domains import get_domain
+from repro.domains import MonitoredScheme, get_domain
 from repro.errors import SafetyError
 from repro.novelty.ocsvm import OneClassSVM
 from repro.policies.buffer_based import BufferBasedPolicy
-from repro.serve import ServeEngine, SessionSpec, serve_sessions
+from repro.serve import ServeEngine, SessionSpec
 from repro.traces.dataset import make_dataset
 
 
@@ -229,21 +228,21 @@ class TestEngineContract:
         engine = _engine(manifest, "U_pi")
         assert engine.spawn_monitor().signal is engine.signal
 
-    def test_from_controller_serves_scheme(self, manifest, specs):
+    def test_from_scheme_serves_scheme(self, manifest, specs):
         engine = _engine(manifest, "U_pi")
-        controller = SafetyController(
+        scheme = MonitoredScheme(
+            name="U_pi",
             learned=engine.learned,
             default=engine.default,
             signal=engine.signal,
             trigger=engine.trigger,
-            name="U_pi",
+            factory=engine.factory,
         )
         direct = [_fingerprint(r) for r in engine.run(specs)]
-        via_helper = [
-            _fingerprint(r)
-            for r in serve_sessions(controller, engine.factory, specs)
+        via_scheme = [
+            _fingerprint(r) for r in ServeEngine.from_scheme(scheme).run(specs)
         ]
-        assert via_helper == direct
+        assert via_scheme == direct
 
     @pytest.mark.parametrize("count", [1, 3])
     @pytest.mark.parametrize("scheme", ["U_pi", "U_V"])

@@ -15,6 +15,7 @@ from __future__ import annotations
 import asyncio
 import json
 import socket
+import sqlite3
 import time
 
 import numpy as np
@@ -32,6 +33,7 @@ from repro.service import (
     build_demo_scheme,
     protocol,
 )
+from repro.service.store import DictBackend
 from repro.traces.dataset import make_dataset
 from repro.video.envivio import envivio_dash3_manifest
 
@@ -560,6 +562,47 @@ class TestBackgroundEviction:
                 assert payload["ok"] and payload["resumed"]
                 assert client.stats()["resumes"] == 1
                 client.shutdown()
+
+    def test_failed_sweep_keeps_sweeping_and_shutdown_snapshots(self, runtime):
+        class FailOnceBackend(DictBackend):
+            """The first write fails like a locked SQLite database."""
+
+            failed = False
+
+            def put_many(self, items) -> None:
+                if not self.failed:
+                    self.failed = True
+                    raise sqlite3.OperationalError("database is locked")
+                super().put_many(items)
+
+        class FailOnceService(SafetyService):
+            def _new_backend(self):
+                return FailOnceBackend()
+
+        service = FailOnceService(
+            [runtime],
+            ServiceConfig(max_sessions=4, hot_ttl_s=0.1, evict_interval_s=0.02),
+        )
+        backend = service.store.backend
+        background = BackgroundService(service).start()
+        try:
+            with ServiceClient(*background.address) as client:
+                assert client.attach("t", "idle", "demo")["ok"]
+                for _ in range(200):
+                    stats = client.stats()
+                    if stats["cold"] == 1:
+                        break
+                    time.sleep(0.02)
+                else:
+                    pytest.fail("no sweep evicted after the failed one")
+                assert stats["failed_sweeps"] == 1
+                # A session still hot at shutdown is snapshotted on the way out.
+                assert client.attach("t", "last", "demo")["ok"]
+        finally:
+            background.stop()
+        assert backend.failed and service.failed_sweeps == 1
+        assert service.store.hot_count == 0
+        assert sorted(backend.keys()) == [("t", "idle"), ("t", "last")]
 
 
 class TestWireRobustness:

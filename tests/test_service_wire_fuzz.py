@@ -207,8 +207,25 @@ def test_fuzzed_lines_get_structured_answers(runtime, reference, fuzzed):
         b'{"op": "attach", "tenant": "t", "session": "a", "scheme": "demo",'
         b' "seed": -1}',
         b'{"op": "attach", "tenant": "\\ud800", "session": "a", "scheme": "demo"}',
+        b'{"op": "evict", "max_idle_s": true}',
+        b'{"op": "evict", "max_idle_s": NaN}',
+        b'{"op": "evict", "max_idle_s": Infinity}',
+        b'{"op": "evict", "max_idle_s": -Infinity}',
+        b'{"op": "evict", "max_idle_s": -1}',
+        b'{"op": "evict", "max_idle_s": 1' + b"0" * 400 + b"}",
     ],
-    ids=["deep-nesting", "int-overflow", "negative-seed", "lone-surrogate"],
+    ids=[
+        "deep-nesting",
+        "int-overflow",
+        "negative-seed",
+        "lone-surrogate",
+        "evict-bool",
+        "evict-nan",
+        "evict-infinity",
+        "evict-minus-infinity",
+        "evict-negative",
+        "evict-int-overflow",
+    ],
 )
 def test_known_hostile_lines_are_bad_requests(runtime, line):
     response = _answer(SafetyService([runtime]), line)

@@ -57,7 +57,12 @@ import dataclasses
 
 from repro.abr.suite import build_safety_suite
 from repro.core.osap import SafetyConfig
-from repro.domains import apply_scenario, get_domain, run_monitored_session
+from repro.domains import (
+    MonitoredScheme,
+    apply_scenario,
+    get_domain,
+    run_monitored_session,
+)
 from repro.pensieve.training import TrainingConfig
 from repro.policies.buffer_based import BufferBasedPolicy
 from repro.serve import ServeEngine, SessionSpec
@@ -169,12 +174,13 @@ def _timed(fn, repeats: int):
 
 def bench_scheme(
     name: str,
-    engine: ServeEngine,
+    scheme: MonitoredScheme,
     specs: list[SessionSpec],
     repeats: int,
     smoke: bool,
 ) -> dict:
     print(f"{name} ({len(specs)} sessions, repeats={repeats}) ...")
+    engine = ServeEngine.from_scheme(scheme)
 
     serial, serial_runs, serial_results = _timed(
         lambda: run_serial(engine, specs), repeats
@@ -186,16 +192,7 @@ def bench_scheme(
     # Continuous admission through the slot free-list: halving the slots
     # forces sessions to join mid-run, and must not change a single chunk.
     max_slots = max(1, len(specs) // 2)
-    slotted_engine = ServeEngine(
-        factory=engine.factory,
-        learned=engine.learned,
-        default=engine.default,
-        signal=engine.signal,
-        trigger=engine.trigger,
-        allow_revert=engine.allow_revert,
-        name=engine.name,
-        max_slots=max_slots,
-    )
+    slotted_engine = ServeEngine.from_scheme(scheme, max_slots=max_slots)
     slotted_results = slotted_engine.run(specs)
 
     reference = [fingerprint(result) for result in serial_results]
@@ -268,14 +265,12 @@ def main(argv: list[str] | None = None) -> int:
     sessions = args.sessions if args.sessions is not None else (8 if args.smoke else SESSIONS)
 
     print("training bench suite ...")
-    manifest, split, suite = build_bench_suite(args.smoke)
-    factory = get_domain("abr").session_factory(manifest=manifest)
+    _, split, suite = build_bench_suite(args.smoke)
     specs = make_specs(split, sessions)
 
     schemes = {}
-    for scheme in ("ND", "A-ensemble", "V-ensemble"):
-        engine = ServeEngine.from_controller(suite.controllers()[scheme], factory)
-        schemes[scheme] = bench_scheme(scheme, engine, specs, repeats, args.smoke)
+    for name, scheme in suite.controllers().items():
+        schemes[name] = bench_scheme(name, scheme, specs, repeats, args.smoke)
 
     # Second domain through the identical gauntlet: the CC demo scheme
     # (tabular Q ensemble + CUSUM) over its provisioned trace corpus,
@@ -299,16 +294,8 @@ def main(argv: list[str] | None = None) -> int:
         )
         for index in range(sessions)
     ]
-    cc_engine = ServeEngine(
-        factory=cc_scheme.factory,
-        learned=cc_scheme.learned,
-        default=cc_scheme.default,
-        signal=cc_scheme.signal,
-        trigger=cc_scheme.trigger,
-        name=cc_scheme.name,
-    )
     schemes["cc-demo"] = bench_scheme(
-        "cc-demo", cc_engine, cc_specs, repeats, args.smoke
+        "cc-demo", cc_scheme, cc_specs, repeats, args.smoke
     )
 
     if args.smoke:
