@@ -28,12 +28,16 @@ accumulates and must fire.  Members are read at a softening temperature;
 :class:`TabularEnsembleSignal` scores every state once at construction
 and answers a whole serve wave with one state-index gather.
 
-The fluid-queue arithmetic lives once, in :func:`_fluid_step`, and the
-state binning once, in :func:`_state_of`.  The served :class:`CCEnv`
-steps through them with its full observation history; the training env
-(:class:`_CyclingTraceEnv`) steps through the same functions over
-capacities read once per trace and observes only the newest sample,
-which is all the indexer bins.  Training is the one generic
+The fluid-queue arithmetic lives once, in :func:`_fluid_step`, the
+state binning once, in :func:`_state_of`, and the link capacity is read
+once, in :func:`_capacity_schedule`: one vectorized pass over a run of
+control intervals, bitwise what stepping ``Trace.bandwidth_at`` through
+``time += STEP_S`` reads.  The served :class:`CCEnv` steps through them
+with its full observation history, filling its schedule
+:data:`DEFAULT_HORIZON` steps at a time; the training env
+(:class:`_CyclingTraceEnv`) steps through the same functions over one
+schedule per trace and observes only the newest sample, which is all
+the indexer bins.  Training is the one generic
 :func:`~repro.mdp.qlearning.train_q_learning` loop on Python floats, so
 the learned agent and the K prior members train without a numpy call
 per step, and their tables are byte-identical to a numpy loop over full
@@ -64,7 +68,7 @@ from repro.core.runner import (
 )
 from repro.core.strategies import CusumTrigger
 from repro.domains.base import DOMAINS, Domain
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError, SimulationError, TraceError
 from repro.mdp.interfaces import StepResult
 from repro.mdp.qlearning import QLearningAgent, train_q_learning
 from repro.traces.dataset import DATASET_NAMES, DatasetSplit, make_dataset
@@ -149,23 +153,49 @@ def _fluid_step(
     return queue_mbit, delivered_mbps, loss_fraction, queue_delay_s, reward
 
 
+def _capacity_schedule(
+    trace: Trace, start_s: float, count: int
+) -> tuple[list[float], float]:
+    """The link capacity of *count* control intervals from *start_s*.
+
+    Returns the capacities (Mbit/s, Python floats) and the time after
+    the last interval.  Bitwise what the scalar loop
+    ``trace.bandwidth_at(time); time += STEP_S`` reads: ``np.cumsum``
+    adds sequentially, so the times are that loop's accumulation, and
+    the wrap and the right-side search are the same float64 operations
+    on a whole array.  A zero-duration trace raises
+    :class:`~repro.errors.TraceError`.
+    """
+    duration = trace.duration
+    if duration <= 0:
+        raise TraceError("trace has zero duration")
+    times = np.full(count + 1, STEP_S)
+    times[0] = start_s
+    times = np.cumsum(times)
+    first = trace.times[0]
+    offsets = (times[:-1] - first) % duration + first
+    indices = np.searchsorted(trace.times, offsets, side="right") - 1
+    return trace.bandwidths_mbps[indices].tolist(), float(times[-1])
+
+
 class CCEnv:
     """A trace-driven bottleneck-link rate-control environment.
 
-    Fully deterministic: capacity comes from the trace
-    (:meth:`~repro.traces.trace.Trace.bandwidth_at`, wrapping), queueing
-    is fluid (arrivals beyond the drain and a bounded backlog are
-    dropped), and no randomness is drawn anywhere — the same action
-    sequence always yields the same floats.  Episodes never terminate on
-    their own; the session horizon is owned by
-    :class:`CCSessionFactory`.
+    Fully deterministic: capacity comes from the trace (wrapping; read
+    :data:`DEFAULT_HORIZON` intervals at a time by
+    :func:`_capacity_schedule` and kept across ``reset``), queueing is
+    fluid (arrivals beyond the drain and a bounded backlog are dropped),
+    and no randomness is drawn anywhere — the same action sequence
+    always yields the same floats.  Episodes never terminate on their
+    own; the session horizon is owned by :class:`CCSessionFactory`.
     """
 
     def __init__(self, trace: Trace, start_offset_s: float = 0.0) -> None:
         self.trace = trace
         self.start_offset_s = float(start_offset_s)
         self._history = np.zeros((4, HISTORY))
-        self._time = self.start_offset_s
+        self._capacities: list[float] = []
+        self._schedule_end_s = self.start_offset_s
         self._queue_mbit = 0.0
         self._step_index = 0
 
@@ -176,7 +206,6 @@ class CCEnv:
     def reset(self) -> np.ndarray:
         """Empty the queue and history and return the initial observation."""
         self._history = np.zeros((4, HISTORY))
-        self._time = self.start_offset_s
         self._queue_mbit = 0.0
         self._step_index = 0
         return self._history.copy()
@@ -189,7 +218,14 @@ class CCEnv:
                 f"action {action} outside rate ladder of {self.num_actions}"
             )
         rate = _LADDER[action]
-        capacity = self.trace.bandwidth_at(self._time)
+        step_index = self._step_index
+        capacities = self._capacities
+        if step_index == len(capacities):
+            more, self._schedule_end_s = _capacity_schedule(
+                self.trace, self._schedule_end_s, DEFAULT_HORIZON
+            )
+            capacities += more
+        capacity = capacities[step_index]
         queue_mbit, delivered_mbps, loss_fraction, queue_delay_s, reward = _fluid_step(
             self._queue_mbit, rate, capacity
         )
@@ -202,14 +238,13 @@ class CCEnv:
         history[1, -1] = delivered_mbps / RATE_SCALE
         history[2, -1] = loss_fraction
         history[3, -1] = queue_delay_s / DELAY_SCALE
-        self._time += STEP_S
-        self._step_index += 1
+        self._step_index = step_index + 1
         return StepResult(
             observation=history.copy(),
             reward=reward,
             done=False,
             info={
-                "step_index": self._step_index - 1,
+                "step_index": step_index,
                 "rate_index": action,
                 "rate_mbps": rate,
                 "throughput_mbps": delivered_mbps,
@@ -347,8 +382,7 @@ class ConservativeRatePolicy:
         """Highest rung at most ``safety_factor`` x the delivered rate."""
         delivered = float(np.asarray(observation)[1, -1]) * RATE_SCALE
         target = self.safety_factor * delivered
-        index = int(np.searchsorted(RATE_LADDER_MBPS, target, side="right")) - 1
-        return max(index, 0)
+        return max(bisect.bisect_right(_LADDER, target) - 1, 0)
 
     def action_probabilities(self, observation: np.ndarray) -> np.ndarray:
         """One-hot distribution on the deterministically chosen rung."""
@@ -405,21 +439,18 @@ class _CyclingTraceEnv:
     Each ``reset`` starts the next trace from time 0 with an empty queue,
     so :func:`~repro.mdp.qlearning.train_q_learning` sees the whole
     training distribution through one env, deterministically.  Steps run
-    :func:`_fluid_step` over capacities read once per trace (``max_steps``
-    of them, timed as :class:`CCEnv` times them; stepping past raises
-    :class:`~repro.errors.SimulationError`) and observe only the newest
-    ``(delivered, loss, delay)`` sample in observation units, which
-    :func:`_state_of` bins as :class:`CCStateIndexer` bins a history.
+    :func:`_fluid_step` over one :func:`_capacity_schedule` per trace
+    (``max_steps`` intervals from time 0, as :class:`CCEnv` reads them;
+    stepping past raises :class:`~repro.errors.SimulationError`) and
+    observe only the newest ``(delivered, loss, delay)`` sample in
+    observation units, which :func:`_state_of` bins as
+    :class:`CCStateIndexer` bins a history.
     """
 
     def __init__(self, traces: list[Trace], max_steps: int) -> None:
-        self._capacities = []
-        for trace in traces:
-            capacities, time_s = [], 0.0
-            for _ in range(max_steps):
-                capacities.append(trace.bandwidth_at(time_s))
-                time_s += STEP_S
-            self._capacities.append(capacities)
+        self._capacities = [
+            _capacity_schedule(trace, 0.0, max_steps)[0] for trace in traces
+        ]
         self._index = -1
         self._active = self._capacities[0]
         self._queue_mbit = 0.0

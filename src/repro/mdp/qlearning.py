@@ -37,7 +37,13 @@ def grid_state_indexer(size: int) -> Callable[[np.ndarray], int]:
 
 
 class QLearningAgent:
-    """A greedy policy over a learned tabular Q-function."""
+    """A greedy policy over a learned tabular Q-function.
+
+    The agent freezes the table it is given (``flags.writeable =
+    False``, copies included): its greedy action per state is read once
+    at construction (``np.argmax``'s first-index tie rule), so a later
+    write to the table raises instead of leaving that read stale.
+    """
 
     def __init__(
         self,
@@ -48,11 +54,20 @@ class QLearningAgent:
         q_table = np.asarray(q_table, dtype=float)
         if q_table.ndim != 2:
             raise TrainingError(f"Q-table must be 2-D, got shape {q_table.shape}")
+        if q_table.shape[1] == 0:
+            raise TrainingError("Q-table needs at least one action column")
         if temperature < 0:
             raise TrainingError(f"temperature must be >= 0, got {temperature}")
+        q_table.flags.writeable = False
         self.q_table = q_table
         self.state_indexer = state_indexer
         self.temperature = temperature
+        self._greedy = q_table.argmax(axis=1).tolist()
+
+    def __setstate__(self, state: dict) -> None:
+        # Pickled and deep-copied tables come back writeable; refreeze.
+        self.__dict__.update(state)
+        self.q_table.flags.writeable = False
 
     @property
     def num_actions(self) -> int:
@@ -64,11 +79,11 @@ class QLearningAgent:
 
     def state_probabilities(self, state: int) -> np.ndarray:
         """:meth:`action_probabilities` of an already-indexed *state*."""
-        values = self.q_table[state]
         if self.temperature == 0.0:
             probabilities = np.zeros(self.num_actions)
-            probabilities[int(np.argmax(values))] = 1.0
+            probabilities[self._greedy[state]] = 1.0
             return probabilities
+        values = self.q_table[state]
         shifted = (values - values.max()) / self.temperature
         exp = np.exp(shifted)
         return exp / exp.sum()
@@ -77,7 +92,7 @@ class QLearningAgent:
         """Greedy action (or a softmax sample when temperature > 0)."""
         state = self.state_indexer(observation)
         if self.temperature == 0.0:
-            return int(np.argmax(self.q_table[state]))
+            return self._greedy[state]
         return int(rng.choice(self.num_actions, p=self.state_probabilities(state)))
 
     def reset(self) -> None:

@@ -460,12 +460,17 @@ class SafetyService:
         )
 
     async def _op_sleep(self, message: dict) -> dict:
-        """Hold one in-flight slot for a while (diagnostics/tests)."""
+        """Hold one in-flight slot for a while (diagnostics/tests).
+
+        ``seconds`` is compared before any ``float()``: int and float
+        compare exactly, so an integer too large for a float is refused
+        like any other out-of-range value instead of overflowing.
+        """
         seconds = message.get("seconds", 0.05)
         if (
             not isinstance(seconds, (int, float))
             or isinstance(seconds, bool)
-            or not 0 <= float(seconds) <= _MAX_SLEEP_S
+            or not 0 <= seconds <= _MAX_SLEEP_S
         ):
             raise ProtocolError(
                 f"field 'seconds' must be a number in [0, {_MAX_SLEEP_S}]"

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.ensemble_signals import PolicyEnsembleSignal
 from repro.domains import (
@@ -36,9 +38,10 @@ from repro.domains.cc import (
     ConservativeRatePolicy,
     TabularEnsembleSignal,
 )
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError, SimulationError, TraceError
 from repro.mdp.qlearning import QLearningAgent, train_q_learning
 from repro.serve import ServeEngine
+from repro.traces.trace import Trace
 from tests import qlearning_oracles
 
 
@@ -115,6 +118,83 @@ class TestCCEnv:
         info = env.step(2).info
         assert info["throughput_mbps"] == pytest.approx(info["rate_mbps"])
         assert info["loss_fraction"] == 0.0
+
+
+def _scalar_capacities(trace, start_s, count):
+    """The reference capacity reader: one ``bandwidth_at`` per step."""
+    capacities, time_s = [], start_s
+    for _ in range(count):
+        capacities.append(trace.bandwidth_at(time_s))
+        time_s += STEP_S
+    return capacities, time_s
+
+
+@st.composite
+def _traces(draw):
+    """A random trace starting after time 0, with uneven sample spacing."""
+    first = draw(st.floats(0.01, 50.0))
+    gaps = draw(st.lists(st.floats(0.01, 7.0), min_size=1, max_size=30))
+    size = len(gaps) + 1
+    bandwidths = draw(st.lists(st.floats(0.01, 100.0), min_size=size, max_size=size))
+    return Trace(np.cumsum([first, *gaps]), np.array(bandwidths))
+
+
+class TestCapacitySchedule:
+    """``_capacity_schedule`` is bitwise the scalar ``bandwidth_at`` loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_traces(), st.floats(0.0, 40.0), st.integers(1, 50))
+    def test_chained_schedules_match_the_scalar_loop(self, trace, wraps, count):
+        # Start offsets up to 40 trace durations past the first sample.
+        start_s = trace.times[0] + wraps * trace.duration
+        expected, end_s = _scalar_capacities(trace, start_s, 3 * count)
+        capacities, time_s = [], start_s
+        for _ in range(3):
+            more, time_s = cc._capacity_schedule(trace, time_s, count)
+            capacities += more
+        assert capacities == expected
+        assert time_s == end_s
+
+    @settings(max_examples=15, deadline=None)
+    @given(_traces(), st.floats(0.0, 1000.0))
+    def test_env_extends_past_the_horizon_bitwise(self, trace, start_offset_s):
+        # Two extensions past DEFAULT_HORIZON, then a reset that keeps
+        # the schedule and reads it again from the start.
+        steps = 2 * DEFAULT_HORIZON + 7
+        expected, _ = _scalar_capacities(trace, start_offset_s, steps)
+        env = CCEnv(trace, start_offset_s=start_offset_s)
+        for _ in range(2):
+            env.reset()
+            served = [env.step(i % 8).info["capacity_mbps"] for i in range(steps)]
+            assert served == expected
+
+    def test_step_times_accumulate_like_the_scalar_loop(self):
+        # 1.559 + 13 additions of STEP_S is 8.059000000000001, one ulp
+        # above 1.559 + 13 * STEP_S: only sequential addition lands on
+        # this boundary and reads the second segment at step 13.
+        boundary = 8.059000000000001
+        trace = Trace(np.array([0.0, boundary, 100.0]), np.array([1.0, 2.0, 3.0]))
+        expected, _ = _scalar_capacities(trace, 1.559, 14)
+        assert expected[12:] == [1.0, 2.0]
+        env = CCEnv(trace, start_offset_s=1.559)
+        env.reset()
+        assert [env.step(0).info["capacity_mbps"] for _ in range(14)] == expected
+
+    def test_zero_duration_trace_raises_at_the_first_step(self):
+        trace = Trace(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
+        # Validation forbids it; bypass it to reach the reader's guard.
+        object.__setattr__(trace, "times", np.array([1.0, 1.0]))
+        env = CCEnv(trace)
+        env.reset()
+        with pytest.raises(TraceError, match="zero duration"):
+            env.step(0)
+
+    def test_training_env_reads_the_same_schedule(self, split):
+        traces = list(split.train[:2])
+        env = cc._CyclingTraceEnv(traces, 7)
+        assert env._capacities == [
+            _scalar_capacities(trace, 0.0, 7)[0] for trace in traces
+        ]
 
 
 class TestFactoryAndIndexer:
@@ -212,6 +292,30 @@ class TestConservativeRatePolicy:
                 RATE_LADDER_MBPS[0]
             )
 
+    def test_act_matches_the_searchsorted_rule(self):
+        policy = ConservativeRatePolicy()
+        rng = np.random.default_rng(0)
+        # Observation entries within 3 ulps of rung / 0.8 put the target
+        # exactly on each rung and on both sides of it.
+        entries = [0.0, 1e300]
+        for rung in RATE_LADDER_MBPS.tolist():
+            below = above = rung / policy.safety_factor / RATE_SCALE
+            entries.append(below)
+            for _ in range(3):
+                below, above = np.nextafter(below, 0.0), np.nextafter(above, 1.0)
+                entries += [below, above]
+        targets = []
+        for entry in entries:
+            observation = np.zeros((4, 8))
+            observation[1, -1] = entry
+            target = policy.safety_factor * (entry * RATE_SCALE)
+            targets.append(target)
+            expected = max(
+                int(np.searchsorted(RATE_LADDER_MBPS, target, side="right")) - 1, 0
+            )
+            assert policy.act(observation, rng) == expected
+        assert set(RATE_LADDER_MBPS.tolist()) <= set(targets)
+
     def test_action_probabilities_are_one_hot(self):
         observation = np.zeros((4, 8))
         observation[1, -1] = 3.0 / RATE_SCALE
@@ -268,6 +372,18 @@ class TestTabularEnsembleSignal:
             assert agent.act(state, rng) == int(
                 np.argmax(agent.action_probabilities(state))
             )
+
+    def test_greedy_act_is_argmax_in_every_state(self, scheme):
+        indexer = CCStateIndexer()
+        # Rounding to a coarse grid ties many rows, some entirely.
+        tied = np.round(np.random.default_rng(5).normal(size=(NUM_STATES, 8)))
+        tied[:4] = 0.0
+        rng = np.random.default_rng(0)
+        for table in (scheme.learned.q_table, tied):
+            agent = QLearningAgent(table, indexer)
+            for state in range(NUM_STATES):
+                observation = _observation_of_state(state)
+                assert agent.act(observation, rng) == int(np.argmax(table[state]))
 
     def test_validation(self):
         agents = self._agents()

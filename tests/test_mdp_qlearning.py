@@ -1,5 +1,8 @@
 """Tests for repro.mdp.qlearning: tabular Q-learning on GridWorld."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -112,6 +115,11 @@ class TestTrainQLearning:
         assert tables[0].tobytes() == tables[1].tobytes()
 
 
+def _first_state(observation):
+    """A picklable indexer mapping every observation to state 0."""
+    return 0
+
+
 class TestQLearningAgent:
     def test_greedy_probabilities_one_hot(self):
         q_table = np.array([[1.0, 3.0, 2.0]])
@@ -126,8 +134,19 @@ class TestQLearningAgent:
         assert 0.5 < probs[1] < 1.0
         assert probs.sum() == pytest.approx(1.0)
 
+    def test_q_table_is_read_only(self):
+        # The greedy action per state is read once at construction, so
+        # the table is frozen rather than left to go stale.
+        agent = QLearningAgent(np.array([[1.0, 3.0, 2.0]]), _first_state)
+        for frozen in (agent, copy.deepcopy(agent), pickle.loads(pickle.dumps(agent))):
+            with pytest.raises(ValueError, match="read-only"):
+                frozen.q_table[0, 0] = 9.0
+            assert frozen.act(np.zeros(2), np.random.default_rng(0)) == 1
+
     def test_validation(self):
         with pytest.raises(TrainingError):
             QLearningAgent(np.zeros(3), lambda obs: 0)
+        with pytest.raises(TrainingError, match="action"):
+            QLearningAgent(np.zeros((2, 0)), lambda obs: 0)
         with pytest.raises(TrainingError):
             QLearningAgent(np.zeros((2, 2)), lambda obs: 0, temperature=-1.0)

@@ -384,6 +384,17 @@ class TestDispatch:
         response = _dispatch(service, {"op": "sleep", "seconds": 99})
         assert not response["ok"] and response["code"] == "bad-request"
 
+    @pytest.mark.parametrize(
+        "seconds",
+        [b"1" + b"0" * 400, b"true", b"NaN", b"-0.5"],
+        ids=["int-overflow", "bool", "nan", "negative"],
+    )
+    def test_sleep_refuses_hostile_seconds(self, service, seconds):
+        line = b'{"op": "sleep", "seconds": ' + seconds + b"}"
+        response = _dispatch(service, protocol.decode_message(line))
+        assert not response["ok"], response
+        assert response["code"] == "bad-request", response
+
 
 class TestServiceConfigValidation:
     def test_sqlite_requires_path(self):
