@@ -11,11 +11,11 @@ from repro.pensieve.training import A2CTrainer, TrainingConfig
 
 def test_a2c_epoch_cost(benchmark, artifacts):
     config = TrainingConfig(epochs=1, filters=8, hidden=48, gamma=0.9, n_step=4)
-    trainer = A2CTrainer(artifacts.manifest, artifacts.split.train, config=config)
+    trainer = A2CTrainer(artifacts.manifest, artifacts.split.train, [0], config=config)
 
     def one_epoch():
-        episodes, _ = trainer._collect_batch()
-        return trainer._update(episodes, entropy_weight=0.1)
+        trainer._collect()
+        return trainer._update(entropy_weight=0.1)
 
     benchmark(one_epoch)
     assert benchmark.stats["mean"] < 2.0

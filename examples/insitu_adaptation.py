@@ -66,7 +66,8 @@ def main() -> None:
     bb = BufferBasedPolicy(manifest.bitrates_kbps)
 
     print("Training the original agent on gamma_2_2 ...")
-    agent = A2CTrainer(manifest, home.train, config=TRAINING).train()
+    trainer = A2CTrainer(manifest, home.train, [TRAINING.seed], config=TRAINING)
+    (agent,) = trainer.train()
     stale_signal = fit_signal(agent, manifest, home.train)
 
     print("Fine-tuning in situ on exponential traces ...")

@@ -36,13 +36,14 @@ def main() -> None:
     trainer = A2CTrainer(
         manifest,
         split.train,
+        [0],
         config=TrainingConfig(
             epochs=200, gamma=0.9, n_step=4,
             entropy_weight_start=0.3, entropy_weight_end=0.005,
             actor_learning_rate=2e-3, critic_learning_rate=4e-3,
         ),
     )
-    agent = trainer.train()
+    (agent,) = trainer.train()
 
     throughputs = []
     for trace in split.train:

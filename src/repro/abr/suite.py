@@ -112,8 +112,8 @@ def build_safety_suite(
 ) -> SafetySuite:
     """Run the full offline phase for one training distribution.
 
-    *max_workers* fans the two ensemble trainings out over a process
-    pool (see :mod:`repro.parallel`); the suite is identical either way.
+    *max_workers* has no effect: both ensembles train in one stacked pass
+    in this process.  The keyword stays accepted for existing callers.
     *weight_cache* (an :class:`~repro.experiments.artifacts.ArtifactCache`
     keyed by the training fingerprint) persists both ensembles' trained
     weights as ``.npz`` artifacts, so rebuilding the suite with an
@@ -136,7 +136,6 @@ def build_safety_suite(
         config=training,
         qoe_metric=qoe_metric,
         root_seed=seed,
-        max_workers=max_workers,
         cache=weight_cache,
         checkpoint_every=checkpoint_every,
     )
@@ -161,7 +160,6 @@ def build_safety_suite(
         reward_scale=training.reward_scale,
         qoe_metric=qoe_metric,
         root_seed=seed,
-        max_workers=max_workers,
         cache=weight_cache,
         checkpoint_every=checkpoint_every,
     )

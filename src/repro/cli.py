@@ -77,17 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--sessions", type=int, default=16, help="number of concurrent sessions"
     )
     serve.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help=(
-            "process-pool size for building the trained ABR suite "
-            "(default: the REPRO_MAX_WORKERS environment variable, else "
-            "serial); sessions are always served in-process and results "
-            "are identical at any setting"
-        ),
-    )
-    serve.add_argument(
         "--domain",
         default="abr",
         metavar="KEY",
@@ -476,7 +465,6 @@ def _cmd_serve_demo(args, out) -> int:
             safety_config=config.safety,
             value_epochs=config.value_epochs,
             seed=config.suite_seed,
-            max_workers=args.workers,
         )
         scheme = suite.controllers()[scheme_name]
     engine = ServeEngine.from_scheme(scheme, max_slots=max_slots)

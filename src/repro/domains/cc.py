@@ -369,8 +369,9 @@ class ConservativeRatePolicy:
 
     Picks the highest ladder rate at most ``safety_factor`` x the last
     delivered throughput (the lowest rung when nothing was measured
-    yet).  Deterministic and stateless, so one instance serves any
-    number of concurrent sessions.
+    yet, and for a NaN delivered rate, which measures nothing either).
+    Deterministic and stateless, so one instance serves any number of
+    concurrent sessions.
     """
 
     safety_factor = 0.8
@@ -382,6 +383,9 @@ class ConservativeRatePolicy:
         """Highest rung at most ``safety_factor`` x the delivered rate."""
         delivered = float(np.asarray(observation)[1, -1]) * RATE_SCALE
         target = self.safety_factor * delivered
+        if math.isnan(target):
+            # bisect would place NaN after every rung: full rate.
+            return 0
         return max(bisect.bisect_right(_LADDER, target) - 1, 0)
 
     def action_probabilities(self, observation: np.ndarray) -> np.ndarray:

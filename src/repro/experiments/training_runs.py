@@ -263,7 +263,6 @@ def compute_training_distribution(
             safety_config=config.safety,
             value_epochs=config.value_epochs,
             seed=config.suite_seed,
-            max_workers=max_workers,
             weight_cache=_weight_cache(config, train_name, weight_root),
             checkpoint_every=config.checkpoint_every,
         )

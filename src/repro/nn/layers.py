@@ -10,7 +10,7 @@ Shapes are batch-first: :class:`Dense` takes ``(batch, features)``,
 :class:`Conv1D` takes ``(batch, channels, length)``.
 
 :class:`StackedDense` and :class:`StackedConv1D` are the member-stacked
-variants behind the lockstep ensemble trainer: they hold the parameters of
+variants behind the lockstep A2C trainer: they hold the parameters of
 ``M`` structurally identical layers as ``(members, ...)`` arrays and run
 one batched pass over ``(members, batch, ...)`` inputs.  Every operation
 is arranged so member *m*'s slice goes through exactly the arithmetic of

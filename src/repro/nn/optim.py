@@ -19,7 +19,7 @@ class Optimizer:
     """Base optimizer bound to a fixed list of parameter arrays."""
 
     def __init__(self, params: list[np.ndarray], learning_rate: float) -> None:
-        if learning_rate <= 0:
+        if not learning_rate > 0:  # NaN fails this comparison too
             raise ModelError(f"learning_rate must be positive, got {learning_rate}")
         self.params = list(params)
         self.learning_rate = learning_rate
@@ -95,7 +95,7 @@ class StackedRMSProp(RMSProp):
     own :class:`RMSProp` instance — member *m*'s mean-square accumulator
     occupies slice ``m`` of the stacked accumulator and never mixes with
     the others.  This subclass adds no arithmetic; it exists so the
-    lockstep ensemble trainer's optimizer states are explicitly documented
+    lockstep A2C trainer's optimizer states are explicitly documented
     as per-member-independent.
     """
 

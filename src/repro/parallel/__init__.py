@@ -1,8 +1,8 @@
 """Deterministic parallel execution for the experiment pipeline.
 
 The executor gives every embarrassingly parallel loop in the library —
-ensemble-member training, per-(policy, trace) session evaluation,
-per-distribution suite builds — the same guarantees: bitwise-identical
+per-(policy, trace) session evaluation and per-distribution suite
+builds — the same guarantees: bitwise-identical
 results to the serial path, one-time context shipping per worker, a
 transparent serial fallback (``max_workers=1``, platforms without
 ``fork``, or nested use inside a worker), and bounded fault tolerance —
@@ -14,6 +14,8 @@ all of the above is tested against real kills, raises, and stalls.
 
 Serving (:mod:`repro.serve`) never goes through the executor: the
 serve engine runs in-process whatever ``REPRO_MAX_WORKERS`` says.
+Neither does ensemble training: every ensemble trains in one stacked
+pass in the calling process (:mod:`repro.pensieve.ensemble`).
 """
 
 from repro.parallel.executor import (

@@ -14,9 +14,9 @@ A :class:`ChaosEvent` names a *site*, an *index*, and an *action*:
 
 * site ``"task"`` — fired by the executor inside a worker immediately
   before running the task with that global index,
-* site ``"epoch"`` — fired by both training engines at the end of the
-  epoch with that index (after any checkpoint write, so an interruption
-  here models a kill at an epoch boundary),
+* site ``"epoch"`` — fired by the A2C trainer and the value regression
+  at the end of the epoch with that index (after any checkpoint write,
+  so an interruption here models a kill at an epoch boundary),
 * action ``"raise"`` — raise :class:`~repro.errors.ChaosError`,
 * action ``"kill"``  — ``os._exit`` the process (simulating a segfault
   or an OOM kill; never run this action in a process you cannot lose),

@@ -2,7 +2,7 @@
 
 Process pools pickle tasks by *name*, so every parallel loop in the
 library maps one of the functions below over a list of small, explicit
-items (seeds, trace indices, dataset names).  The heavyweight context —
+items (session tasks, dataset names).  The heavyweight context —
 manifest, traces, trained policies, configs — is shipped **once per
 worker** through the matching ``init_*`` initializer into a module-level
 state dict, instead of being re-pickled for every task.
@@ -19,156 +19,14 @@ from typing import Any
 from repro.abr.session import run_session
 
 __all__ = [
-    "init_agent_training",
-    "train_agent_member",
-    "init_value_training",
-    "train_value_member",
     "init_sessions",
     "evaluate_session",
     "init_distributions",
     "build_distribution",
 ]
 
-_AGENT_STATE: dict[str, Any] = {}
-_VALUE_STATE: dict[str, Any] = {}
 _SESSION_STATE: dict[str, Any] = {}
 _DISTRIBUTION_STATE: dict[str, Any] = {}
-
-
-# -- agent-ensemble training -------------------------------------------------
-
-def init_agent_training(
-    manifest, traces, config, qoe_metric, cache=None, checkpoint_every=0
-) -> None:
-    """Ship the training context for :func:`train_agent_member`.
-
-    With *cache* (an :class:`~repro.experiments.artifacts.ArtifactCache`)
-    and a positive *checkpoint_every*, each member checkpoints its
-    training into the cache and resumes from its own saved state — which
-    is how a retried or requeued member task continues instead of
-    restarting from epoch 0.
-    """
-    _AGENT_STATE.update(
-        manifest=manifest,
-        traces=traces,
-        config=config,
-        qoe_metric=qoe_metric,
-        cache=cache,
-        checkpoint_every=checkpoint_every,
-    )
-
-
-def train_agent_member(seed: int):
-    """Train one ensemble member that differs only by its seed."""
-    from repro.pensieve.checkpoint import Checkpointer
-    from repro.pensieve.ensemble import agent_member_checkpoint_artifact
-    from repro.pensieve.training import A2CTrainer
-
-    state = _AGENT_STATE
-    trainer = A2CTrainer(
-        state["manifest"],
-        state["traces"],
-        config=state["config"].with_seed(seed),
-        qoe_metric=state["qoe_metric"],
-    )
-    cache = state.get("cache")
-    every = state.get("checkpoint_every", 0)
-    if cache is not None and every > 0:
-        trainer.checkpointer = Checkpointer(
-            cache, agent_member_checkpoint_artifact(seed), every
-        )
-    return trainer.train()
-
-
-# -- value-ensemble training -------------------------------------------------
-
-def init_value_training(
-    observations,
-    targets,
-    num_bitrates,
-    epochs,
-    learning_rate,
-    filters,
-    hidden,
-    cache=None,
-    checkpoint_every=0,
-) -> None:
-    """Ship the shared regression dataset for :func:`train_value_member`."""
-    _VALUE_STATE.update(
-        observations=observations,
-        targets=targets,
-        num_bitrates=num_bitrates,
-        epochs=epochs,
-        learning_rate=learning_rate,
-        filters=filters,
-        hidden=hidden,
-        cache=cache,
-        checkpoint_every=checkpoint_every,
-    )
-
-
-def train_value_member(seed: int):
-    """Train one value function on the shared (observation, return) data."""
-    from repro.nn.optim import RMSProp
-    from repro.parallel import chaos
-    from repro.pensieve.agent import PensieveValueFunction
-    from repro.pensieve.checkpoint import Checkpointer
-    from repro.pensieve.ensemble import (
-        _regression_checkpoint_payload,
-        _restore_regression_checkpoint,
-        value_member_checkpoint_artifact,
-    )
-    from repro.pensieve.model import CriticNetwork
-    from repro.util.rng import rng_from_seed
-
-    state = _VALUE_STATE
-    observations = state["observations"]
-    targets = state["targets"]
-    epochs = state["epochs"]
-    critic = CriticNetwork(
-        state["num_bitrates"],
-        rng_from_seed(seed),
-        filters=state["filters"],
-        hidden=state["hidden"],
-    )
-    optimizer = RMSProp(critic.params, learning_rate=state["learning_rate"])
-    cache = state.get("cache")
-    every = state.get("checkpoint_every", 0)
-    checkpointer = None
-    start = 0
-    if cache is not None and every > 0:
-        checkpointer = Checkpointer(
-            cache, value_member_checkpoint_artifact(seed), every
-        )
-        loaded = checkpointer.load()
-        if loaded is not None:
-            start = _restore_regression_checkpoint(
-                *loaded,
-                engine="value-member",
-                seeds=[seed],
-                epochs_total=epochs,
-                params=critic.params,
-                optimizer=optimizer,
-            )
-    for epoch in range(start, epochs):
-        values = critic.values(observations)
-        diff = values - targets
-        critic.zero_grads()
-        critic.backward(2.0 * diff / diff.size)
-        optimizer.step(critic.grads)
-        if checkpointer is not None and checkpointer.due(epoch + 1, epochs):
-            checkpointer.save(
-                *_regression_checkpoint_payload(
-                    "value-member",
-                    [seed],
-                    epochs,
-                    epoch + 1,
-                    critic.params,
-                    optimizer._mean_square,
-                )
-            )
-        chaos.maybe_fire("epoch", epoch)
-    return PensieveValueFunction(critic, name=f"value-{seed}")
 
 
 # -- per-(policy, trace) session evaluation ----------------------------------
@@ -227,5 +85,5 @@ def build_distribution(train_name: str) -> dict:
 
 def _clear_state() -> None:
     """Reset all task-family state (test hook)."""
-    for state in (_AGENT_STATE, _VALUE_STATE, _SESSION_STATE, _DISTRIBUTION_STATE):
+    for state in (_SESSION_STATE, _DISTRIBUTION_STATE):
         state.clear()

@@ -10,12 +10,16 @@ seconds-to-minutes on a CPU.
 * :mod:`repro.pensieve.model` — actor and critic networks.
 * :mod:`repro.pensieve.agent` — the trained policy and value function,
   implementing the shared :mod:`repro.mdp` protocols.
-* :mod:`repro.pensieve.training` — the A2C trainer.
+* :mod:`repro.pensieve.training` — the one A2C trainer, which trains
+  ``K >= 1`` seed-differing agents in lockstep (a single agent is
+  ``K = 1``).
 * :mod:`repro.pensieve.ensemble` — agent ensembles (for ``U_pi``) and
   value-function ensembles (for ``U_V``), differing only in initialization
-  seed as the paper prescribes.
+  seed as the paper prescribes, each trained in one stacked pass.
+* :mod:`repro.pensieve.online` — in-situ fine-tuning, a one-member
+  trainer warm-started from a deployed agent.
 * :mod:`repro.pensieve.stacked` — member-stacked batched forwards for the
-  per-step ensemble signals.
+  per-step ensemble signals and for training.
 """
 
 from repro.pensieve.agent import PensieveAgent, PensieveValueFunction

@@ -2,14 +2,14 @@
 
 Training a safety suite is the pipeline's longest uninterruptible stretch:
 a kill at epoch 799 of 800 used to throw the whole ensemble away.  This
-module makes both training engines resumable at epoch boundaries with
-**bitwise-identical** results — the restored run replays the exact float
-sequence of an uninterrupted one, because a checkpoint captures the full
-training state:
+module makes the A2C trainer and the value regression resumable at
+epoch boundaries with **bitwise-identical** results — the restored run
+replays the exact float sequence of an uninterrupted one, because a
+checkpoint captures the full training state:
 
 * the network parameters (actor and critic),
 * the RMSProp mean-square accumulators,
-* the trainers' RNG states (``Generator.bit_generator.state``),
+* the members' RNG states (``Generator.bit_generator.state``),
 * the per-epoch summaries and the number of completed epochs.
 
 Checkpoints are stored through the existing
@@ -23,9 +23,9 @@ never tries to interpret a checkpoint written by an incompatible version.
 
 Cadence resolves from an explicit ``checkpoint_every`` argument or the
 ``REPRO_CHECKPOINT_EVERY`` environment variable (0 disables, the
-default).  The final epoch is always checkpointed, so an ensemble killed
-between members resumes its completed members instantly; once the
-combined weight artifact is stored the member checkpoints are discarded.
+default).  The final epoch is always checkpointed, so a suite build
+killed after one ensemble finished resumes it instantly; once the
+combined weight artifact is stored the checkpoint is discarded.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ class Checkpointer:
     """Saves and loads one trainer's checkpoint through an artifact cache.
 
     One instance is bound to one ``(cache, artifact name)`` pair — e.g.
-    the lockstep agent-ensemble checkpoint of one training distribution —
+    the agent-ensemble checkpoint of one training distribution —
     and owns the cadence decision: :meth:`due` is true every *every*
     epochs and always at the final epoch.
     """

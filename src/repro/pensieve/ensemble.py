@@ -18,11 +18,10 @@ keyed by the training fingerprint and both trainers persist every member's
 parameters as a versioned ``.npz``, so rebuilding a safety suite with an
 unchanged configuration loads the networks instead of retraining them.
 
-Multi-member ensembles train through
-:class:`~repro.pensieve.training.LockstepEnsembleTrainer` — one stacked
-pass over all members instead of ``K`` separate trainings — with weights
-bitwise identical to training each member alone, which is how a
-one-member ensemble trains.
+Every ensemble, one member or many, trains in one stacked pass: agents
+through :class:`~repro.pensieve.training.A2CTrainer` and value functions
+through one stacked regression, each with weights bitwise identical to
+training every member alone.
 """
 
 from __future__ import annotations
@@ -35,20 +34,21 @@ from repro.abr.session import run_session
 from repro.errors import TrainingError
 from repro.mdp.rollout import discounted_returns
 from repro.nn.optim import StackedRMSProp
-from repro.parallel import chaos, parallel_map
-from repro.parallel import worker as parallel_worker
+from repro.parallel import chaos
 from repro.pensieve.agent import PensieveAgent, PensieveValueFunction
 from repro.pensieve.checkpoint import (
     Checkpointer,
     require,
     resolve_checkpoint_every,
 )
-from repro.pensieve.model import ActorNetwork, CriticNetwork
+from repro.pensieve.model import CriticNetwork
 from repro.pensieve.stacked import StackedTrainingNetwork
 from repro.pensieve.training import (
-    LockstepEnsembleTrainer,
+    A2CTrainer,
     TrainingConfig,
-    _restore_mean_squares,
+    _export_arrays,
+    _member_networks,
+    _restore_arrays,
 )
 from repro.traces.trace import Trace
 from repro.util.rng import rng_from_seed, spawn_seeds
@@ -65,54 +65,16 @@ __all__ = [
     "VALUE_WEIGHTS_ARTIFACT",
     "AGENT_CHECKPOINT_ARTIFACT",
     "VALUE_CHECKPOINT_ARTIFACT",
-    "agent_member_checkpoint_artifact",
-    "value_member_checkpoint_artifact",
 ]
 
 #: Cache name of the agent-ensemble weight ``.npz`` artifact.
 AGENT_WEIGHTS_ARTIFACT = "agent_weights"
 #: Cache name of the value-ensemble weight ``.npz`` artifact.
 VALUE_WEIGHTS_ARTIFACT = "value_weights"
-#: Cache name of the lockstep agent-ensemble training checkpoint.
+#: Cache name of the agent-ensemble training checkpoint.
 AGENT_CHECKPOINT_ARTIFACT = "agent_ckpt"
-#: Cache name of the lockstep value-ensemble training checkpoint.
+#: Cache name of the value-ensemble training checkpoint.
 VALUE_CHECKPOINT_ARTIFACT = "value_ckpt"
-
-
-def agent_member_checkpoint_artifact(seed: int) -> str:
-    """Cache name of one per-member agent training checkpoint."""
-    return f"agent_member_ckpt_{seed}"
-
-
-def value_member_checkpoint_artifact(seed: int) -> str:
-    """Cache name of one per-member value training checkpoint."""
-    return f"value_member_ckpt_{seed}"
-
-
-def _discard_checkpoints(
-    cache: "ArtifactCache", ensemble_artifact: str, member_artifacts: list[str]
-) -> None:
-    """Drop every intermediate checkpoint of a completed ensemble run —
-    the final weight artifact now exists, so the checkpoints would only
-    shadow it (and waste cache space)."""
-    Checkpointer(cache, ensemble_artifact, every=1).discard()
-    for artifact in member_artifacts:
-        Checkpointer(cache, artifact, every=1).discard()
-
-
-def _member_networks(
-    num_bitrates: int, seed: int, config: TrainingConfig
-) -> tuple[ActorNetwork, CriticNetwork]:
-    """Freshly initialized actor/critic shells for one member, walking the
-    seed's RNG in the same order as :class:`A2CTrainer` (actor first)."""
-    rng = rng_from_seed(seed)
-    actor = ActorNetwork(
-        num_bitrates, rng, filters=config.filters, hidden=config.hidden
-    )
-    critic = CriticNetwork(
-        num_bitrates, rng, filters=config.filters, hidden=config.hidden
-    )
-    return actor, critic
 
 
 def _subset(arrays: dict, prefix: str) -> dict:
@@ -131,17 +93,14 @@ def train_agent_ensemble(
     config: TrainingConfig | None = None,
     qoe_metric: QoEMetric | None = None,
     root_seed: int = 0,
-    max_workers: int | None = None,
     cache: "ArtifactCache | None" = None,
     checkpoint_every: int | None = None,
 ) -> list[PensieveAgent]:
     """Train *size* agents that differ only in initialization seed.
 
-    Multi-member ensembles train through the batched
-    :class:`~repro.pensieve.training.LockstepEnsembleTrainer`; a
-    one-member ensemble trains alone on the worker pool sized by
-    *max_workers* (or ``REPRO_MAX_WORKERS``).  Both routes produce the
-    weights of training each member independently, bit for bit.
+    The members train together through one
+    :class:`~repro.pensieve.training.A2CTrainer`, with the weights of
+    training each member independently, bit for bit.
 
     With *cache* set, the trained weights are stored under
     :data:`AGENT_WEIGHTS_ARTIFACT` and later calls with the same
@@ -161,7 +120,7 @@ def train_agent_ensemble(
         arrays = cache.load_arrays(AGENT_WEIGHTS_ARTIFACT)
         agents = []
         for index, seed in enumerate(seeds):
-            actor, critic = _member_networks(manifest.num_bitrates, seed, config)
+            _, actor, critic = _member_networks(manifest.num_bitrates, seed, config)
             actor.load_state_arrays(_subset(arrays, f"actor_{index}_"))
             critic.load_state_arrays(_subset(arrays, f"critic_{index}_"))
             agents.append(
@@ -170,34 +129,12 @@ def train_agent_ensemble(
                 )
             )
         return agents
-    if size > 1:
-        trainer = LockstepEnsembleTrainer(
-            manifest,
-            training_traces,
-            seeds,
-            config=config,
-            qoe_metric=qoe_metric,
-        )
-        if every > 0:
-            trainer.checkpointer = Checkpointer(
-                cache, AGENT_CHECKPOINT_ARTIFACT, every
-            )
-        agents = trainer.train()
-    else:
-        agents = parallel_map(
-            parallel_worker.train_agent_member,
-            seeds,
-            max_workers=max_workers,
-            initializer=parallel_worker.init_agent_training,
-            initargs=(
-                manifest,
-                tuple(training_traces),
-                config,
-                qoe_metric,
-                cache if every > 0 else None,
-                every,
-            ),
-        )
+    trainer = A2CTrainer(
+        manifest, training_traces, seeds, config=config, qoe_metric=qoe_metric
+    )
+    if every > 0:
+        trainer.checkpointer = Checkpointer(cache, AGENT_CHECKPOINT_ARTIFACT, every)
+    agents = trainer.train()
     if cache is not None:
         arrays: dict[str, np.ndarray] = {}
         for index, agent in enumerate(agents):
@@ -206,12 +143,10 @@ def train_agent_ensemble(
             for key, value in agent.critic.state_arrays().items():
                 arrays[f"critic_{index}_{key}"] = value
         cache.store_arrays(AGENT_WEIGHTS_ARTIFACT, arrays)
-        if every > 0:
-            _discard_checkpoints(
-                cache,
-                AGENT_CHECKPOINT_ARTIFACT,
-                [agent_member_checkpoint_artifact(seed) for seed in seeds],
-            )
+        if trainer.checkpointer is not None:
+            # The final weights now exist; the checkpoint would only
+            # shadow them (and waste cache space).
+            trainer.checkpointer.discard()
     return agents
 
 
@@ -253,58 +188,6 @@ def collect_value_targets(
     return np.concatenate(observations), np.concatenate(returns)
 
 
-def _regression_checkpoint_payload(
-    engine: str,
-    seeds: list[int],
-    epochs_total: int,
-    epochs_completed: int,
-    params: list[np.ndarray],
-    mean_squares: list[np.ndarray],
-) -> tuple[dict, dict[str, np.ndarray]]:
-    """``(meta, arrays)`` for a value-regression loop's complete state —
-    the critic parameters plus RMSProp accumulators (the deterministic
-    regression has no RNG or summaries to capture)."""
-    arrays: dict[str, np.ndarray] = {}
-    for index, param in enumerate(params):
-        arrays[f"critic_p{index}"] = param.copy()
-    for index, mean_square in enumerate(mean_squares):
-        arrays[f"critic_ms{index}"] = mean_square.copy()
-    meta = {
-        "engine": engine,
-        "seeds": list(seeds),
-        "epochs_total": epochs_total,
-        "epochs_completed": epochs_completed,
-    }
-    return meta, arrays
-
-
-def _restore_regression_checkpoint(
-    meta: dict,
-    arrays: dict[str, np.ndarray],
-    engine: str,
-    seeds: list[int],
-    epochs_total: int,
-    params: list[np.ndarray],
-    optimizer,
-) -> int:
-    """Validate and load a :func:`_regression_checkpoint_payload` state in
-    place; returns the epoch to continue from."""
-    require(meta, engine=engine, seeds=list(seeds), epochs_total=epochs_total)
-    for index, param in enumerate(params):
-        key = f"critic_p{index}"
-        if key not in arrays:
-            raise TrainingError(f"checkpoint missing parameter {key}")
-        value = np.asarray(arrays[key], dtype=float)
-        if value.shape != param.shape:
-            raise TrainingError(
-                f"checkpoint parameter {key} shape {value.shape} != "
-                f"expected {param.shape}"
-            )
-        param[...] = value
-    _restore_mean_squares(optimizer, arrays, "critic_ms")
-    return int(meta["epochs_completed"])
-
-
 def _train_value_members_lockstep(
     observations: np.ndarray,
     targets: np.ndarray,
@@ -320,10 +203,12 @@ def _train_value_members_lockstep(
 
     The members share their ``(observation, return)`` inputs, so the
     stacked forward broadcasts one observation batch against every
-    member's weights; gradients and RMSProp states stay per-member.
-    Bitwise identical to :func:`repro.parallel.worker.train_value_member`
-    run per seed.  With a *checkpointer*, the stacked regression resumes
-    from its last saved epoch boundary.
+    member's weights; gradients and RMSProp states stay per-member, so
+    each member is bitwise identical to regressing it alone (the
+    per-member oracle in ``tests/pensieve_oracles.py``).  With a
+    *checkpointer*, the regression resumes from its last saved epoch
+    boundary; the checkpoint holds the stacked critic parameters and
+    RMSProp accumulators (the regression has no RNG or summaries).
     """
     critics = [
         CriticNetwork(num_bitrates, rng_from_seed(seed), filters=filters, hidden=hidden)
@@ -335,14 +220,13 @@ def _train_value_members_lockstep(
     if checkpointer is not None:
         loaded = checkpointer.load()
         if loaded is not None:
-            start = _restore_regression_checkpoint(
-                *loaded,
-                engine="value-lockstep",
-                seeds=seeds,
-                epochs_total=epochs,
-                params=stacked.params,
-                optimizer=optimizer,
+            meta, arrays = loaded
+            require(
+                meta, engine="value-lockstep", seeds=list(seeds), epochs_total=epochs
             )
+            _restore_arrays(stacked.params, arrays, "critic_p")
+            _restore_arrays(optimizer._mean_square, arrays, "critic_ms")
+            start = int(meta["epochs_completed"])
     stacked_obs = np.broadcast_to(
         observations, (len(seeds),) + observations.shape
     )
@@ -353,15 +237,17 @@ def _train_value_members_lockstep(
         stacked.backward((2.0 * diff / targets.size)[..., None])
         optimizer.step(stacked.grads)
         if checkpointer is not None and checkpointer.due(epoch + 1, epochs):
+            state: dict[str, np.ndarray] = {}
+            _export_arrays(state, "critic_p", stacked.params)
+            _export_arrays(state, "critic_ms", optimizer._mean_square)
             checkpointer.save(
-                *_regression_checkpoint_payload(
-                    "value-lockstep",
-                    seeds,
-                    epochs,
-                    epoch + 1,
-                    stacked.params,
-                    optimizer._mean_square,
-                )
+                {
+                    "engine": "value-lockstep",
+                    "seeds": list(seeds),
+                    "epochs_total": epochs,
+                    "epochs_completed": epoch + 1,
+                },
+                state,
             )
         chaos.maybe_fire("epoch", epoch)
     stacked.write_back()
@@ -384,7 +270,6 @@ def train_value_ensemble(
     reward_scale: float = 1.0,
     qoe_metric: QoEMetric | None = None,
     root_seed: int = 0,
-    max_workers: int | None = None,
     cache: "ArtifactCache | None" = None,
     checkpoint_every: int | None = None,
 ) -> list[PensieveValueFunction]:
@@ -392,10 +277,8 @@ def train_value_ensemble(
 
     Each member regresses the same ``(observation, discounted return)``
     dataset with a differently initialized critic network, exactly the
-    paper's recipe for ``U_V``.  Target collection walks one shared RNG
-    and stays in the calling process; the independent per-member
-    regressions run as one stacked pass, and a one-member ensemble
-    regresses alone on the worker pool sized by *max_workers*.
+    paper's recipe for ``U_V``.  Target collection walks one shared RNG;
+    the independent per-member regressions then run as one stacked pass.
 
     With *cache* set, the trained weights are stored under
     :data:`VALUE_WEIGHTS_ARTIFACT`; a later call with the same
@@ -433,50 +316,26 @@ def train_value_ensemble(
         reward_scale=reward_scale,
         seed=root_seed,
     )
-    if size > 1:
-        members = _train_value_members_lockstep(
-            observations,
-            targets,
-            manifest.num_bitrates,
-            epochs,
-            learning_rate,
-            filters,
-            hidden,
-            seeds,
-            checkpointer=(
-                Checkpointer(cache, VALUE_CHECKPOINT_ARTIFACT, every)
-                if every > 0
-                else None
-            ),
-        )
-    else:
-        members = parallel_map(
-            parallel_worker.train_value_member,
-            seeds,
-            max_workers=max_workers,
-            initializer=parallel_worker.init_value_training,
-            initargs=(
-                observations,
-                targets,
-                manifest.num_bitrates,
-                epochs,
-                learning_rate,
-                filters,
-                hidden,
-                cache if every > 0 else None,
-                every,
-            ),
-        )
+    checkpointer = (
+        Checkpointer(cache, VALUE_CHECKPOINT_ARTIFACT, every) if every > 0 else None
+    )
+    members = _train_value_members_lockstep(
+        observations,
+        targets,
+        manifest.num_bitrates,
+        epochs,
+        learning_rate,
+        filters,
+        hidden,
+        seeds,
+        checkpointer=checkpointer,
+    )
     if cache is not None:
         arrays = {}
         for index, member in enumerate(members):
             for key, value in member.critic.state_arrays().items():
                 arrays[f"critic_{index}_{key}"] = value
         cache.store_arrays(VALUE_WEIGHTS_ARTIFACT, arrays)
-        if every > 0:
-            _discard_checkpoints(
-                cache,
-                VALUE_CHECKPOINT_ARTIFACT,
-                [value_member_checkpoint_artifact(seed) for seed in seeds],
-            )
+        if checkpointer is not None:
+            checkpointer.discard()
     return members

@@ -4,8 +4,8 @@ The paper's future work asks about "online safety assurance when training
 is performed in situ [61]" — the Puffer approach of continually training
 on the operational distribution.  This module provides that substrate:
 
-* :func:`warm_start_trainer` — an A2C trainer initialized from an already
-  trained agent's weights, pointed at freshly observed traces,
+* :func:`warm_start_trainer` — a one-member A2C trainer initialized from
+  an already trained agent's weights, pointed at freshly observed traces,
 * :func:`fine_tune` — run a bounded number of in-situ epochs and return
   the adapted agent alongside before/after diagnostics.
 
@@ -51,26 +51,33 @@ def warm_start_trainer(
     config: TrainingConfig,
     qoe_metric: QoEMetric | None = None,
 ) -> A2CTrainer:
-    """An A2C trainer whose networks start from *agent*'s weights.
+    """A one-member A2C trainer whose networks start from *agent*'s weights.
 
     The trainer's architecture hyperparameters (filters/hidden) must match
     the agent's; the configured seed only affects exploration, not the
-    starting point.
+    starting point.  The weights are loaded, shape-checked, into the
+    trainer's member 0 (its stacked slice 0 and its member networks).
     """
     if agent.critic is None:
         raise TrainingError(
             "in-situ adaptation needs the agent's critic; this agent was "
             "built without one"
         )
-    trainer = A2CTrainer(manifest, traces, config=config, qoe_metric=qoe_metric)
-    _copy_params(trainer.actor.params, agent.actor.params)
-    _copy_params(trainer.critic.params, agent.critic.params)
+    trainer = A2CTrainer(
+        manifest, traces, [config.seed], config=config, qoe_metric=qoe_metric
+    )
+    for stacked, source in (
+        (trainer.stacked_actor, agent.actor),
+        (trainer.stacked_critic, agent.critic),
+    ):
+        _copy_params([param[0] for param in stacked.params], source.params)
+        stacked.write_back()
     return trainer
 
 
 @dataclass
 class FineTuneResult:
-    """Outcome of an in-situ adaptation run."""
+    """Outcome of an in-situ adaptation run (the trainer has one member)."""
 
     adapted_agent: PensieveAgent
     trainer: A2CTrainer
@@ -114,8 +121,8 @@ def fine_tune(
     trainer = warm_start_trainer(
         agent, manifest, operational_traces, adaptation_config, qoe_metric
     )
-    adapted = trainer.train()
-    returns = trainer.summary.episode_returns
+    (adapted,) = trainer.train()
+    returns = trainer.summaries[0].episode_returns
     head = max(len(returns) // 10, 1)
     return FineTuneResult(
         adapted_agent=adapted,

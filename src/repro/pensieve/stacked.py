@@ -13,8 +13,9 @@ Two families live here:
   (forward only, weights copied at construction, :meth:`refresh` after
   in-place mutation).
 * :class:`StackedTrainingNetwork` — the *training-time* stack behind the
-  lockstep ensemble trainer: trainable :class:`repro.nn.layers.StackedDense`
-  / :class:`repro.nn.layers.StackedConv1D` parameters with full batched
+  A2C trainer and the value regression: trainable
+  :class:`repro.nn.layers.StackedDense` /
+  :class:`repro.nn.layers.StackedConv1D` parameters with full batched
   backward passes, a fused per-step ``lockstep_outputs`` forward for
   synchronous rollouts, and :meth:`StackedTrainingNetwork.write_back` to
   copy the trained weights into the member networks.
@@ -373,7 +374,7 @@ class _StackedTrainingTrunk:
 class StackedTrainingNetwork:
     """Trainable member-stacked actor (or critic) networks.
 
-    The engine room of the lockstep ensemble trainer: wraps ``M``
+    The engine room of the A2C trainer: wraps ``M``
     structurally identical :class:`ActorNetwork`s or
     :class:`CriticNetwork`s, copies their parameters into member-stacked
     arrays, and exposes

@@ -4,8 +4,7 @@ The contract under test is the strongest the repository makes: a training
 run interrupted at an epoch boundary — by an in-process fault or a hard
 ``os._exit`` kill — and then resumed from its checkpoint must produce
 **bitwise identical** weights to a run that was never interrupted, for
-every training engine (per-member A2C, lockstep ensemble, and both value
-regression paths).
+the A2C trainer and the value regression, with one member or many.
 """
 
 from __future__ import annotations
@@ -33,15 +32,9 @@ from repro.pensieve.ensemble import (
     VALUE_WEIGHTS_ARTIFACT,
     train_agent_ensemble,
     train_value_ensemble,
-    value_member_checkpoint_artifact,
 )
-from repro.pensieve.training import (
-    A2CTrainer,
-    LockstepEnsembleTrainer,
-    TrainingConfig,
-)
+from repro.pensieve.training import A2CTrainer, TrainingConfig
 from repro.traces.dataset import make_dataset
-from repro.util.rng import spawn_seeds
 from repro.video.envivio import envivio_dash3_manifest
 
 SEEDS = (0, 1, 2)
@@ -146,67 +139,67 @@ class TestCheckpointer:
             require({"schema": CHECKPOINT_SCHEMA_VERSION + 1})
 
 
+def _interrupted(manifest, split, config, seeds, checkpointer) -> None:
+    """Train *seeds* until the epoch-1 fault, checkpointing every epoch."""
+    trainer = A2CTrainer(manifest, split.train, seeds, config=config)
+    trainer.checkpointer = checkpointer
+    with chaos.injected([EPOCH_FAULT]):
+        with pytest.raises(ChaosError):
+            trainer.train()
+    assert trainer.epochs_completed == 2
+
+
 class TestTrainerResume:
-    def test_per_member_bitwise_resume(self, manifest, split, config, tmp_path):
-        member_config = config.with_seed(SEEDS[0])
-        reference = A2CTrainer(manifest, split.train, config=member_config).train()
-
+    @staticmethod
+    def _resume_matches(manifest, split, config, tmp_path, seeds) -> None:
+        reference = A2CTrainer(manifest, split.train, seeds, config=config).train()
         checkpointer = Checkpointer(_cache(tmp_path), "a2c", every=1)
-        interrupted = A2CTrainer(manifest, split.train, config=member_config)
-        interrupted.checkpointer = checkpointer
-        with chaos.injected([EPOCH_FAULT]):
-            with pytest.raises(ChaosError):
-                interrupted.train()
-        assert interrupted.epochs_completed == 2
-
-        resumed = A2CTrainer(manifest, split.train, config=member_config)
-        resumed.checkpointer = checkpointer
-        agent = resumed.train()
-        assert resumed.epochs_completed == config.epochs
-        _assert_same_state(_agent_state(agent), _agent_state(reference))
-
-    def test_lockstep_bitwise_resume(self, manifest, split, config, tmp_path):
-        reference = LockstepEnsembleTrainer(
-            manifest, split.train, SEEDS, config=config
-        ).train()
-
-        checkpointer = Checkpointer(_cache(tmp_path), "lockstep", every=1)
-        interrupted = LockstepEnsembleTrainer(
-            manifest, split.train, SEEDS, config=config
-        )
-        interrupted.checkpointer = checkpointer
-        with chaos.injected([EPOCH_FAULT]):
-            with pytest.raises(ChaosError):
-                interrupted.train()
-        assert interrupted.epochs_completed == 2
-
-        resumed = LockstepEnsembleTrainer(
-            manifest, split.train, SEEDS, config=config
-        )
+        _interrupted(manifest, split, config, seeds, checkpointer)
+        resumed = A2CTrainer(manifest, split.train, seeds, config=config)
         resumed.checkpointer = checkpointer
         agents = resumed.train()
+        assert resumed.epochs_completed == config.epochs
+        assert len(agents) == len(seeds)
         for ours, theirs in zip(agents, reference):
             _assert_same_state(_agent_state(ours), _agent_state(theirs))
+
+    def test_one_member_bitwise_resume(self, manifest, split, config, tmp_path):
+        self._resume_matches(manifest, split, config, tmp_path, SEEDS[:1])
+
+    def test_lockstep_bitwise_resume(self, manifest, split, config, tmp_path):
+        self._resume_matches(manifest, split, config, tmp_path, SEEDS)
+
+    def test_checkpoint_from_other_seeds_rejected(
+        self, manifest, split, config, tmp_path
+    ):
+        # A checkpoint must never silently seed a run with other members.
+        checkpointer = Checkpointer(_cache(tmp_path), "a2c", every=1)
+        _interrupted(manifest, split, config, SEEDS, checkpointer)
+        other = A2CTrainer(manifest, split.train, SEEDS[::-1], config=config)
+        other.checkpointer = checkpointer
+        with pytest.raises(CheckpointError, match="seeds mismatch"):
+            other.train()
 
     def test_checkpoint_from_other_trainer_rejected(
         self, manifest, split, config, tmp_path
     ):
-        # A per-member checkpoint must never silently seed a lockstep
-        # resume (or vice versa): identity validation refuses it.
-        checkpointer = Checkpointer(_cache(tmp_path), "mixed", every=1)
-        interrupted = A2CTrainer(
-            manifest, split.train, config=config.with_seed(SEEDS[0])
+        # The retired per-member trainer wrote ``engine="per-member"``
+        # checkpoints with a single ``seed``; identity validation refuses
+        # them loudly instead of misreading their arrays.
+        checkpointer = Checkpointer(_cache(tmp_path), "a2c", every=1)
+        checkpointer.save(
+            {
+                "engine": "per-member",
+                "seed": SEEDS[0],
+                "epochs_total": config.epochs,
+                "epochs_completed": 2,
+            },
+            {"actor_0": np.zeros(3), "actor_ms0": np.zeros(3)},
         )
-        interrupted.checkpointer = checkpointer
-        with chaos.injected([EPOCH_FAULT]):
-            with pytest.raises(ChaosError):
-                interrupted.train()
-        wrong_engine = LockstepEnsembleTrainer(
-            manifest, split.train, SEEDS, config=config
-        )
-        wrong_engine.checkpointer = checkpointer
+        trainer = A2CTrainer(manifest, split.train, SEEDS[:1], config=config)
+        trainer.checkpointer = checkpointer
         with pytest.raises(CheckpointError, match="engine mismatch"):
-            wrong_engine.train()
+            trainer.train()
 
 
 class TestEnsembleResume:
@@ -244,28 +237,15 @@ class TestEnsembleResume:
         assert cache.has_arrays(AGENT_WEIGHTS_ARTIFACT)
         assert not cache.has_arrays(AGENT_CHECKPOINT_ARTIFACT)
 
-    @pytest.mark.parametrize("lockstep", [True, False])
+    @pytest.mark.parametrize("many_members", [True, False])
     def test_value_ensemble_resumes_bitwise(
-        self, lockstep, manifest, split, config, tmp_path
+        self, many_members, manifest, split, config, tmp_path
     ):
-        # Three members regress in lockstep; one member takes the
-        # per-member route with its own checkpoint (member seeds are
-        # spawned from root_seed + 1).
-        agent = A2CTrainer(
-            manifest, split.train, config=config.with_seed(SEEDS[0])
-        ).train()
+        # Three members or one, through the same stacked regression and
+        # the same checkpoint artifact.
+        (agent,) = A2CTrainer(manifest, split.train, SEEDS[:1], config=config).train()
         kwargs = dict(
-            size=3 if lockstep else 1,
-            epochs=3,
-            filters=4,
-            hidden=12,
-            root_seed=5,
-            max_workers=1,
-        )
-        checkpoint = (
-            VALUE_CHECKPOINT_ARTIFACT
-            if lockstep
-            else value_member_checkpoint_artifact(spawn_seeds(6, 1)[0])
+            size=3 if many_members else 1, epochs=3, filters=4, hidden=12, root_seed=5
         )
         reference = train_value_ensemble(agent, manifest, split.train, **kwargs)
         cache = _cache(tmp_path)
@@ -279,7 +259,7 @@ class TestEnsembleResume:
                     checkpoint_every=1,
                     **kwargs,
                 )
-        assert cache.has_arrays(checkpoint)
+        assert cache.has_arrays(VALUE_CHECKPOINT_ARTIFACT)
         members = train_value_ensemble(
             agent,
             manifest,
@@ -293,7 +273,7 @@ class TestEnsembleResume:
             for mine, other in zip(ours.critic.params, theirs.critic.params):
                 assert np.array_equal(mine, other)
         assert cache.has_arrays(VALUE_WEIGHTS_ARTIFACT)
-        assert not cache.has_arrays(checkpoint)
+        assert not cache.has_arrays(VALUE_CHECKPOINT_ARTIFACT)
 
 
 _SUBPROCESS_TRAIN = """

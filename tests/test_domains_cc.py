@@ -316,6 +316,22 @@ class TestConservativeRatePolicy:
             assert policy.act(observation, rng) == expected
         assert set(RATE_LADDER_MBPS.tolist()) <= set(targets)
 
+    def test_unusable_delivered_rates(self):
+        # NaN measures nothing, so it falls back like a cold start; +inf
+        # is a (huge) measurement and a negative rate is below every rung.
+        policy = ConservativeRatePolicy()
+        rng = np.random.default_rng(0)
+        top = RATE_LADDER_MBPS.size - 1
+        for delivered, expected in (
+            (float("nan"), 0),
+            (float("inf"), top),
+            (-1.0, 0),
+            (0.0, 0),
+        ):
+            observation = np.zeros((4, 8))
+            observation[1, -1] = delivered
+            assert policy.act(observation, rng) == expected, delivered
+
     def test_action_probabilities_are_one_hot(self):
         observation = np.zeros((4, 8))
         observation[1, -1] = 3.0 / RATE_SCALE

@@ -2,14 +2,15 @@
 
 One parametrized test walks the full execution-mode matrix —
 
-    {workers 1, 2} x {lockstep, per-member trainer}
+    {workers 1, 2} x {per-member oracle, lockstep trainer}
 
 — and asserts that every combination produces **bitwise identical**
 trained weights, session QoE, and uncertainty-signal streams as the
-reference combination (serial, per-member: one :class:`A2CTrainer` and
-one value-member regression per seed).  This is the
-single place the repository's "optimizations never change results"
-contract is enforced end-to-end; it replaces the scattered pairwise
+reference combination (serial, per-member: the oracles of
+``tests/pensieve_oracles.py``, one A2C loop and one value regression per
+seed).  The lockstep side is :class:`A2CTrainer` and
+:func:`train_value_ensemble`.  This is the single place the repository's
+"optimizations never change results" contract is enforced end-to-end; it replaces the scattered pairwise
 serial-vs-parallel checks that previously covered one axis each.
 """
 
@@ -32,20 +33,17 @@ from repro.core.thresholding import ConsecutiveTrigger, VarianceTrigger
 from repro.novelty.ocsvm import OneClassSVM
 from repro.parallel import worker as parallel_worker
 from repro.parallel.executor import parallel_map
-from repro.pensieve.ensemble import collect_value_targets, train_value_ensemble
-from repro.pensieve.training import (
-    A2CTrainer,
-    LockstepEnsembleTrainer,
-    TrainingConfig,
-)
+from repro.pensieve.ensemble import train_value_ensemble
+from repro.pensieve.training import A2CTrainer, TrainingConfig
 from repro.policies.buffer_based import BufferBasedPolicy
 from repro.policies.random_policy import RandomPolicy
 from repro.traces.dataset import make_dataset
-from repro.util.rng import spawn_seeds
 from repro.video.envivio import envivio_dash3_manifest
+from tests import pensieve_oracles
 
 SEEDS = (0, 1, 2)
 
+# "per-member" is the oracle side, "lockstep" the production trainers.
 COMBOS = list(itertools.product([1, 2], ["per-member", "lockstep"]))
 REFERENCE = (1, "per-member")
 
@@ -67,34 +65,17 @@ def config():
 
 def _train_agents(engine: str, manifest, traces, config):
     if engine == "lockstep":
-        return LockstepEnsembleTrainer(
-            manifest, traces, SEEDS, config=config
-        ).train()
-    return [
-        A2CTrainer(manifest, traces, config=config.with_seed(seed)).train()
-        for seed in SEEDS
-    ]
+        return A2CTrainer(manifest, traces, SEEDS, config=config).train()
+    return pensieve_oracles.train_agents(manifest, traces, config, SEEDS)
 
 
-def _train_values(engine: str, agent, manifest, traces, workers: int):
-    """Three value functions for *agent*: the stacked regression, or one
-    value-member regression per seed on the worker pool."""
+def _train_values(engine: str, agent, manifest, traces):
+    """Three value functions for *agent*: the stacked regression, or the
+    per-member oracle regression with the same (default) settings."""
+    kwargs = dict(size=3, epochs=3, filters=4, hidden=12)
     if engine == "lockstep":
-        return train_value_ensemble(
-            agent, manifest, traces, size=3, epochs=3, filters=4, hidden=12
-        )
-    # train_value_ensemble's defaults: gamma 0.99, learning rate 2e-3,
-    # root seed 0 (targets) and member seeds spawned from root seed + 1.
-    observations, targets = collect_value_targets(
-        agent, manifest, traces, gamma=0.99, seed=0
-    )
-    return parallel_map(
-        parallel_worker.train_value_member,
-        spawn_seeds(1, 3),
-        max_workers=workers,
-        initializer=parallel_worker.init_value_training,
-        initargs=(observations, targets, manifest.num_bitrates, 3, 2e-3, 4, 12),
-    )
+        return train_value_ensemble(agent, manifest, traces, **kwargs)
+    return pensieve_oracles.train_values(agent, manifest, traces, **kwargs)
 
 
 def _weights(networks) -> list[np.ndarray]:
@@ -159,7 +140,7 @@ def _signal_log(agents, manifest, trace):
 def _run_combo(combo, manifest, split, config):
     workers, engine = combo
     agents = _train_agents(engine, manifest, split.train, config)
-    value_functions = _train_values(engine, agents[0], manifest, split.train, workers)
+    value_functions = _train_values(engine, agents[0], manifest, split.train)
     return {
         "agent_weights": _weights(
             [net for agent in agents for net in (agent.actor, agent.critic)]
@@ -177,7 +158,7 @@ def reference(manifest, split, config):
 
 @pytest.fixture(scope="module")
 def agents(manifest, split, config):
-    return _train_agents("per-member", manifest, split.train, config)
+    return _train_agents("lockstep", manifest, split.train, config)
 
 
 @pytest.fixture(scope="module")

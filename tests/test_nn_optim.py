@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ModelError
-from repro.nn.optim import SGD, Adam, RMSProp
+from repro.nn.optim import SGD, Adam, RMSProp, StackedRMSProp
 
 
 def quadratic_descent(optimizer_factory, steps=200):
@@ -52,6 +52,9 @@ class TestValidation:
     def test_bad_learning_rate(self):
         with pytest.raises(ModelError):
             SGD([np.ones(1)], learning_rate=0.0)
+        for optimizer in (RMSProp, StackedRMSProp):
+            with pytest.raises(ModelError):
+                optimizer([np.ones((2, 1))], learning_rate=float("nan"))
 
     def test_bad_momentum(self):
         with pytest.raises(ModelError):

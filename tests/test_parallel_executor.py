@@ -174,9 +174,11 @@ class TestWorkerState:
     def test_clear_state(self):
         from repro.parallel import worker
 
-        worker._AGENT_STATE["x"] = 1
+        worker._SESSION_STATE["x"] = 1
+        worker._DISTRIBUTION_STATE["y"] = 2
         _clear_state()
-        assert worker._AGENT_STATE == {}
+        assert worker._SESSION_STATE == {}
+        assert worker._DISTRIBUTION_STATE == {}
 
     def test_env_propagates_to_workers(self):
         # Fork-based workers inherit the parent environment by construction;

@@ -8,6 +8,7 @@ from repro.pensieve.online import fine_tune, warm_start_trainer
 from repro.pensieve.training import A2CTrainer, TrainingConfig
 from repro.traces.trace import Trace
 from repro.video.envivio import envivio_dash3_manifest
+from tests.pensieve_oracles import A2COracle
 
 
 @pytest.fixture(scope="module")
@@ -19,7 +20,8 @@ def manifest():
 def trained_agent(manifest):
     trace = Trace.from_bandwidths([3.0] * 400, name="train")
     config = TrainingConfig(epochs=10, filters=4, hidden=12, seed=0)
-    return A2CTrainer(manifest, [trace], config=config).train()
+    (agent,) = A2CTrainer(manifest, [trace], [config.seed], config=config).train()
+    return agent
 
 
 class TestWarmStart:
@@ -27,11 +29,19 @@ class TestWarmStart:
         trace = Trace.from_bandwidths([1.0] * 400, name="ops")
         config = TrainingConfig(epochs=2, filters=4, hidden=12, seed=1)
         trainer = warm_start_trainer(trained_agent, manifest, [trace], config)
+        assert trainer.seeds == [config.seed]
         obs = np.zeros((1, 6, 8))
         assert np.allclose(
-            trainer.actor.probabilities(obs),
+            trainer.actors[0].probabilities(obs),
             trained_agent.actor.probabilities(obs),
         )
+        # The stacked training weights (slice 0) start from the agent too.
+        for stacked, source in (
+            (trainer.stacked_actor, trained_agent.actor),
+            (trainer.stacked_critic, trained_agent.critic),
+        ):
+            for param, expected in zip(stacked.params, source.params):
+                assert np.array_equal(param[0], expected)
 
     def test_architecture_mismatch_rejected(self, manifest, trained_agent):
         trace = Trace.from_bandwidths([1.0] * 400)
@@ -58,7 +68,7 @@ class TestFineTune:
         result = fine_tune(
             trained_agent, manifest, operational, epochs=8, config=config
         )
-        assert len(result.trainer.summary.episode_returns) == 8
+        assert len(result.trainer.summaries[0].episode_returns) == 8
         assert np.isfinite(result.improvement)
         # The adapted agent differs from the original.
         obs = np.zeros((1, 6, 8))
@@ -84,6 +94,33 @@ class TestFineTune:
             trained_agent, manifest, operational, epochs=4, config=config
         )
         assert result.trainer.config.entropy_weight_start <= 0.05
+
+    def test_matches_oracle_from_the_same_weights(self, manifest, trained_agent):
+        # fine_tune is a one-member trainer warm-started from the agent:
+        # bitwise the per-member loop started from the same weights with
+        # the same adaptation config and exploration seed.
+        operational = [Trace.from_bandwidths([1.0] * 400, name="ops")]
+        config = TrainingConfig(epochs=2, filters=4, hidden=12, seed=3)
+        result = fine_tune(
+            trained_agent, manifest, operational, epochs=5, config=config
+        )
+        oracle = A2COracle(manifest, operational, result.trainer.config, config.seed)
+        for network, source in (
+            (oracle.actor, trained_agent.actor),
+            (oracle.critic, trained_agent.critic),
+        ):
+            for param, value in zip(network.params, source.params):
+                param[...] = value
+        reference = oracle.train()
+        for ours, theirs in (
+            (result.adapted_agent.actor, reference.actor),
+            (result.adapted_agent.critic, reference.critic),
+        ):
+            for param, expected in zip(ours.params, theirs.params):
+                assert np.array_equal(param, expected)
+        summary = result.trainer.summaries[0]
+        assert summary.episode_returns == oracle.summary.episode_returns
+        assert summary.critic_losses == oracle.summary.critic_losses
 
     def test_validation(self, manifest, trained_agent):
         config = TrainingConfig(epochs=2, filters=4, hidden=12)

@@ -1,10 +1,11 @@
 """Tests for the batched ensemble training engine.
 
 The load-bearing property throughout is *bitwise* equality: every stacked
-layer, the stacked optimizer, the vectorized n-step scan, and the full
-lockstep trainer must reproduce the per-member reference computation
-float for float, because the safety-suite caches and the benchmark gate
-both rely on "batching changes nothing but the wall clock".
+layer, the stacked optimizer, the vectorized n-step scan, the A2C trainer
+and the value regression must reproduce the per-member oracles in
+``tests/pensieve_oracles.py`` float for float, for one member and for
+many, because the safety-suite caches and the benchmark gate both rely
+on "batching changes nothing but the wall clock".
 """
 
 import numpy as np
@@ -15,17 +16,17 @@ from repro.nn.gradcheck import numerical_gradient, relative_error
 from repro.nn.layers import Conv1D, Dense, StackedConv1D, StackedDense
 from repro.nn.optim import RMSProp, StackedRMSProp
 from repro.nn.recurrent import GRU, StackedGRU
+from repro.pensieve.ensemble import train_value_ensemble
 from repro.pensieve.model import ActorNetwork, CriticNetwork
 from repro.pensieve.stacked import StackedTrainingNetwork
 from repro.pensieve.training import (
     A2CTrainer,
-    LockstepEnsembleTrainer,
     TrainingConfig,
     _n_step_targets_fast,
-    _n_step_targets_reference,
     n_step_targets,
 )
 from repro.util.rng import rng_from_seed, spawn_seeds
+from tests.pensieve_oracles import A2COracle, n_step_targets_reference, train_values
 
 MEMBERS = 3
 
@@ -217,23 +218,15 @@ class TestNStepTargetsVectorized:
             gamma = float(rng.uniform(0.0, 1.0))
             rewards = rng.normal(size=horizon) * float(rng.uniform(0.1, 10.0))
             values = rng.normal(size=horizon) * float(rng.uniform(0.1, 10.0))
-            reference = _n_step_targets_reference(rewards, values, gamma, n_step)
+            reference = n_step_targets_reference(rewards, values, gamma, n_step)
             fast = _n_step_targets_fast(rewards, values, gamma, n_step)
             assert np.array_equal(reference, fast)
 
     def test_public_entry_matches_reference_loop(self):
         rewards = np.arange(10.0)
         values = np.ones(10)
-        reference = _n_step_targets_reference(rewards, values, 0.9, 4)
+        reference = n_step_targets_reference(rewards, values, 0.9, 4)
         assert np.array_equal(n_step_targets(rewards, values, 0.9, 4), reference)
-
-    def test_trainer_method_delegates(self, manifest, steady_trace):
-        config = TrainingConfig(epochs=1, gamma=0.9, n_step=4)
-        trainer = A2CTrainer(manifest, [steady_trace], config=config)
-        rewards = np.arange(6.0)
-        values = np.linspace(0.0, 1.0, 6)
-        expected = n_step_targets(rewards, values, config.gamma, config.n_step)
-        assert np.array_equal(trainer._n_step_targets(rewards, values), expected)
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(TrainingError):
@@ -242,33 +235,63 @@ class TestNStepTargetsVectorized:
             n_step_targets(np.ones(3), np.ones(3), 0.9, 0)
 
 
+def _assert_matches_oracles(trainer, oracles) -> None:
+    """Every member's weights and summaries equal its oracle's, bitwise."""
+    assert len(trainer.seeds) == len(oracles)
+    for index, oracle in enumerate(oracles):
+        for ours, theirs in (
+            (trainer.actors[index], oracle.actor),
+            (trainer.critics[index], oracle.critic),
+        ):
+            for param, reference in zip(ours.params, theirs.params):
+                assert np.array_equal(param, reference)
+        summary = trainer.summaries[index]
+        assert summary.episode_returns == oracle.summary.episode_returns
+        assert summary.critic_losses == oracle.summary.critic_losses
+        assert summary.mean_entropies == oracle.summary.mean_entropies
+
+
 class TestLockstepEnsembleTrainer:
+    """:class:`A2CTrainer` against the per-member :class:`A2COracle`."""
+
+    CONFIG = TrainingConfig(epochs=4, episodes_per_epoch=2, filters=4, hidden=16)
+
+    def _check(self, manifest, traces, seeds) -> None:
+        oracles = [A2COracle(manifest, traces, self.CONFIG, seed) for seed in seeds]
+        for oracle in oracles:
+            oracle.train()
+        trainer = A2CTrainer(manifest, traces, seeds, config=self.CONFIG)
+        agents = trainer.train()
+        assert [agent.actor for agent in agents] == trainer.actors
+        _assert_matches_oracles(trainer, oracles)
+
     @pytest.mark.parametrize("root_seed", [0, 1])
     def test_bitwise_identical_to_reference(
         self, manifest, steady_trace, bursty_trace, root_seed
     ):
-        config = TrainingConfig(
-            epochs=4, episodes_per_epoch=2, filters=4, hidden=16
-        )
-        traces = [steady_trace, bursty_trace]
         seeds = spawn_seeds(root_seed, MEMBERS)
-        references = []
-        for seed in seeds:
-            trainer = A2CTrainer(manifest, traces, config=config.with_seed(seed))
-            trainer.train()
-            references.append(trainer)
-        lockstep = LockstepEnsembleTrainer(manifest, traces, seeds, config=config)
-        agents = lockstep.train()
-        assert len(agents) == MEMBERS
-        for reference, member in zip(references, lockstep.members):
-            for ref_param, param in zip(reference.actor.params, member.actor.params):
-                assert np.array_equal(ref_param, param)
-            for ref_param, param in zip(reference.critic.params, member.critic.params):
-                assert np.array_equal(ref_param, param)
-            assert reference.summary.episode_returns == member.summary.episode_returns
-            assert reference.summary.critic_losses == member.summary.critic_losses
-            assert reference.summary.mean_entropies == member.summary.mean_entropies
+        self._check(manifest, [steady_trace, bursty_trace], seeds)
+
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_one_member_matches_oracle(
+        self, manifest, steady_trace, bursty_trace, seed
+    ):
+        self._check(manifest, [steady_trace, bursty_trace], [seed])
+
+    @pytest.mark.parametrize("size", [1, MEMBERS])
+    def test_value_regression_matches_oracle(self, manifest, steady_trace, size):
+        (agent,) = A2CTrainer(
+            manifest, [steady_trace], [0], config=self.CONFIG
+        ).train()
+        kwargs = dict(size=size, epochs=4, filters=4, hidden=12, root_seed=3)
+        stacked = train_value_ensemble(agent, manifest, [steady_trace], **kwargs)
+        reference = train_values(agent, manifest, [steady_trace], **kwargs)
+        assert len(stacked) == size
+        for ours, theirs in zip(stacked, reference):
+            assert ours.name == theirs.name
+            for param, expected in zip(ours.critic.params, theirs.critic.params):
+                assert np.array_equal(param, expected)
 
     def test_requires_seeds(self, manifest, steady_trace):
         with pytest.raises(TrainingError):
-            LockstepEnsembleTrainer(manifest, [steady_trace], [])
+            A2CTrainer(manifest, [steady_trace], [])

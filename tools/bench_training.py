@@ -1,23 +1,23 @@
 #!/usr/bin/env python3
-"""Benchmark gate for the batched ensemble training engine.
+"""Benchmark gate for the lockstep ensemble trainer.
 
 Trains the same multi-member A2C ensemble two ways and demands they
 produce bitwise-identical weights:
 
-* ``legacy``   — the per-member route: each member trains independently
-  through its own :class:`A2CTrainer`, one after another,
+* ``legacy``   — the per-member oracle (``tests/pensieve_oracles.py``):
+  each member trains alone through its own networks, one after another,
 * ``lockstep`` — :func:`train_agent_ensemble`: all members advance
-  together through :class:`LockstepEnsembleTrainer` with stacked
-  forward/backward passes and a stacked RMSProp update.
+  together through :class:`A2CTrainer` with stacked forward/backward
+  passes and a stacked RMSProp update.
 
 The headline number is the legacy vs. lockstep wall time for a 5-member
 agent ensemble; the full run asserts it is >= 3x — for **two different
 root seeds**, each of which must also match the reference float for
 float — and writes ``BENCH_training.json`` at the repository root so the
 perf trajectory is tracked PR over PR.  Further sections time the
-lockstep value-function regression, the vectorized n-step return scan
-against the reference nested loop, and a weight-cache round trip
-(store + load vs. retrain).
+lockstep value-function regression against its per-member oracle, the
+vectorized n-step return scan against the reference nested loop, and a
+weight-cache round trip (store + load vs. retrain).
 
 Wall times are the minimum over ``--repeats`` runs of each variant, the
 standard defense against scheduler noise on shared machines.
@@ -44,20 +44,21 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.experiments.artifacts import ArtifactCache
-from repro.parallel import worker as parallel_worker
-from repro.pensieve.ensemble import (
-    collect_value_targets,
+ROOT = Path(__file__).resolve().parent.parent
+# The per-member baselines are the test oracles in tests/pensieve_oracles.py.
+sys.path.insert(0, str(ROOT))
+
+from repro.experiments.artifacts import ArtifactCache  # noqa: E402
+from repro.pensieve.ensemble import (  # noqa: E402
     train_agent_ensemble,
     train_value_ensemble,
 )
-from repro.pensieve.training import A2CTrainer, TrainingConfig, n_step_targets
-from repro.pensieve.training import _n_step_targets_reference
-from repro.traces.dataset import make_dataset
-from repro.util.rng import rng_from_seed, spawn_seeds
-from repro.video.envivio import envivio_dash3_manifest
+from repro.pensieve.training import TrainingConfig, n_step_targets  # noqa: E402
+from repro.traces.dataset import make_dataset  # noqa: E402
+from repro.util.rng import rng_from_seed, spawn_seeds  # noqa: E402
+from repro.video.envivio import envivio_dash3_manifest  # noqa: E402
+from tests import pensieve_oracles  # noqa: E402
 
-ROOT = Path(__file__).resolve().parent.parent
 MIN_SPEEDUP = 3.0
 
 
@@ -95,36 +96,10 @@ def _assert_identical(reference, candidate, what: str) -> None:
         raise AssertionError(f"{what}: weights diverged from the reference")
 
 
-def train_agents_per_member(manifest, traces, config, members, root_seed):
-    """The per-member route: one :class:`A2CTrainer` per seed, serially."""
-    return [
-        A2CTrainer(manifest, traces, config=config.with_seed(seed)).train()
-        for seed in spawn_seeds(root_seed, members)
-    ]
-
-
-def train_values_per_member(
-    agent, manifest, training_traces, size, gamma, epochs, filters, hidden, root_seed
-):
-    """The per-member route of :func:`train_value_ensemble` (default
-    learning rate 2e-3): the same targets, then one value-member
-    regression per seed through the pool's worker functions, serially."""
-    observations, targets = collect_value_targets(
-        agent, manifest, training_traces, gamma=gamma, seed=root_seed
-    )
-    parallel_worker.init_value_training(
-        observations, targets, manifest.num_bitrates, epochs, 2e-3, filters, hidden
-    )
-    return [
-        parallel_worker.train_value_member(seed)
-        for seed in spawn_seeds(root_seed + 1, size)
-    ]
-
-
 def bench_agent_ensemble(
     manifest, traces, config, members: int, repeats: int, smoke: bool
 ) -> dict:
-    """Legacy per-member training vs. the lockstep engine, two seeds."""
+    """Per-member oracle training vs. the lockstep trainer, two seeds."""
     print(f"agent ensemble ({members} members, repeats={repeats}) ...")
     per_seed = []
     for root_seed in (0, 1):
@@ -132,8 +107,8 @@ def bench_agent_ensemble(
         reference = fast = None
         for _ in range(repeats):
             start = time.perf_counter()
-            reference = train_agents_per_member(
-                manifest, traces, config, members, root_seed
+            reference = pensieve_oracles.train_agents(
+                manifest, traces, config, spawn_seeds(root_seed, members)
             )
             legacy_walls.append(time.perf_counter() - start)
             start = time.perf_counter()
@@ -178,25 +153,24 @@ def bench_agent_ensemble(
 def bench_value_ensemble(
     manifest, traces, config, members: int, repeats: int
 ) -> dict:
-    """Legacy per-member value regression vs. the stacked pass."""
+    """Per-member oracle value regression vs. the stacked pass."""
     print(f"value ensemble ({members} members, repeats={repeats}) ...")
     agent = train_agent_ensemble(
         manifest, traces, size=1, config=config, root_seed=0
     )[0]
     epochs = 20 if members > 3 else 5
     kwargs = dict(
-        manifest=manifest, training_traces=traces, size=members,
-        gamma=config.gamma, epochs=epochs, filters=config.filters,
-        hidden=config.hidden, root_seed=0,
+        size=members, gamma=config.gamma, epochs=epochs,
+        filters=config.filters, hidden=config.hidden, root_seed=0,
     )
     legacy_walls, lockstep_walls = [], []
     reference = fast = None
     for _ in range(repeats):
         start = time.perf_counter()
-        reference = train_values_per_member(agent, **kwargs)
+        reference = pensieve_oracles.train_values(agent, manifest, traces, **kwargs)
         legacy_walls.append(time.perf_counter() - start)
         start = time.perf_counter()
-        fast = train_value_ensemble(agent, **kwargs)
+        fast = train_value_ensemble(agent, manifest, traces, **kwargs)
         lockstep_walls.append(time.perf_counter() - start)
     _assert_identical(
         [p for member in reference for p in member.critic.params],
@@ -229,7 +203,7 @@ def bench_n_step_targets(horizon: int = 400, trials: int = 50) -> dict:
 
     start = time.perf_counter()
     reference = [
-        _n_step_targets_reference(rewards, values, gamma, n_step)
+        pensieve_oracles.n_step_targets_reference(rewards, values, gamma, n_step)
         for rewards, values in episodes
     ]
     reference_s = time.perf_counter() - start
