@@ -38,7 +38,7 @@ from repro.core import (
 )
 from repro.errors import ReproError
 from repro.novelty import KDEDetector, MahalanobisDetector, OneClassSVM
-from repro.parallel import parallel_map, resolve_max_workers
+from repro.parallel import parallel_map
 from repro.pensieve import A2CTrainer, PensieveAgent, TrainingConfig
 from repro.policies import (
     BolaPolicy,
@@ -94,7 +94,6 @@ __all__ = [
     "get_config",
     "make_dataset",
     "parallel_map",
-    "resolve_max_workers",
     "run_monitored_session",
     "run_session",
 ]

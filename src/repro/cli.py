@@ -19,14 +19,12 @@ Commands:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 from repro import obs
 from repro.config import ExperimentConfig, get_config
 from repro.errors import ReproError
-from repro.parallel import executor
 from repro.pensieve import checkpoint
 from repro.experiments import (
     measure_runtimes,
@@ -248,9 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
                 type=int,
                 default=None,
                 help=(
-                    "process-pool size for the experiment sweep (default: "
-                    "the REPRO_MAX_WORKERS environment variable, else serial); "
-                    "results are identical at any setting"
+                    "process-pool size for building the training "
+                    "distributions (default: serial); results are "
+                    "identical at any setting"
                 ),
             )
             sub.add_argument(
@@ -271,19 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
                     f"(cadence: the {checkpoint.CHECKPOINT_EVERY_ENV} "
                     "environment variable, else every epoch); resumed "
                     "results are bitwise identical to uninterrupted runs"
-                ),
-            )
-            sub.add_argument(
-                "--task-timeout",
-                type=float,
-                default=None,
-                metavar="SECONDS",
-                help=(
-                    "per-task deadline for the experiment sweep's process "
-                    "pool (default: the "
-                    f"{executor.TASK_TIMEOUT_ENV} environment variable, "
-                    "else no deadline); a stalled worker is killed and its "
-                    "tasks retried or failed fast"
                 ),
             )
     return parser
@@ -330,17 +315,11 @@ def _cmd_traces(args, out) -> int:
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    """The configuration tier with the resilience flags applied.
-
-    ``--task-timeout`` is exported through the environment so forked
-    workers (which resolve their own executor knobs) inherit it;
-    ``--resume`` switches on epoch checkpointing, whose cadence rides on
-    the config object shipped to every worker.
+    """The configuration tier with ``--resume`` applied: it switches on
+    epoch checkpointing, whose cadence rides on the config object shipped
+    to every worker.
     """
     config = get_config(args.config)
-    if getattr(args, "task_timeout", None) is not None:
-        executor.resolve_task_timeout(args.task_timeout)  # validate early
-        os.environ[executor.TASK_TIMEOUT_ENV] = str(args.task_timeout)
     if getattr(args, "resume", False):
         every = checkpoint.resolve_checkpoint_every(None) or 1
         config = config.scaled(checkpoint_every=every)

@@ -49,9 +49,8 @@ def get_matrix(
 ) -> EvaluationMatrix:
     """Fetch (or compute) the evaluation matrix all figures project from.
 
-    *max_workers* (or the ``REPRO_MAX_WORKERS`` environment variable)
-    parallelizes the computation on a cache miss; the numbers are
-    identical to a serial run.
+    *max_workers* builds the training distributions in a process pool on
+    a cache miss; the numbers are identical to a serial run.
     """
     if matrix is not None:
         return matrix

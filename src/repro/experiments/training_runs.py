@@ -23,16 +23,17 @@ reuses the weights.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
 from repro import obs
+from repro.abr.session import run_session
 from repro.abr.suite import build_safety_suite
 from repro.config import ExperimentConfig
 from repro.errors import ArtifactError, ConfigError
 from repro.experiments.artifacts import ArtifactCache
 from repro.parallel import parallel_map
-from repro.parallel import worker as parallel_worker
 from repro.policies.buffer_based import BufferBasedPolicy
 from repro.policies.random_policy import RandomPolicy
 from repro.traces.dataset import Dataset, DatasetSplit, make_dataset
@@ -134,26 +135,22 @@ def _sweep_sessions(
     policies: dict,
     trace_groups: dict,
     tasks: list[tuple[str, str, int, int]],
-    max_workers: int | None,
 ) -> dict[tuple[str, str], tuple[float, float]]:
-    """Evaluate every ``(policy, group, trace, seed)`` task — in parallel
-    when allowed — and reduce to mean (QoE, default fraction) per
-    ``(policy, group)``.
-
-    Per-task results come back in task order, so the means run over the
-    same float sequences as the nested serial loops they replace.
-    """
-    with obs.span("experiment.sweep_sessions", tasks=len(tasks), policies=len(policies)):
-        results = parallel_map(
-            parallel_worker.evaluate_session,
-            tasks,
-            max_workers=max_workers,
-            initializer=parallel_worker.init_sessions,
-            initargs=(manifest, policies, trace_groups, None),
-        )
+    """Run every ``(policy, group, trace index, seed)`` session task in
+    order and reduce to mean (QoE, default fraction) per
+    ``(policy, group)``."""
     grouped: dict[tuple[str, str], list[tuple[float, float]]] = {}
-    for (policy_key, group_key, _, _), outcome in zip(tasks, results):
-        grouped.setdefault((policy_key, group_key), []).append(outcome)
+    with obs.span("experiment.sweep_sessions", tasks=len(tasks), policies=len(policies)):
+        for policy_key, group_key, index, seed in tasks:
+            result = run_session(
+                policies[policy_key],
+                manifest,
+                trace_groups[group_key][index],
+                seed=seed,
+            )
+            grouped.setdefault((policy_key, group_key), []).append(
+                (float(result.qoe), float(result.default_fraction))
+            )
     return {
         key: (
             float(np.mean([qoe for qoe, _ in outcomes])),
@@ -166,7 +163,6 @@ def _sweep_sessions(
 def compute_baselines(
     config: ExperimentConfig,
     cache: ArtifactCache | None = None,
-    max_workers: int | None = None,
 ) -> dict:
     """BB and Random mean QoE on every test distribution (train-free)."""
 
@@ -194,7 +190,7 @@ def compute_baselines(
                 for index in range(num_traces)
                 for seed in random_seeds
             )
-        means = _sweep_sessions(manifest, policies, trace_groups, tasks, max_workers)
+        means = _sweep_sessions(manifest, policies, trace_groups, tasks)
         return {
             name: {
                 "BB": {"qoe": means[("BB", name)][0]},
@@ -240,7 +236,6 @@ def _weight_cache(
 def compute_training_distribution(
     config: ExperimentConfig,
     train_name: str,
-    max_workers: int | None = None,
     weight_root=None,
 ) -> dict:
     """The body of :func:`run_training_distribution`, cache-free.
@@ -276,7 +271,7 @@ def compute_training_distribution(
         for scheme in policies
         for index in range(len(trace_groups[test_name]))
     ]
-    means = _sweep_sessions(manifest, policies, trace_groups, tasks, max_workers)
+    means = _sweep_sessions(manifest, policies, trace_groups, tasks)
     evaluations = {
         test_name: {
             scheme: {
@@ -301,7 +296,6 @@ def run_training_distribution(
     config: ExperimentConfig,
     train_name: str,
     cache: ArtifactCache | None = None,
-    max_workers: int | None = None,
     weight_root=None,
 ) -> dict:
     """Offline phase + full evaluation for one training distribution.
@@ -316,12 +310,12 @@ def run_training_distribution(
         )
     if cache is None:
         return compute_training_distribution(
-            config, train_name, max_workers, weight_root=weight_root
+            config, train_name, weight_root=weight_root
         )
     return cache.get_or_compute(
         f"train_{train_name}",
         lambda: compute_training_distribution(
-            config, train_name, max_workers, weight_root=weight_root
+            config, train_name, weight_root=weight_root
         ),
     )
 
@@ -336,13 +330,13 @@ def run_all_distributions(
 
     With *max_workers* > 1 the uncached training distributions build
     concurrently, one worker per distribution (the heaviest-grained unit
-    of independent work); each worker's inner loops then run serially.
-    The matrix is identical to the serial one.  *weight_root* enables
+    of independent work, and the only pooled loop in the library).  The
+    matrix is identical to the serial one.  *weight_root* enables
     weight-level caching of every distribution's trained ensembles.
     """
     matrix = EvaluationMatrix(datasets=tuple(config.datasets))
     with obs.span("experiment.baselines"):
-        matrix.baselines = compute_baselines(config, cache, max_workers=max_workers)
+        matrix.baselines = compute_baselines(config, cache)
     pending = [
         name
         for name in config.datasets
@@ -353,11 +347,13 @@ def run_all_distributions(
             zip(
                 pending,
                 parallel_map(
-                    parallel_worker.build_distribution,
+                    partial(
+                        compute_training_distribution,
+                        config,
+                        weight_root=weight_root,
+                    ),
                     pending,
                     max_workers=max_workers,
-                    initializer=parallel_worker.init_distributions,
-                    initargs=(config, weight_root),
                 ),
             )
         )
@@ -368,11 +364,7 @@ def run_all_distributions(
                 cache.store(f"train_{train_name}", run)
         else:
             run = run_training_distribution(
-                config,
-                train_name,
-                cache,
-                max_workers=max_workers,
-                weight_root=weight_root,
+                config, train_name, cache, weight_root=weight_root
             )
         matrix.entries[train_name] = run["evaluations"]
         matrix.metadata[train_name] = run["metadata"]

@@ -8,6 +8,8 @@ all observe the same storage.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.errors import ModelError
@@ -19,8 +21,10 @@ class Optimizer:
     """Base optimizer bound to a fixed list of parameter arrays."""
 
     def __init__(self, params: list[np.ndarray], learning_rate: float) -> None:
-        if not learning_rate > 0:  # NaN fails this comparison too
-            raise ModelError(f"learning_rate must be positive, got {learning_rate}")
+        if not 0 < learning_rate < math.inf:  # NaN fails this comparison too
+            raise ModelError(
+                f"learning_rate must be positive and finite, got {learning_rate}"
+            )
         self.params = list(params)
         self.learning_rate = learning_rate
 

@@ -11,7 +11,7 @@ Typical library usage::
 
     from repro import obs
 
-    obs.inc("executor.tasks.dispatched", len(items))
+    obs.inc("session.runs")
     with obs.span("experiment.matrix", policies=len(policies)):
         ...
     with obs.timer("trainer.epoch_seconds", engine="lockstep"):

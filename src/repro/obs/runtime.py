@@ -22,9 +22,9 @@ cannot change, and timestamps cannot leak into, experiment results.
 
 Process-pool caveat: worker processes inherit the enabled flag via
 ``fork`` but collect into their own memory; their registries are not
-merged back.  The parent still observes the pool from outside (dispatch
-and completion counters, per-chunk walls shipped back with results,
-worker utilization), so parallel runs stay fully visible.
+merged back.  The parent sees the pool only from outside, as the
+``executor.parallel_map`` span (task count, pool width, wall time);
+run serially to collect every layer's metrics in one registry.
 """
 
 from __future__ import annotations

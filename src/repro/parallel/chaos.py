@@ -1,32 +1,23 @@
 """Deterministic fault injection for the experiment pipeline.
 
-The resilience guarantees of :mod:`repro.parallel` — retries, pool
-respawn, task deadlines, checkpoint resume — are only trustworthy if they
-are *tested against real faults*.  This module provides a tiny harness
-that injects faults at named sites on a fully deterministic schedule, so
-a test (or the CI ``fault-smoke`` job) can kill a worker at exactly the
-same point on every run and assert the pipeline recovers identically.
+Checkpoint resume is only trustworthy if it is *tested against real
+faults*.  This module provides a tiny harness that injects faults at
+named sites on a fully deterministic schedule, so a test (or
+``tools/fault_smoke.py``, the CI ``fault-smoke`` job) can kill a suite
+build at exactly the same point on every run and assert that
+``--resume`` finishes it with bitwise-identical artifacts.
 
 Fault model
 -----------
 
 A :class:`ChaosEvent` names a *site*, an *index*, and an *action*:
 
-* site ``"task"`` — fired by the executor inside a worker immediately
-  before running the task with that global index,
 * site ``"epoch"`` — fired by the A2C trainer and the value regression
   at the end of the epoch with that index (after any checkpoint write,
   so an interruption here models a kill at an epoch boundary),
 * action ``"raise"`` — raise :class:`~repro.errors.ChaosError`,
 * action ``"kill"``  — ``os._exit`` the process (simulating a segfault
-  or an OOM kill; never run this action in a process you cannot lose),
-* action ``"delay"`` — sleep for ``delay_s`` seconds (simulating a stall
-  that must trip the task deadline).
-
-Schedules are either explicit (a list of events) or *seeded*:
-:func:`seeded_events` derives the fire indices from a
-:class:`numpy.random.Generator` so a whole fault scenario is a pure
-function of one integer seed.
+  or an OOM kill; never run this action in a process you cannot lose).
 
 Activation
 ----------
@@ -37,35 +28,33 @@ installed via :func:`install` / :func:`injected`, or through the
 ``REPRO_CHAOS`` environment variable (which forked workers and CLI
 subprocesses inherit)::
 
-    REPRO_CHAOS="kill@task:3"                # kill the worker running task 3
-    REPRO_CHAOS="raise@epoch:1,delay@task:2:0.5"
+    REPRO_CHAOS="kill@epoch:1"               # kill at the end of epoch 1
+    REPRO_CHAOS="raise@epoch:0,kill@epoch:2"
 
 Each event fires at most ``times`` times (default once) per process
 tree; pass a ``state_dir`` (or ``REPRO_CHAOS_STATE``) to persist fire
-counts on disk so the budget also spans pool respawns and process
-restarts — that is what lets a "kill once, then succeed" retry scenario
-be expressed deterministically.
+counts on disk so the budget also spans process restarts — that is what
+lets a "kill once, then resume and succeed" scenario be expressed
+deterministically.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from repro.errors import ChaosError, ConfigError
-from repro.util.rng import rng_from_seed
 
 __all__ = [
     "CHAOS_ENV",
     "CHAOS_STATE_ENV",
     "ACTIONS",
+    "SITES",
     "ChaosEvent",
     "ChaosInjector",
-    "seeded_events",
     "parse_chaos_spec",
     "install",
     "uninstall",
@@ -80,7 +69,9 @@ CHAOS_ENV = "REPRO_CHAOS"
 CHAOS_STATE_ENV = "REPRO_CHAOS_STATE"
 
 #: The supported fault actions.
-ACTIONS = ("raise", "kill", "delay")
+ACTIONS = ("raise", "kill")
+#: The hook sites the library fires.
+SITES = ("epoch",)
 
 #: Exit code used by the ``kill`` action (distinctive in CI logs).
 KILL_EXIT_CODE = 43
@@ -93,7 +84,6 @@ class ChaosEvent:
     site: str
     index: int
     action: str
-    delay_s: float = 0.1
     times: int = 1
 
     def __post_init__(self) -> None:
@@ -101,14 +91,14 @@ class ChaosEvent:
             raise ConfigError(
                 f"unknown chaos action {self.action!r}; expected one of {ACTIONS}"
             )
+        if self.site not in SITES:
+            raise ConfigError(
+                f"unknown chaos site {self.site!r}; expected one of {SITES}"
+            )
         if self.index < 0:
             raise ConfigError(f"chaos index must be >= 0, got {self.index}")
         if self.times < 1:
             raise ConfigError(f"chaos times must be >= 1, got {self.times}")
-        if self.action == "delay" and self.delay_s <= 0:
-            raise ConfigError(
-                f"chaos delay_s must be positive, got {self.delay_s}"
-            )
 
 
 class ChaosInjector:
@@ -116,8 +106,8 @@ class ChaosInjector:
 
     Fire counts live in memory; with *state_dir* they are additionally
     persisted as marker files so a fork-inherited copy of the injector
-    (a pool worker, a respawned pool, a resumed CLI run) still honours
-    each event's ``times`` budget.
+    (a pool worker, a resumed CLI run) still honours each event's
+    ``times`` budget.
     """
 
     def __init__(
@@ -165,7 +155,7 @@ class ChaosInjector:
         """Fire the event scheduled for ``(site, index)``, if any remains.
 
         ``raise`` raises :class:`ChaosError`; ``kill`` exits the process
-        immediately with :data:`KILL_EXIT_CODE`; ``delay`` sleeps.
+        immediately with :data:`KILL_EXIT_CODE`.
         """
         key = (site, index)
         event = self._events.get(key)
@@ -175,9 +165,6 @@ class ChaosInjector:
         if count >= event.times:
             return
         self._record_fire(key, count)
-        if event.action == "delay":
-            time.sleep(event.delay_s)
-            return
         if event.action == "kill":
             os._exit(KILL_EXIT_CODE)
         raise ChaosError(
@@ -186,38 +173,11 @@ class ChaosInjector:
         )
 
 
-def seeded_events(
-    seed: int,
-    site: str,
-    population: int,
-    count: int,
-    action: str = "raise",
-    delay_s: float = 0.1,
-    times: int = 1,
-) -> list[ChaosEvent]:
-    """A deterministic schedule: *count* distinct fire indices drawn
-    without replacement from ``range(population)`` by a generator seeded
-    with *seed*.  The same arguments always produce the same schedule, in
-    any process, which is what makes chaos runs reproducible."""
-    if not 0 <= count <= population:
-        raise ConfigError(
-            f"need 0 <= count <= population, got count={count} "
-            f"population={population}"
-        )
-    rng = rng_from_seed(seed)
-    indices = sorted(rng.choice(population, size=count, replace=False).tolist())
-    return [
-        ChaosEvent(site=site, index=int(i), action=action, delay_s=delay_s, times=times)
-        for i in indices
-    ]
-
-
 def parse_chaos_spec(spec: str) -> list[ChaosEvent]:
     """Parse a ``REPRO_CHAOS`` spec string into events.
 
-    Grammar: comma-separated ``action@site:index`` terms, with an optional
-    trailing ``:seconds`` for ``delay`` — e.g.
-    ``"kill@task:3,raise@epoch:1,delay@task:2:0.5"``.
+    Grammar: comma-separated ``action@site:index`` terms, e.g.
+    ``"raise@epoch:0,kill@epoch:2"``.
     """
     events = []
     for term in spec.split(","):
@@ -226,17 +186,13 @@ def parse_chaos_spec(spec: str) -> list[ChaosEvent]:
             continue
         try:
             action, _, location = term.partition("@")
-            parts = location.split(":")
-            site, index = parts[0], int(parts[1])
-            delay_s = float(parts[2]) if len(parts) > 2 else 0.1
-        except (ValueError, IndexError) as exc:
+            site, raw_index = location.split(":")
+            index = int(raw_index)
+        except ValueError as exc:
             raise ConfigError(
-                f"malformed chaos term {term!r}; expected "
-                "action@site:index[:delay_seconds]"
+                f"malformed chaos term {term!r}; expected action@site:index"
             ) from exc
-        events.append(
-            ChaosEvent(site=site, index=index, action=action, delay_s=delay_s)
-        )
+        events.append(ChaosEvent(site=site, index=index, action=action))
     if not events:
         raise ConfigError(f"chaos spec {spec!r} contains no events")
     return events

@@ -26,6 +26,7 @@ training every member alone.
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -288,10 +289,9 @@ def train_value_ensemble(
     every N epochs so an interrupted build resumes at the last epoch
     boundary, bitwise identical to an uninterrupted run.
     """
-    if size < 1:
-        raise TrainingError(f"ensemble size must be >= 1, got {size}")
-    if epochs < 1:
-        raise TrainingError(f"epochs must be >= 1, got {epochs}")
+    for name, value in (("size", size), ("epochs", epochs)):
+        if not isinstance(value, Integral) or value < 1:
+            raise TrainingError(f"{name} must be an integer >= 1, got {value!r}")
     seeds = spawn_seeds(root_seed + 1, size)
     every = resolve_checkpoint_every(checkpoint_every) if cache is not None else 0
     if cache is not None and cache.has_arrays(VALUE_WEIGHTS_ARTIFACT):

@@ -27,6 +27,7 @@ equality oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from numbers import Integral
 
@@ -88,16 +89,19 @@ class TrainingConfig:
                 raise TrainingError(f"{name} must be an integer >= 1, got {value!r}")
         if not 0.0 <= self.gamma <= 1.0:
             raise TrainingError(f"gamma must be in [0, 1], got {self.gamma}")
-        if not (self.actor_learning_rate > 0 and self.critic_learning_rate > 0):
-            raise TrainingError("learning rates must be positive")
-        if not self.entropy_weight_start >= self.entropy_weight_end:
-            raise TrainingError("entropy weight must anneal downward")
+        for name in (
+            "actor_learning_rate",
+            "critic_learning_rate",
+            "reward_scale",
+            "advantage_clip",
+        ):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise TrainingError(f"{name} must be positive and finite, got {value}")
+        if not math.inf > self.entropy_weight_start >= self.entropy_weight_end:
+            raise TrainingError("entropy weight must be finite and anneal downward")
         if not self.entropy_weight_end >= 0:
             raise TrainingError("entropy weight must be non-negative")
-        for name in ("reward_scale", "advantage_clip"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise TrainingError(f"{name} must be positive, got {value}")
 
     def with_seed(self, seed: int) -> "TrainingConfig":
         """The same configuration with a different initialization seed —

@@ -29,9 +29,9 @@ Layering: this package sits above :mod:`repro.core` (monitors) and the
 :mod:`repro.experiments` — enforced by ``tools/check_layers.py``, which
 also pins this package to the registry root: no workload module
 (``repro.abr``, ``repro.pensieve``, …) is imported here directly.
-Serving runs in this process only — ``REPRO_MAX_WORKERS`` sizes the
-training and suite-build pools, never the engine; per-engine metrics
-flow through :mod:`repro.obs` (``serve.sessions``, ``serve.steps``,
+Serving runs in this process only — the one process pool builds the
+experiment matrix (:mod:`repro.parallel`), never the engine; per-engine
+metrics flow through :mod:`repro.obs` (``serve.sessions``, ``serve.steps``,
 ``serve.batch_size``, ``serve.wall_seconds``, ``serve.wave_occupancy``,
 ``serve.slot_reuse``).
 """

@@ -44,8 +44,8 @@ one-row :class:`~repro.core.monitor.MonitorTable`, so the runner, the
 service and the kernel run every trigger and mode update through the
 same row-bank code (:mod:`repro.core.thresholding`).
 
-Serving is in-process only: ``REPRO_MAX_WORKERS`` sizes the training
-and suite-build pools (:mod:`repro.parallel`), never the engine.
+Serving is in-process only: the one process pool builds the experiment
+matrix (:mod:`repro.parallel`), never the engine.
 """
 
 from __future__ import annotations

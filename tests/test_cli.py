@@ -6,7 +6,6 @@ the trace-export paths end to end.
 """
 
 import io
-import os
 
 import pytest
 
@@ -259,30 +258,10 @@ class TestServeApiCommand:
 
 
 class TestResilienceFlags:
-    """``--resume`` and ``--task-timeout`` reach the pipeline's knobs."""
+    """``--resume`` reaches the pipeline's checkpoint knobs."""
 
     def _args(self, argv):
         return build_parser().parse_args(argv)
-
-    def test_task_timeout_exported_to_environment(self, monkeypatch):
-        from repro.cli import _experiment_config
-        from repro.parallel.executor import TASK_TIMEOUT_ENV
-
-        monkeypatch.setenv(TASK_TIMEOUT_ENV, "")  # registers teardown restore
-        config = _experiment_config(
-            self._args(["figures", "--config", "smoke", "--task-timeout", "2.5"])
-        )
-        assert os.environ[TASK_TIMEOUT_ENV] == "2.5"
-        assert config.checkpoint_every == 0  # no --resume: untouched
-
-    def test_task_timeout_validated_before_running(self):
-        # An invalid deadline must fail fast with the CLI's error exit
-        # code, before any experiment work starts.
-        code = main(
-            ["figures", "--config", "smoke", "--task-timeout", "-1"],
-            out=io.StringIO(),
-        )
-        assert code == 2
 
     def test_resume_switches_on_checkpointing(self, monkeypatch):
         from repro.cli import _experiment_config

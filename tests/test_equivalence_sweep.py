@@ -1,24 +1,24 @@
 """The cross-path equivalence sweep.
 
-One parametrized test walks the full execution-mode matrix —
+One parametrized test walks the training engines —
 
-    {workers 1, 2} x {per-member oracle, lockstep trainer}
+    {per-member oracle, lockstep trainer}
 
-— and asserts that every combination produces **bitwise identical**
-trained weights, session QoE, and uncertainty-signal streams as the
-reference combination (serial, per-member: the oracles of
-``tests/pensieve_oracles.py``, one A2C loop and one value regression per
-seed).  The lockstep side is :class:`A2CTrainer` and
-:func:`train_value_ensemble`.  This is the single place the repository's
-"optimizations never change results" contract is enforced end-to-end; it replaces the scattered pairwise
-serial-vs-parallel checks that previously covered one axis each.
+— and asserts that each produces **bitwise identical** trained weights,
+session QoE, and uncertainty-signal streams as the reference engine
+(per-member: the oracles of ``tests/pensieve_oracles.py``, one A2C loop
+and one value regression per seed).  The lockstep side is
+:class:`A2CTrainer` and :func:`train_value_ensemble`.  Sessions run
+in-process, as in production; pool-size equality of the full experiment
+matrix is gated by ``test_parallel_determinism.py``.  This is the single
+place the repository's "optimizations never change results" contract is
+enforced end-to-end for training.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import itertools
 
 import numpy as np
 import pytest
@@ -31,8 +31,6 @@ from repro.core.novelty_signal import StateNoveltySignal, throughput_window_samp
 from repro.core.runner import MonitoredScheme
 from repro.core.thresholding import ConsecutiveTrigger, VarianceTrigger
 from repro.novelty.ocsvm import OneClassSVM
-from repro.parallel import worker as parallel_worker
-from repro.parallel.executor import parallel_map
 from repro.pensieve.ensemble import train_value_ensemble
 from repro.pensieve.training import A2CTrainer, TrainingConfig
 from repro.policies.buffer_based import BufferBasedPolicy
@@ -44,8 +42,8 @@ from tests import pensieve_oracles
 SEEDS = (0, 1, 2)
 
 # "per-member" is the oracle side, "lockstep" the production trainers.
-COMBOS = list(itertools.product([1, 2], ["per-member", "lockstep"]))
-REFERENCE = (1, "per-member")
+ENGINES = ["per-member", "lockstep"]
+REFERENCE = "per-member"
 
 
 @pytest.fixture(scope="module")
@@ -94,26 +92,19 @@ def _scheme(agents, manifest, allow_revert: bool):
     )
 
 
-def _pooled_qoe(agents, manifest, test_traces, workers: int):
-    """Mean-free per-(policy, trace) outcomes through the real pool path:
-    the sticky safety scheme and the bare agent on every test trace."""
+def _session_qoe(agents, manifest, test_traces):
+    """Mean-free per-(policy, trace) outcomes: the sticky safety scheme
+    and the bare agent on every test trace."""
     policies = {
         "safe": _scheme(agents, manifest, allow_revert=False),
         "agent": agents[0],
     }
-    trace_groups = {"test": list(test_traces)}
-    tasks = [
-        (policy_key, "test", index, 0)
-        for policy_key in sorted(policies)
-        for index in range(len(test_traces))
-    ]
-    return parallel_map(
-        parallel_worker.evaluate_session,
-        tasks,
-        max_workers=workers,
-        initializer=parallel_worker.init_sessions,
-        initargs=(manifest, policies, trace_groups, None),
-    )
+    outcomes = []
+    for policy_key in sorted(policies):
+        for trace in test_traces:
+            result = run_session(policies[policy_key], manifest, trace, seed=0)
+            outcomes.append((float(result.qoe), float(result.default_fraction)))
+    return outcomes
 
 
 def _signal_log(agents, manifest, trace):
@@ -137,8 +128,7 @@ def _signal_log(agents, manifest, trace):
     )
 
 
-def _run_combo(combo, manifest, split, config):
-    workers, engine = combo
+def _run_engine(engine, manifest, split, config):
     agents = _train_agents(engine, manifest, split.train, config)
     value_functions = _train_values(engine, agents[0], manifest, split.train)
     return {
@@ -146,14 +136,14 @@ def _run_combo(combo, manifest, split, config):
             [net for agent in agents for net in (agent.actor, agent.critic)]
         ),
         "value_weights": _weights([vf.critic for vf in value_functions]),
-        "qoe": _pooled_qoe(agents, manifest, split.test, workers),
+        "qoe": _session_qoe(agents, manifest, split.test),
         "signals": _signal_log(agents, manifest, split.test[0]),
     }
 
 
 @pytest.fixture(scope="module")
 def reference(manifest, split, config):
-    return _run_combo(REFERENCE, manifest, split, config)
+    return _run_engine(REFERENCE, manifest, split, config)
 
 
 @pytest.fixture(scope="module")
@@ -334,14 +324,9 @@ class TestGoldenSessions:
             )
 
 
-@pytest.mark.parametrize("workers,engine", COMBOS)
-def test_execution_mode_equivalence(
-    workers, engine, manifest, split, config, reference, monkeypatch
-):
-    # The pool size is capped at os.cpu_count(); pretend this machine has
-    # enough cores so workers=2 exercises a real pool even on 1-CPU CI.
-    monkeypatch.setattr("repro.parallel.executor.os.cpu_count", lambda: 4)
-    outcome = _run_combo((workers, engine), manifest, split, config)
+@pytest.mark.parametrize("engine", ENGINES)
+def test_execution_mode_equivalence(engine, manifest, split, config, reference):
+    outcome = _run_engine(engine, manifest, split, config)
 
     assert len(outcome["agent_weights"]) == len(reference["agent_weights"])
     assert len(outcome["value_weights"]) == len(reference["value_weights"])

@@ -53,8 +53,11 @@ class TestValidation:
         with pytest.raises(ModelError):
             SGD([np.ones(1)], learning_rate=0.0)
         for optimizer in (RMSProp, StackedRMSProp):
-            with pytest.raises(ModelError):
-                optimizer([np.ones((2, 1))], learning_rate=float("nan"))
+            for bad in (float("nan"), float("inf")):
+                with pytest.raises(ModelError):
+                    optimizer([np.ones((2, 1))], learning_rate=bad)
+        with pytest.raises(ModelError):
+            SGD([np.ones(1)], learning_rate=float("inf"))
 
     def test_bad_momentum(self):
         with pytest.raises(ModelError):

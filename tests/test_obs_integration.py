@@ -200,9 +200,7 @@ class TestCliEndToEnd:
         names = {record.get("name") for record in records}
         # Every instrumented layer shows up in one cold run.
         for required in (
-            "executor.tasks.dispatched",
-            "executor.tasks.completed",
-            "executor.serial_fallback",
+            "executor.parallel_map",
             "trainer.epochs",
             "trainer.epoch_seconds",
             "trainer.grad_norm.actor",

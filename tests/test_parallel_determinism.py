@@ -1,19 +1,19 @@
 """Serial and parallel execution must be bitwise interchangeable.
 
-The executor's contract is that ``max_workers`` only changes wall-clock
-time: every parallel loop maps explicitly seeded task items in a fixed
-order, so the experiment pipeline produces the same floats at any pool
-size.
+The pool's contract is that ``max_workers`` only changes wall-clock
+time: the one pooled loop maps self-contained training-distribution
+names in a fixed order, so the experiment pipeline produces the same
+floats at any pool size.
 
-The ensemble-level combinations (pool sizes x fast paths x training
-engines) are swept exhaustively in ``test_equivalence_sweep.py``; this
-module keeps the end-to-end check that the full experiment matrix —
-datasets, suites, calibration, evaluation — is identical at any pool
-size.
+This is the gate for that contract: the full experiment matrix —
+datasets, suites, calibration, evaluation — must be identical serially
+and through a real process pool.  (``test_equivalence_sweep.py`` covers
+the training engines, which never pool.)
 """
 
 import pytest
 
+from repro import parallel
 from repro.config import FAST
 from repro.core.osap import SafetyConfig
 from repro.experiments.training_runs import run_all_distributions
@@ -43,8 +43,21 @@ def tiny_config():
 
 @pytest.mark.parametrize("max_workers", [4])
 def test_run_all_distributions_identical_across_pool_sizes(
-    tiny_config, max_workers
+    tiny_config, max_workers, monkeypatch
 ):
+    # The pool size is capped at os.cpu_count(); pretend this machine has
+    # enough cores so a real pool (two workers, one per distribution) runs
+    # even on 1-CPU CI instead of comparing serial against serial.
+    monkeypatch.setattr("repro.parallel.os.cpu_count", lambda: 4)
     serial = run_all_distributions(tiny_config, max_workers=1)
-    parallel = run_all_distributions(tiny_config, max_workers=max_workers)
-    assert serial.to_payload() == parallel.to_payload()
+    pools = []
+    pool_map = parallel._pool_map
+
+    def spy(fn, items, workers):
+        pools.append(workers)
+        return pool_map(fn, items, workers)
+
+    monkeypatch.setattr(parallel, "_pool_map", spy)
+    pooled = run_all_distributions(tiny_config, max_workers=max_workers)
+    assert pools == [2]
+    assert serial.to_payload() == pooled.to_payload()

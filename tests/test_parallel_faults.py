@@ -1,10 +1,10 @@
-"""Fault injection for the process-pool executor.
+"""Fault injection for the process pool.
 
 A failing task must surface in the parent as the *original* exception
 with a :class:`ParallelError` cause naming the task; a worker that dies
 outright (``os._exit``, simulating a segfault or OOM-kill) must surface
-as a :class:`ParallelError` naming the tasks the dead worker held — never
-a hang and never a bare ``BrokenProcessPool``.
+as a :class:`ParallelError` naming the unfinished tasks — never a hang
+and never a bare ``BrokenProcessPool``.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ def _exit_on_two(x):
 def _pretend_multicore(monkeypatch):
     # The pool size is capped at os.cpu_count(); pretend this machine has
     # enough cores so a real pool is exercised even on 1-CPU CI.
-    monkeypatch.setattr("repro.parallel.executor.os.cpu_count", lambda: 4)
+    monkeypatch.setattr("repro.parallel.os.cpu_count", lambda: 4)
 
 
 @needs_fork
@@ -54,9 +54,7 @@ class TestWorkerRaises:
 
     def test_cause_names_the_failing_task(self):
         with pytest.raises(CustomTaskError) as excinfo:
-            parallel_map(
-                _raise_on_three, list(range(6)), max_workers=2, chunk_size=1
-            )
+            parallel_map(_raise_on_three, list(range(6)), max_workers=2)
         cause = excinfo.value.__cause__
         assert isinstance(cause, ParallelError)
         assert "task 3" in str(cause)
@@ -78,14 +76,13 @@ class TestWorkerDies:
 
     def test_error_names_the_tasks_the_worker_held(self):
         with pytest.raises(ParallelError) as excinfo:
-            parallel_map(
-                _exit_on_two, list(range(6)), max_workers=2, chunk_size=1
-            )
+            parallel_map(_exit_on_two, list(range(6)), max_workers=2)
         message = str(excinfo.value)
-        # Which chunk dies first can vary with scheduling, but the failing
-        # item (2) is always in some reported chunk, and the message must
-        # point at a concrete task range plus the serial-debug escape hatch.
-        assert "tasks" in message
+        # Which tasks finished before the death can vary with scheduling,
+        # but the failing item (2) is always among the unfinished ones, and
+        # the message must point at them plus the serial-debug escape hatch.
+        assert "tasks [" in message
+        assert "2" in message.partition("tasks [")[2].partition("]")[0].split(", ")
         assert "first item" in message
         assert "max_workers=1" in message
 

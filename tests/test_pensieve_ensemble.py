@@ -140,3 +140,18 @@ class TestValueEnsemble:
             train_value_ensemble(agents[0], small_manifest, [trace], size=0)
         with pytest.raises(TrainingError):
             train_value_ensemble(agents[0], small_manifest, [trace], epochs=0)
+
+    def test_fractional_epochs_rejected_before_target_collection(
+        self, small_manifest, trace, tiny_config, monkeypatch
+    ):
+        agents = train_agent_ensemble(
+            small_manifest, [trace], size=1, config=tiny_config
+        )
+
+        def collect(*args, **kwargs):
+            raise AssertionError("value targets collected before validation")
+
+        monkeypatch.setattr("repro.pensieve.ensemble.collect_value_targets", collect)
+        for bad in ({"epochs": 2.5}, {"epochs": 0.5}, {"size": 2.0}):
+            with pytest.raises(TrainingError, match="integer >= 1"):
+                train_value_ensemble(agents[0], small_manifest, [trace], **bad)

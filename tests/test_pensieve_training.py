@@ -39,6 +39,12 @@ class TestTrainingConfig:
             {"epochs": 2.5},
             {"episodes_per_epoch": 1.0},
             {"n_step": "4"},
+            {"actor_learning_rate": float("inf")},
+            {"critic_learning_rate": float("inf")},
+            {"reward_scale": float("inf")},
+            {"advantage_clip": float("inf")},
+            {"entropy_weight_start": float("inf")},
+            {"entropy_weight_start": float("inf"), "entropy_weight_end": float("inf")},
         ],
     )
     def test_invalid_rejected(self, kwargs):

@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Benchmark gate for the parallel + vectorized evaluation engine.
 
-Runs the scaled-down (train x test x scheme) evaluation matrix two ways
-and demands they produce bitwise-identical results:
+Runs the scaled-down (train x test x scheme) evaluation matrix over the
+six datasets two ways and demands they produce bitwise-identical
+results:
 
 * ``serial``     — one process (the reference),
-* ``parallel``   — ``--workers`` process-pool workers.
+* ``parallel``   — ``--workers`` process-pool workers, one training
+  distribution per worker.
 
 The full run writes ``BENCH_parallel.json`` at the repository root so
 the perf trajectory is tracked PR over PR (``tools/check_bench.py``
@@ -15,15 +17,17 @@ forward against the member-by-member loop, and pruned OC-SVM scoring
 (cached support-vector norms) against ``rbf_kernel`` over the unpruned
 model.
 
-Wall times are the minimum over ``--repeats`` runs of each variant, the
-standard defense against scheduler noise on shared machines.
+The two variants run as ``--pairs`` alternating pairs (the side that
+runs first swaps every pair).  Each side is reported as the median and
+quartiles of its walls, plus the number of pairs the pool won;
+``speedup_parallel`` is serial median over pool median.
 
 Usage::
 
     PYTHONPATH=src python tools/bench_parallel.py            # full gate
     PYTHONPATH=src python tools/bench_parallel.py --smoke    # CI-sized
 
-``--smoke`` shrinks the workload, runs each variant once, and skips the
+``--smoke`` shrinks the workload, runs one pair, and skips the
 JSON artifact (machine-dependent numbers do not belong in CI); every
 equality assertion still runs.
 """
@@ -45,7 +49,6 @@ from repro.core.osap import SafetyConfig
 from repro.experiments.training_runs import run_all_distributions
 from repro.novelty.kernels import rbf_kernel
 from repro.novelty.ocsvm import OneClassSVM
-from repro.parallel import resolve_max_workers
 from repro.pensieve.model import ActorNetwork
 from repro.pensieve.stacked import StackedActorEnsemble
 from repro.pensieve.training import TrainingConfig
@@ -73,7 +76,7 @@ def bench_config(smoke: bool):
                 max_ocsvm_samples=200,
             ),
             value_epochs=2,
-            datasets=("gamma_1_2",),
+            datasets=("gamma_1_2", "exponential"),
             random_eval_repeats=1,
         )
     return FAST.scaled(
@@ -92,43 +95,55 @@ def bench_config(smoke: bool):
             max_ocsvm_samples=300,
         ),
         value_epochs=4,
-        datasets=("gamma_1_2", "exponential"),
+        datasets=FAST.datasets,
         random_eval_repeats=1,
     )
 
 
-def _timed_matrix(config, workers: int, repeats: int):
-    walls = []
-    payload = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        matrix = run_all_distributions(config, max_workers=workers)
-        walls.append(time.perf_counter() - start)
-        payload = matrix.to_payload()
-    return min(walls), walls, payload
+def _quartiles(walls: list[float]) -> dict:
+    q1, median, q3 = np.percentile(walls, [25, 50, 75])
+    return {"median_s": float(median), "q1_s": float(q1), "q3_s": float(q3)}
 
 
-def bench_matrix(config, workers: int, repeats: int) -> dict:
-    print(f"evaluation matrix ({config.name}, repeats={repeats}) ...")
-    serial, serial_runs, p_serial = _timed_matrix(config, 1, repeats)
-    print(f"  serial     : {serial:8.2f}s  {[round(w, 2) for w in serial_runs]}")
-    parallel, par_runs, p_parallel = _timed_matrix(config, workers, repeats)
-    print(f"  {workers} workers  : {parallel:8.2f}s  {[round(w, 2) for w in par_runs]}")
-
-    if p_serial != p_parallel:
-        raise AssertionError("QoE matrices diverged between variants")
+def bench_matrix(config, workers: int, pairs: int) -> dict:
+    print(f"evaluation matrix ({config.name}, {pairs} alternating pairs) ...")
+    walls: dict[int, list[float]] = {1: [], workers: []}
+    reference = None
+    for pair in range(pairs):
+        order = (1, workers) if pair % 2 == 0 else (workers, 1)
+        for width in order:
+            start = time.perf_counter()
+            payload = run_all_distributions(config, max_workers=width).to_payload()
+            walls[width].append(time.perf_counter() - start)
+            if reference is None:
+                reference = payload
+            elif payload != reference:
+                raise AssertionError("QoE matrices diverged between variants")
+        print(
+            f"  pair {pair + 1:2d}: serial {walls[1][-1]:6.2f}s  "
+            f"{workers} workers {walls[workers][-1]:6.2f}s"
+        )
     print("  QoE matrices bitwise identical across both variants")
 
-    parallel_factor = serial / parallel
-    print(f"  speedup: {parallel_factor:.2f}x parallel")
+    serial, parallel = _quartiles(walls[1]), _quartiles(walls[workers])
+    wins = sum(p < s for s, p in zip(walls[1], walls[workers]))
+    parallel_factor = serial["median_s"] / parallel["median_s"]
+    print(
+        f"  serial median {serial['median_s']:.2f}s "
+        f"(IQR {serial['q1_s']:.2f}-{serial['q3_s']:.2f}), "
+        f"{workers} workers median {parallel['median_s']:.2f}s "
+        f"(IQR {parallel['q1_s']:.2f}-{parallel['q3_s']:.2f}), "
+        f"pool wins {wins}/{pairs}, speedup {parallel_factor:.2f}x"
+    )
     return {
         "config": config.name,
         "datasets": list(config.datasets),
         "ensemble_size": config.safety.ensemble_size,
-        "repeats": repeats,
-        "optimized_serial_s": serial,
-        "optimized_parallel_s": parallel,
+        "pairs": pairs,
         "workers": workers,
+        "serial": serial,
+        "parallel": parallel,
+        "parallel_wins": wins,
         "speedup_parallel": parallel_factor,
         "qoe_bitwise_identical": True,
     }
@@ -230,13 +245,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="CI-sized run: tiny matrix, one repeat, no JSON",
+        help="CI-sized run: tiny matrix, one pair, no JSON",
     )
     parser.add_argument(
-        "--workers", type=int, default=4, help="pool size for the parallel variant"
+        "--workers", type=int, default=2, help="pool size for the parallel variant"
     )
     parser.add_argument(
-        "--repeats", type=int, default=None, help="timing repeats per variant (min is reported)"
+        "--pairs",
+        type=int,
+        default=None,
+        help="alternating serial/pool timing pairs (default: 10, smoke: 1)",
     )
     parser.add_argument(
         "--output",
@@ -245,10 +263,12 @@ def main(argv: list[str] | None = None) -> int:
         help="where to write the benchmark JSON (full runs only)",
     )
     args = parser.parse_args(argv)
-    repeats = args.repeats if args.repeats is not None else (1 if args.smoke else 3)
+    if args.workers < 2:
+        parser.error("--workers must be >= 2 (the serial side is the reference)")
+    pairs = args.pairs if args.pairs is not None else (1 if args.smoke else 10)
 
     config = bench_config(args.smoke)
-    matrix = bench_matrix(config, args.workers, repeats)
+    matrix = bench_matrix(config, args.workers, pairs)
     print("per-step micro-benchmarks ...")
     micro = {
         "stacked_ensemble_forward": bench_stacked_forward(
@@ -270,7 +290,6 @@ def main(argv: list[str] | None = None) -> int:
             "cpu_count": os.cpu_count(),
             "platform": platform.platform(),
             "python": platform.python_version(),
-            "default_max_workers": resolve_max_workers(),
         },
         "matrix": matrix,
         "micro": micro,
