@@ -1,35 +1,26 @@
-"""Fault tolerance of the process-pool executor.
+"""The process pool does not retry, respawn or degrade.
 
-These tests drive real faults — raised exceptions, killed workers,
-stalled tasks — through the deterministic chaos harness and assert the
-executor's recovery contract: retried runs return exactly the values an
-undisturbed run would, a broken pool respawns and requeues only the lost
-tasks, a stalled task trips its deadline instead of hanging, and when the
-pool keeps dying the call degrades to in-process serial execution rather
-than failing.
+A failing task is never run a second time: a transient failure still
+fails the call, and a worker death still raises :class:`ParallelError`
+instead of respawning the pool.  Recovery from a failed run is checkpoint
+resume (``repro figures --resume``), not the pool.
 
-The chaos injector installed in the parent is fork-inherited by every
-worker; the file ledger (``state_dir``) is what makes "fail once, then
-succeed" scenarios deterministic across retries and pool respawns.
+Each task records its attempts as files in a ledger directory, so the
+tests can count how often the pool ran an item, even across processes.
 """
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
+import os
+import time
+from pathlib import Path
 
 import pytest
 
-from repro import obs
-from repro.errors import ChaosError, ParallelError
-from repro.parallel import chaos
-from repro.parallel.executor import (
-    BACKOFF_MAX_S,
-    backoff_delay,
-    parallel_map,
-    resolve_pool_respawns,
-    resolve_task_retries,
-    resolve_task_timeout,
-)
+from repro.errors import ParallelError
+from repro.parallel import parallel_map
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -37,7 +28,37 @@ needs_fork = pytest.mark.skipif(
 )
 
 
-def _square(x):
+class CustomTaskError(RuntimeError):
+    pass
+
+
+def _record_attempt(ledger: Path, x: int) -> int:
+    """Log one attempt at item *x*; return how many came before it."""
+    earlier = len(list(ledger.glob(f"{x}-*")))
+    (ledger / f"{x}-{os.getpid()}-{time.time_ns()}").write_text("")
+    return earlier
+
+
+def _attempts(ledger: Path, x: int) -> int:
+    return len(list(ledger.glob(f"{x}-*")))
+
+
+def _always_raise_on_two(ledger, x):
+    _record_attempt(ledger, x)
+    if x == 2:
+        raise CustomTaskError(f"task {x} exploded")
+    return x * x
+
+
+def _raise_once_on_two(ledger, x):
+    if _record_attempt(ledger, x) == 0 and x == 2:
+        raise CustomTaskError(f"task {x} failed transiently")
+    return x * x
+
+
+def _exit_once_on_one(ledger, x):
+    if _record_attempt(ledger, x) == 0 and x == 1:
+        os._exit(23)
     return x * x
 
 
@@ -45,216 +66,35 @@ def _square(x):
 def _pretend_multicore(monkeypatch):
     # The pool size is capped at os.cpu_count(); pretend this machine has
     # enough cores so a real pool is exercised even on 1-CPU CI.
-    monkeypatch.setattr("repro.parallel.executor.os.cpu_count", lambda: 4)
-
-
-class TestKnobResolution:
-    def test_retries_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TASK_RETRIES", "3")
-        assert resolve_task_retries() == 3
-        assert resolve_task_retries(1) == 1  # explicit argument wins
-
-    def test_retries_env_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TASK_RETRIES", "many")
-        with pytest.raises(ParallelError, match="REPRO_TASK_RETRIES"):
-            resolve_task_retries()
-
-    def test_negative_retries_rejected(self):
-        with pytest.raises(ParallelError, match="retries must be >= 0"):
-            resolve_task_retries(-1)
-
-    def test_timeout_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "2.5")
-        assert resolve_task_timeout() == 2.5
-        assert resolve_task_timeout(None) == 2.5
-
-    def test_timeout_default_is_no_deadline(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TASK_TIMEOUT", raising=False)
-        assert resolve_task_timeout() is None
-
-    def test_timeout_must_be_positive(self):
-        with pytest.raises(ParallelError, match="must be positive"):
-            resolve_task_timeout(0.0)
-
-    def test_respawns_env_fallback(self, monkeypatch):
-        monkeypatch.delenv("REPRO_POOL_RESPAWNS", raising=False)
-        assert resolve_pool_respawns() == 2
-        monkeypatch.setenv("REPRO_POOL_RESPAWNS", "0")
-        assert resolve_pool_respawns() == 0
-
-    def test_backoff_doubles_and_caps(self):
-        assert backoff_delay(1) == 0.05
-        assert backoff_delay(2) == 0.1
-        assert backoff_delay(3) == 0.2
-        assert backoff_delay(50) == BACKOFF_MAX_S
+    monkeypatch.setattr("repro.parallel.os.cpu_count", lambda: 4)
 
 
 @needs_fork
 class TestRetryOnRaise:
-    def test_retry_recovers_and_matches_undisturbed_run(self, tmp_path):
-        events = [chaos.ChaosEvent(site="task", index=2, action="raise")]
-        with chaos.injected(events, state_dir=tmp_path):
-            result = parallel_map(
-                _square, list(range(6)), max_workers=2, chunk_size=1, retries=2
-            )
-        assert result == [_square(x) for x in range(6)]
-
     def test_exhausted_retries_raise_original_exception(self, tmp_path):
-        # times=5 outlasts the 1+2 attempt budget, so the third attempt's
-        # ChaosError surfaces with the attributing ParallelError cause.
-        events = [
-            chaos.ChaosEvent(site="task", index=2, action="raise", times=5)
-        ]
-        with chaos.injected(events, state_dir=tmp_path):
-            with pytest.raises(ChaosError) as excinfo:
-                parallel_map(
-                    _square,
-                    list(range(6)),
-                    max_workers=2,
-                    chunk_size=1,
-                    retries=2,
-                )
+        # The attempt budget is one: the failing task runs once and its
+        # exception surfaces with the attributing ParallelError cause.
+        fn = functools.partial(_always_raise_on_two, tmp_path)
+        with pytest.raises(CustomTaskError, match="task 2 exploded") as excinfo:
+            parallel_map(fn, list(range(6)), max_workers=2)
         cause = excinfo.value.__cause__
         assert isinstance(cause, ParallelError)
         assert "task 2" in str(cause)
-        assert "attempt 3 of 3" in str(cause)
+        assert _attempts(tmp_path, 2) == 1
 
     def test_zero_retries_preserves_fail_fast(self, tmp_path):
-        events = [chaos.ChaosEvent(site="task", index=2, action="raise")]
-        with chaos.injected(events, state_dir=tmp_path):
-            with pytest.raises(ChaosError):
-                parallel_map(_square, list(range(6)), max_workers=2)
-
-    def test_retry_counters_recorded(self, tmp_path):
-        events = [chaos.ChaosEvent(site="task", index=1, action="raise")]
-        with chaos.injected(events, state_dir=tmp_path):
-            with obs.collecting() as run:
-                parallel_map(
-                    _square,
-                    list(range(6)),
-                    max_workers=2,
-                    chunk_size=1,
-                    retries=1,
-                )
-        assert run.metrics.counter("executor.task_retries").value == 1
-        (event,) = run.metrics.events("executor.task_retry")
-        assert event["data"]["task"] == 1
-        assert event["data"]["error"] == "ChaosError"
+        # A second attempt would succeed, but there is none.
+        fn = functools.partial(_raise_once_on_two, tmp_path)
+        with pytest.raises(CustomTaskError, match="transiently"):
+            parallel_map(fn, list(range(6)), max_workers=2)
+        assert _attempts(tmp_path, 2) == 1
 
 
 @needs_fork
 class TestWorkerDeath:
-    def test_respawn_requeues_lost_tasks(self, tmp_path):
-        events = [chaos.ChaosEvent(site="task", index=1, action="kill")]
-        with chaos.injected(events, state_dir=tmp_path):
-            result = parallel_map(
-                _square, list(range(6)), max_workers=2, chunk_size=1, retries=1
-            )
-        assert result == [_square(x) for x in range(6)]
-
     def test_zero_retries_preserves_died_error(self, tmp_path):
-        events = [chaos.ChaosEvent(site="task", index=1, action="kill")]
-        with chaos.injected(events, state_dir=tmp_path):
-            with pytest.raises(ParallelError, match="died"):
-                parallel_map(_square, list(range(6)), max_workers=2)
-
-    def test_respawn_observability(self, tmp_path):
-        events = [chaos.ChaosEvent(site="task", index=0, action="kill")]
-        with chaos.injected(events, state_dir=tmp_path):
-            with obs.collecting() as run:
-                parallel_map(
-                    _square,
-                    list(range(6)),
-                    max_workers=2,
-                    chunk_size=1,
-                    retries=1,
-                )
-        assert (
-            run.metrics.counter("executor.pool_respawns", kind="death").value
-            == 1
-        )
-        (event,) = run.metrics.events("executor.pool_respawn")
-        assert event["data"]["kind"] == "death"
-
-    def test_budget_exhaustion_degrades_to_serial(self, tmp_path, monkeypatch):
-        # Three kills overrun a respawn budget of two; the call must
-        # still complete — in-process — with the structured reason.
-        monkeypatch.setenv("REPRO_POOL_RESPAWNS", "2")
-        events = [
-            chaos.ChaosEvent(site="task", index=0, action="kill", times=5)
-        ]
-        with chaos.injected(events, state_dir=tmp_path):
-            with obs.collecting() as run:
-                result = parallel_map(
-                    _square,
-                    list(range(6)),
-                    max_workers=2,
-                    chunk_size=1,
-                    retries=10,
-                )
-        assert result == [_square(x) for x in range(6)]
-        assert (
-            run.metrics.counter(
-                "executor.serial_fallback", reason="pool-irrecoverable"
-            ).value
-            == 1
-        )
-        (event,) = run.metrics.events("executor.serial_degrade")
-        assert event["data"]["respawns"] == 3
-
-
-@needs_fork
-class TestStalls:
-    def test_stalled_task_retries_within_deadline(self, tmp_path):
-        # First attempt sleeps 5 s against a ~0.7 s deadline: the pool is
-        # killed and respawned; the ledger spends the delay budget, so the
-        # retry completes instantly.
-        events = [
-            chaos.ChaosEvent(site="task", index=0, action="delay", delay_s=5.0)
-        ]
-        with chaos.injected(events, state_dir=tmp_path):
-            result = parallel_map(
-                _square,
-                list(range(4)),
-                max_workers=2,
-                chunk_size=1,
-                retries=1,
-                task_timeout=0.2,
-            )
-        assert result == [_square(x) for x in range(4)]
-
-    def test_stall_without_retries_fails_fast(self, tmp_path):
-        events = [
-            chaos.ChaosEvent(site="task", index=0, action="delay", delay_s=5.0)
-        ]
-        with chaos.injected(events, state_dir=tmp_path):
-            with pytest.raises(ParallelError) as excinfo:
-                parallel_map(
-                    _square,
-                    list(range(4)),
-                    max_workers=2,
-                    chunk_size=1,
-                    task_timeout=0.2,
-                )
-        message = str(excinfo.value)
-        assert "deadline" in message
-        assert "REPRO_TASK_TIMEOUT" in message
-        assert "max_workers=1" in message
-
-    def test_timeout_observability(self, tmp_path):
-        events = [
-            chaos.ChaosEvent(site="task", index=0, action="delay", delay_s=5.0)
-        ]
-        with chaos.injected(events, state_dir=tmp_path):
-            with obs.collecting() as run:
-                parallel_map(
-                    _square,
-                    list(range(4)),
-                    max_workers=2,
-                    chunk_size=1,
-                    retries=1,
-                    task_timeout=0.2,
-                )
-        assert run.metrics.counter("executor.task_timeouts").value == 1
-        (event,) = run.metrics.events("executor.task_timeout")
-        assert 0 in event["data"]["tasks"]
+        # A respawned pool would finish the call; the death raises instead.
+        fn = functools.partial(_exit_once_on_one, tmp_path)
+        with pytest.raises(ParallelError, match="died"):
+            parallel_map(fn, list(range(6)), max_workers=2)
+        assert _attempts(tmp_path, 1) == 1
