@@ -14,10 +14,11 @@ path — the serve engine, the service, the tools — uses too.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from repro.abr.env import ABREnv
+from repro.abr.env import ABREnv, _StepTables
 from repro.core import runner
 from repro.core.monitor import SafetyMonitor
 from repro.core.runner import (
@@ -92,13 +93,13 @@ class ABRSessionFactory(SessionFactory):
         """Agent-controlled chunks: the first is fetched at the lowest rung."""
         return self.manifest.num_chunks - 1
 
+    @cached_property
+    def _tables(self) -> _StepTables:
+        # Built on the first env and shared by every env after it.
+        return _StepTables(self.manifest, self.qoe_metric)
+
     def new_env(self, spec: SessionSpec) -> ABREnv:
-        return ABREnv(
-            manifest=self.manifest,
-            trace=spec.trace,
-            qoe_metric=self.qoe_metric,
-            start_offset_s=spec.start_offset_s,
-        )
+        return ABREnv._from_tables(self._tables, spec.trace, spec.start_offset_s)
 
     def new_result(self, spec: SessionSpec, policy_name: str) -> SessionResult:
         return SessionResult(trace_name=spec.trace.name, policy_name=policy_name)

@@ -35,6 +35,25 @@ _THROUGHPUT_NORM_MBPS = 8.0
 _BYTES_PER_MB = 1e6
 
 
+def next_size_rows(chunk_sizes_bytes: np.ndarray, num_bitrates: int) -> list[np.ndarray]:
+    """Row 4 for every next chunk of a video, normalised once.
+
+    Entry ``n`` holds chunk ``n``'s sizes in MB, zero-padded to
+    ``S_LEN`` columns; one extra all-zero entry stands for "no next
+    chunk" at the end of the video.  What :meth:`StateBuilder.push`
+    writes for the same sizes, bit for bit.
+    """
+    sizes = np.asarray(chunk_sizes_bytes, dtype=float)
+    if sizes.ndim != 2 or not sizes.shape[1] == num_bitrates <= S_LEN:
+        raise SimulationError(
+            f"expected (chunks, {num_bitrates}) chunk sizes with at most "
+            f"S_LEN = {S_LEN} rungs, got shape {sizes.shape}"
+        )
+    table = np.zeros((sizes.shape[0] + 1, S_LEN))
+    table[:-1, :num_bitrates] = sizes / _BYTES_PER_MB
+    return list(table)
+
+
 class StateBuilder:
     """Maintains the rolling Pensieve observation matrix for one session."""
 
@@ -51,6 +70,7 @@ class StateBuilder:
             raise SimulationError(f"num_chunks must be positive, got {num_chunks}")
         self.bitrates_kbps = bitrates
         self.num_chunks = num_chunks
+        self._rung_levels = (bitrates / bitrates[-1]).tolist()
         self._state = np.zeros((S_INFO, S_LEN))
 
     def reset(self) -> np.ndarray:
@@ -74,13 +94,7 @@ class StateBuilder:
         """
         if not 0 <= bitrate_index < self.bitrates_kbps.size:
             raise SimulationError(f"bitrate index {bitrate_index} out of range")
-        if buffer_s < 0 or throughput_mbps < 0 or download_time_s < 0:
-            raise SimulationError("state inputs must be non-negative")
-        if not 0 <= chunks_remaining <= self.num_chunks:
-            raise SimulationError(
-                f"chunks_remaining {chunks_remaining} out of range"
-            )
-        sizes = None
+        row = np.zeros(S_LEN)
         if next_chunk_sizes_bytes is not None:
             sizes = np.asarray(next_chunk_sizes_bytes, dtype=float)
             if sizes.shape != (self.bitrates_kbps.size,):
@@ -88,22 +102,45 @@ class StateBuilder:
                     f"expected {self.bitrates_kbps.size} next-chunk sizes, "
                     f"got shape {sizes.shape}"
                 )
+            row[: sizes.size] = sizes / _BYTES_PER_MB
+        return self._push_row(
+            bitrate_index,
+            buffer_s,
+            throughput_mbps,
+            download_time_s,
+            row,
+            chunks_remaining,
+        )
+
+    def _push_row(
+        self,
+        bitrate_index: int,
+        buffer_s: float,
+        throughput_mbps: float,
+        download_time_s: float,
+        size_row: np.ndarray,
+        chunks_remaining: int,
+    ) -> np.ndarray:
+        """:meth:`push` with an in-range rung and row 4 given whole: the
+        next sizes in MB, zero-padded to ``S_LEN`` (a
+        :func:`next_size_rows` row)."""
+        if buffer_s < 0 or throughput_mbps < 0 or download_time_s < 0:
+            raise SimulationError("state inputs must be non-negative")
+        if not 0 <= chunks_remaining <= self.num_chunks:
+            raise SimulationError(
+                f"chunks_remaining {chunks_remaining} out of range"
+            )
         # In-place left shift; every cell np.roll would wrap around is
         # overwritten below, so the resulting matrix is identical.
         state = self._state
         state[:, :-1] = state[:, 1:]
-        state[0, -1] = (
-            self.bitrates_kbps[bitrate_index] / self.bitrates_kbps[-1]
-        )
+        state[0, -1] = self._rung_levels[bitrate_index]
         state[1, -1] = buffer_s / _BUFFER_NORM_S
         state[2, -1] = throughput_mbps / _THROUGHPUT_NORM_MBPS
         state[3, -1] = download_time_s / _TIME_NORM_S
-        state[4, :] = 0.0
-        if sizes is not None:
-            state[4, : sizes.size] = sizes / _BYTES_PER_MB
+        state[4] = size_row
         state[5, -1] = chunks_remaining / self.num_chunks
-        self._state = state
-        return self.observation()
+        return state.copy()
 
     def observation(self) -> np.ndarray:
         """A defensive copy of the current observation matrix."""

@@ -37,6 +37,7 @@ from repro.util.serialization import (
     save_arrays,
     save_json,
     stable_hash,
+    sweep_stale_temporaries,
 )
 
 __all__ = ["ArtifactCache", "default_cache_dir", "SCHEMA_VERSION"]
@@ -71,6 +72,8 @@ class ArtifactCache:
         self._fingerprint.setdefault("artifact_schema_version", SCHEMA_VERSION)
         self.key = stable_hash(self._fingerprint)
         self.directory = self.root / self.key
+        # A writer killed mid-write leaves its temporary file behind.
+        sweep_stale_temporaries(self.directory)
 
     def path(self, name: str) -> Path:
         """Path of the JSON artifact called *name*."""

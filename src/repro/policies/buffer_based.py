@@ -15,6 +15,8 @@ throughput dynamics.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 from repro.errors import ConfigError
@@ -40,18 +42,19 @@ class BufferBasedPolicy(DeterministicPolicy):
             )
         self.reservoir_s = reservoir_s
         self.cushion_s = cushion_s
+        self._ladder = self.bitrates_kbps.tolist()
 
     def select(self, observation: np.ndarray) -> int:
         """Map the buffer level through the reservoir/cushion ramp."""
         buffer_s = self.view(observation).buffer_s
-        if buffer_s < self.reservoir_s:
+        # Negated, so a NaN buffer takes the lowest rung too.
+        if not buffer_s >= self.reservoir_s:
             return 0
         if buffer_s >= self.reservoir_s + self.cushion_s:
             return self.num_actions - 1
         fraction = (buffer_s - self.reservoir_s) / self.cushion_s
-        # Linear ramp over the ladder, as in Pensieve's BB reference.
-        target_rate = self.bitrates_kbps[0] + fraction * (
-            self.bitrates_kbps[-1] - self.bitrates_kbps[0]
-        )
-        eligible = np.flatnonzero(self.bitrates_kbps <= target_rate)
-        return int(eligible[-1]) if eligible.size else 0
+        # Linear ramp over the ladder, as in Pensieve's BB reference: the
+        # highest rung at or below the target rate.
+        ladder = self._ladder
+        target_rate = ladder[0] + fraction * (ladder[-1] - ladder[0])
+        return bisect_right(ladder, target_rate) - 1

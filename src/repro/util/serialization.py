@@ -26,6 +26,7 @@ __all__ = [
     "load_json",
     "save_arrays",
     "load_arrays",
+    "sweep_stale_temporaries",
 ]
 
 
@@ -52,6 +53,44 @@ def stable_hash(payload: Mapping[str, Any]) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
+def _temporary_path(path: Path) -> Path:
+    """The writer-unique ``.<name>.<pid>.<tid>.tmp`` beside *path*."""
+    return path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+
+
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True  # alive, owned by another user
+    return True
+
+
+def sweep_stale_temporaries(directory: Path | str) -> None:
+    """Remove the temporary files of writers that died mid-write.
+
+    :func:`save_text` and :func:`save_arrays` clean up after a Python
+    exception, but a process killed mid-write (a pool worker terminated
+    with its pool) leaves its ``.<name>.<pid>.<tid>.tmp`` behind.  This
+    removes each such file in *directory* whose writer pid is no longer
+    alive and keeps those of live writers, which may still be writing.
+    Does nothing off POSIX, where probing a pid with signal 0 is not
+    available.
+    """
+    directory = Path(directory)
+    if os.name != "posix" or not directory.is_dir():
+        return
+    for path in directory.glob(".*.tmp"):
+        fields = path.name[: -len(".tmp")].rsplit(".", 2)
+        if len(fields) != 3 or not fields[1].isdigit() or not fields[2].isdigit():
+            continue
+        if _pid_alive(int(fields[1])):
+            continue
+        path.unlink(missing_ok=True)
+
+
 def save_text(path: Path | str, text: str) -> None:
     """Write *text* to *path* atomically, creating parent directories.
 
@@ -64,9 +103,7 @@ def save_text(path: Path | str, text: str) -> None:
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    temporary = path.with_name(
-        f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
-    )
+    temporary = _temporary_path(path)
     try:
         temporary.write_text(text)
         os.replace(temporary, path)
@@ -103,9 +140,7 @@ def save_arrays(path: Path | str, arrays: Mapping[str, np.ndarray]) -> None:
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    temporary = path.with_name(
-        f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
-    )
+    temporary = _temporary_path(path)
     try:
         with open(temporary, "wb") as handle:
             np.savez(

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.abr.env import ABREnv
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.traces.trace import Trace
 from repro.video.manifest import VideoManifest
-from repro.video.qoe import LinearQoE
+from repro.video.qoe import LinearQoE, LogQoE, QoEMetric
 
 from tests import abr_oracles
 
@@ -165,6 +165,77 @@ class TestEpisodeProtocol:
         assert env.chunks_downloaded == 50
 
 
+class SqrtQoE(QoEMetric):
+    """A user metric: only ``quality`` and the penalties are its own."""
+
+    def __init__(self) -> None:
+        super().__init__(rebuffer_penalty=3.1, smoothness_penalty=0.7)
+
+    def quality(self, bitrate_mbps):
+        return 1.3 * np.sqrt(np.asarray(bitrate_mbps, dtype=float))
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+class TestRewardEqualsChunkReward:
+    """Step rewards are ``metric.chunk_reward`` on the step's own info,
+    bit for bit, for the built-in metrics and a user subclass."""
+
+    METRICS = [LinearQoE(), LogQoE(), SqrtQoE()]
+
+    @pytest.mark.parametrize("metric", METRICS, ids=lambda m: type(m).__name__)
+    def test_rebuffering_and_switching_steps(self, metric):
+        # A slow link, so the top rung stalls, and rungs that mostly
+        # switch from one step to the next.
+        trace = Trace.from_bandwidths([0.3, 0.6, 0.2, 1.0], interval_s=3.0)
+        env = ABREnv(flat_manifest(chunks=12), trace, qoe_metric=metric)
+        env.reset()
+        rebuffered = switched = 0
+        for action in [2, 2, 2, 0, 2, 2, 1, 2, 2, 0, 2]:
+            result = env.step(action)
+            info = result.info
+            expected = metric.chunk_reward(
+                bitrate_mbps=info["bitrate_mbps"],
+                rebuffer_s=info["rebuffer_s"],
+                previous_bitrate_mbps=info["previous_bitrate_mbps"],
+            )
+            assert _bits(result.reward) == _bits(expected)
+            rebuffered += info["rebuffer_s"] > 0
+            switched += info["bitrate_mbps"] != info["previous_bitrate_mbps"]
+        assert rebuffered >= 3 and switched >= 5
+
+    @pytest.mark.parametrize("metric", METRICS, ids=lambda m: type(m).__name__)
+    def test_first_chunk_without_previous(self, metric):
+        # Only the reset chunk has no previous rung; its reward is never
+        # returned, so check the per-rung arithmetic directly.
+        env = ABREnv(flat_manifest(), Trace.from_bandwidths([1.0] * 50), metric)
+        bitrates = env.manifest.bitrates_kbps
+        for rung in range(env.num_actions):
+            for rebuffer in (0.0, 0.37, 12.5):
+                expected = metric.chunk_reward(
+                    float(bitrates[rung]) / 1000.0, rebuffer, None
+                )
+                got = env._tables.reward(rung, rebuffer, None)
+                assert _bits(got) == _bits(expected)
+
+    def test_negative_rebuffer_rejected(self):
+        env = ABREnv(flat_manifest(), Trace.from_bandwidths([1.0] * 50))
+        with pytest.raises(ConfigError):
+            env._tables.reward(0, -0.1, None)
+
+    def test_overridden_chunk_reward_rejected(self):
+        # The env scores with chunk_reward's own form; a metric that
+        # replaces that form would be silently ignored, so it is refused.
+        class Flat(LinearQoE):
+            def chunk_reward(self, bitrate_mbps, rebuffer_s, previous_bitrate_mbps):
+                return 1.0
+
+        with pytest.raises(ConfigError):
+            ABREnv(flat_manifest(), Trace.from_bandwidths([1.0] * 50), Flat())
+
+
 class TestValidation:
     def test_negative_rtt_rejected(self):
         with pytest.raises(SimulationError):
@@ -176,6 +247,17 @@ class TestValidation:
                 flat_manifest(),
                 Trace.from_bandwidths([1.0, 1.0]),
                 max_buffer_s=2.0,
+            )
+
+    @pytest.mark.parametrize(
+        "option", ["rtt_s", "max_buffer_s", "start_offset_s"]
+    )
+    def test_nan_options_rejected(self, option):
+        with pytest.raises(SimulationError):
+            ABREnv(
+                flat_manifest(),
+                Trace.from_bandwidths([1.0, 1.0]),
+                **{option: float("nan")},
             )
 
 

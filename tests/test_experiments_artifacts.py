@@ -1,5 +1,10 @@
 """Tests for repro.experiments.artifacts: the config-hashed cache."""
 
+import os
+import subprocess
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -52,6 +57,29 @@ class TestArtifactCache:
         cache = ArtifactCache({"tier": "fast"}, root=tmp_path)
         cache.store("x", 1)
         assert (cache.directory / "config.json").exists()
+
+
+class TestStaleTemporarySweep:
+    def test_open_removes_dead_writers_files_only(self, tmp_path):
+        cache = ArtifactCache({"tier": "fast"}, root=tmp_path)
+        cache.store("x", 1)
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()  # reaped: its pid names no live process
+        dead = cache.directory / f".agent_ckpt.npz.{child.pid}.140302459898752.tmp"
+        live = cache.directory / (
+            f".results.json.{os.getpid()}.{threading.get_ident()}.tmp"
+        )
+        unrelated = cache.directory / ".notes.tmp"
+        for path in (dead, live, unrelated):
+            path.write_bytes(b"partial")
+        reopened = ArtifactCache({"tier": "fast"}, root=tmp_path)
+        assert not dead.exists()
+        assert live.exists() and unrelated.exists()
+        assert reopened.load("x") == 1
+
+    def test_open_of_a_new_directory_is_a_no_op(self, tmp_path):
+        cache = ArtifactCache({"tier": "fresh"}, root=tmp_path / "absent")
+        assert not cache.directory.exists()
 
 
 class TestArrayArtifacts:

@@ -55,6 +55,61 @@ class TestBufferBased:
         fast = observation_with(buffer_s=12.0, throughputs=[50.0])
         assert policy.select(slow) == policy.select(fast)
 
+    @pytest.mark.parametrize(
+        "buffer_s, rung",
+        [
+            (float("nan"), 0),
+            (float("inf"), len(BITRATES) - 1),
+            (float("-inf"), 0),
+            (-3.0, 0),
+            (-0.0, 0),
+        ],
+    )
+    def test_non_finite_and_negative_buffers(self, buffer_s, rung):
+        # A right bisect places NaN after every rung; the ramp must not
+        # read it as "top rung".
+        observation = observation_with(buffer_s=5.0)
+        observation[1, -1] = buffer_s / 10.0
+        assert BufferBasedPolicy(BITRATES).select(observation) == rung
+
+    def test_bisect_matches_flatnonzero_rule_at_rung_edges(self):
+        def flatnonzero_rule(policy, observation):
+            buffer_s = policy.view(observation).buffer_s
+            if buffer_s < policy.reservoir_s:
+                return 0
+            if buffer_s >= policy.reservoir_s + policy.cushion_s:
+                return policy.num_actions - 1
+            fraction = (buffer_s - policy.reservoir_s) / policy.cushion_s
+            rates = policy.bitrates_kbps
+            target = rates[0] + fraction * (rates[-1] - rates[0])
+            eligible = np.flatnonzero(rates <= target)
+            return int(eligible[-1]) if eligible.size else 0
+
+        for policy in (
+            BufferBasedPolicy(BITRATES),
+            BufferBasedPolicy(BITRATES, reservoir_s=3.3, cushion_s=7.1),
+        ):
+            checked = 0
+            for rate in BITRATES:
+                exact = policy.reservoir_s + policy.cushion_s * (
+                    (rate - BITRATES[0]) / (BITRATES[-1] - BITRATES[0])
+                )
+                cell = exact / 10.0
+                below = above = cell
+                cells = [cell]
+                for _ in range(3):
+                    below = np.nextafter(below, -np.inf)
+                    above = np.nextafter(above, np.inf)
+                    cells += [below, above]
+                for value in cells:
+                    observation = observation_with(buffer_s=5.0)
+                    observation[1, -1] = value
+                    assert policy.select(observation) == flatnonzero_rule(
+                        policy, observation
+                    )
+                    checked += 1
+            assert checked == 7 * len(BITRATES)
+
     def test_bad_parameters_rejected(self):
         with pytest.raises(ConfigError):
             BufferBasedPolicy(BITRATES, reservoir_s=0.0)

@@ -5,7 +5,8 @@ sequences, checking the physical invariants that must hold for *any*
 input: buffers never go negative or exceed the cap, download times are at
 least the RTT plus the ideal transfer time, measured throughput never
 exceeds the link's fastest rate, and the episode return always equals the
-QoE metric applied to the recorded session.
+QoE metric applied to the recorded session.  Whole sessions also match
+the step-by-step oracle in :mod:`tests.abr_oracles` bit for bit.
 """
 
 import numpy as np
@@ -15,6 +16,9 @@ from hypothesis import strategies as st
 from repro.abr.env import ABREnv
 from repro.traces.trace import Trace
 from repro.video.manifest import VideoManifest
+from repro.video.qoe import LinearQoE, LogQoE
+
+from tests import abr_oracles
 
 bandwidth_lists = st.lists(st.floats(0.2, 50.0), min_size=3, max_size=30)
 action_seeds = st.integers(0, 2**32 - 1)
@@ -112,3 +116,79 @@ class TestSimulatorInvariants:
         for a, b in zip(first, second):
             assert a.reward == b.reward
             assert a.info["download_time_s"] == b.info["download_time_s"]
+
+
+def _bits(value) -> bytes | None:
+    return None if value is None else np.float64(value).tobytes()
+
+
+class TestSessionOracle:
+    """Whole sessions against :func:`abr_oracles.session`: observations,
+    rewards and every ``info`` value, compared as bytes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.floats(0.05, 12.0), min_size=2, max_size=25),
+        st.lists(st.floats(0.05, 3.0), min_size=2, max_size=25),
+        st.floats(0.0, 5.0),
+        st.floats(0.0, 4.0),
+        st.integers(2, 10),
+        st.sampled_from([6.0, 20.0, 60.0]),
+        st.booleans(),
+        action_seeds,
+    )
+    def test_session_matches_oracle(
+        self,
+        bandwidths,
+        gaps,
+        first_time,
+        start_in_durations,
+        num_chunks,
+        max_buffer_s,
+        log_metric,
+        seed,
+    ):
+        samples = min(len(bandwidths), len(gaps))
+        times = first_time + np.cumsum(gaps[:samples])
+        trace = Trace(times, np.asarray(bandwidths[:samples]))
+        start_offset_s = start_in_durations * trace.duration
+        rng = np.random.default_rng(seed)
+        bitrates = np.array([300.0, 750.0, 1200.0, 1850.0, 2850.0])
+        manifest = VideoManifest(
+            bitrates_kbps=bitrates,
+            chunk_sizes_bytes=np.outer(
+                rng.uniform(0.5, 1.5, size=num_chunks), bitrates * 500.0
+            ),
+        )
+        metric = LogQoE() if log_metric else LinearQoE()
+        rungs = rng.integers(0, bitrates.size, size=num_chunks - 1).tolist()
+        expected = abr_oracles.session(
+            manifest,
+            trace,
+            metric,
+            rungs,
+            start_offset_s=start_offset_s,
+            max_buffer_s=max_buffer_s,
+        )
+        env = ABREnv(
+            manifest,
+            trace,
+            qoe_metric=metric,
+            max_buffer_s=max_buffer_s,
+            start_offset_s=start_offset_s,
+        )
+        got = [(env.reset(), None, None)]
+        for rung in rungs:
+            result = env.step(rung)
+            got.append((result.observation, result.reward, result.info))
+        assert result.done
+        for (observation, reward, info), (obs_ref, reward_ref, info_ref) in zip(
+            got, expected
+        ):
+            assert observation.tobytes() == obs_ref.tobytes()
+            assert _bits(reward) == _bits(reward_ref)
+            if info is not None:
+                assert list(info) == list(info_ref)
+                assert [_bits(v) for v in info.values()] == [
+                    _bits(v) for v in info_ref.values()
+                ]

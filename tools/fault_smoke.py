@@ -14,7 +14,8 @@ crash-safety contract on the real CLI, with a real ``os._exit`` kill:
    (``REPRO_CHAOS_STATE``) is spent, so the run resumes from the
    checkpoint and completes, exporting run metrics.
 4. **Verify** — the resumed run's metrics must contain a
-   ``checkpoint.resume`` event (it really restored, not retrained), and
+   ``checkpoint.resume`` event (it really restored, not retrained),
+   neither cache may hold a leftover ``*.tmp`` write file, and
    **every** artifact in the two caches must match: byte-identical JSON
    (figures, baselines, per-distribution results) and array-identical
    ``.npz`` weights.
@@ -196,6 +197,15 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 1
     print(f"  checkpoint.resume events: {resumes}")
+    leftovers = sorted(
+        path
+        for cache in (workdir / "reference", workdir / "resumed")
+        for path in cache.rglob("*.tmp")
+    )
+    if leftovers:
+        for path in leftovers:
+            print(f"FAIL: temporary write file left behind: {path}", file=sys.stderr)
+        return 1
     problems = compare_caches(workdir / "reference", workdir / "resumed")
     if problems:
         for problem in problems:
