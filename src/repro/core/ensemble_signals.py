@@ -21,7 +21,7 @@ import numpy as np
 from repro.core.signals import SIGNALS, UncertaintySignal
 from repro.core.thresholding import check_finite_values
 from repro.errors import ReproError, SafetyError
-from repro.nn.losses import kl_divergence
+from repro.nn.losses import kl_divergence, softmax
 
 __all__ = [
     "PolicyEnsembleSignal",
@@ -34,29 +34,18 @@ __all__ = [
 ]
 
 
-def _try_stack_actors(agents: list):
-    """A batched forward over the members' actors, or ``None`` when the
-    members are not stackable (non-Pensieve policies, mixed shapes)."""
-    from repro.pensieve.agent import PensieveAgent
-    from repro.pensieve.stacked import StackedActorEnsemble
+def _try_stack(members: list, network: str):
+    """One fused forward over the members' ``actor`` or ``critic``
+    networks, or ``None`` when the members are not stackable (not
+    Pensieve agents or value functions, mixed shapes)."""
+    from repro.pensieve.agent import PensieveAgent, PensieveValueFunction
+    from repro.pensieve.stacked import StackedEnsemble
 
-    if not all(type(agent) is PensieveAgent for agent in agents):
+    member_type = PensieveAgent if network == "actor" else PensieveValueFunction
+    if not all(type(member) is member_type for member in members):
         return None
     try:
-        return StackedActorEnsemble([agent.actor for agent in agents])
-    except ReproError:
-        return None
-
-
-def _try_stack_critics(value_functions: list):
-    """A batched forward over the members' critics, or ``None``."""
-    from repro.pensieve.agent import PensieveValueFunction
-    from repro.pensieve.stacked import StackedCriticEnsemble
-
-    if not all(type(vf) is PensieveValueFunction for vf in value_functions):
-        return None
-    try:
-        return StackedCriticEnsemble([vf.critic for vf in value_functions])
+        return StackedEnsemble([getattr(member, network) for member in members])
     except ReproError:
         return None
 
@@ -201,12 +190,12 @@ class PolicyEnsembleSignal(UncertaintySignal):
             )
         self.agents = list(agents)
         self.trim = trim
-        self._stacked = _try_stack_actors(self.agents)
+        self._stacked = _try_stack(self.agents, "actor")
 
     def measure(self, observation: np.ndarray) -> float:
         check_finite_values(observation, "observation value")
         if self._stacked is not None:
-            distributions = self._stacked.probabilities(observation)
+            distributions = softmax(self._stacked.outputs(observation))[:, 0]
         else:
             distributions = np.stack(
                 [agent.action_probabilities(observation) for agent in self.agents]
@@ -220,12 +209,12 @@ class PolicyEnsembleSignal(UncertaintySignal):
         for all sessions in one fused forward — the serve engine's
         cross-session batch.  Values match :meth:`measure` up to BLAS
         batch-shape accumulation (see
-        :meth:`repro.pensieve.stacked.StackedActorEnsemble.probabilities_batch`).
+        :meth:`repro.pensieve.stacked.StackedEnsemble.outputs`).
         """
         check_finite_values(observations, "observation value")
         if self._stacked is None:
             return super().measure_batch(observations)
-        distributions = self._stacked.probabilities_batch(observations)
+        distributions = softmax(self._stacked.outputs(observations))
         return policy_disagreement_batch(distributions, self.trim)
 
 
@@ -253,12 +242,12 @@ class ValueEnsembleSignal(UncertaintySignal):
             )
         self.value_functions = list(value_functions)
         self.trim = trim
-        self._stacked = _try_stack_critics(self.value_functions)
+        self._stacked = _try_stack(self.value_functions, "critic")
 
     def measure(self, observation: np.ndarray) -> float:
         check_finite_values(observation, "observation value")
         if self._stacked is not None:
-            values = self._stacked.values(observation)
+            values = self._stacked.outputs(observation)[:, 0, 0]
         else:
             values = np.array(
                 [vf.value(observation) for vf in self.value_functions]
@@ -271,5 +260,5 @@ class ValueEnsembleSignal(UncertaintySignal):
         check_finite_values(observations, "observation value")
         if self._stacked is None:
             return super().measure_batch(observations)
-        values = self._stacked.values_batch(observations)
+        values = self._stacked.outputs(observations)[..., 0]
         return value_disagreement_batch(values, self.trim)

@@ -7,7 +7,8 @@ and the training algorithm (advantage actor-critic with an annealed entropy
 bonus) on the :mod:`repro.nn` numpy substrate, at sizes that train in
 seconds-to-minutes on a CPU.
 
-* :mod:`repro.pensieve.model` — actor and critic networks.
+* :mod:`repro.pensieve.model` — actor and critic networks, and the one
+  fused inference forward over ``M >= 1`` member-stacked networks.
 * :mod:`repro.pensieve.agent` — the trained policy and value function,
   implementing the shared :mod:`repro.mdp` protocols.
 * :mod:`repro.pensieve.training` — the one A2C trainer, which trains
@@ -18,15 +19,15 @@ seconds-to-minutes on a CPU.
   seed as the paper prescribes, each trained in one stacked pass.
 * :mod:`repro.pensieve.online` — in-situ fine-tuning, a one-member
   trainer warm-started from a deployed agent.
-* :mod:`repro.pensieve.stacked` — member-stacked batched forwards for the
-  per-step ensemble signals and for training.
+* :mod:`repro.pensieve.stacked` — the member-stacked ensemble snapshot
+  behind the per-step signals, and the stacked training network.
 """
 
 from repro.pensieve.agent import PensieveAgent, PensieveValueFunction
 from repro.pensieve.ensemble import train_agent_ensemble, train_value_ensemble
 from repro.pensieve.model import ActorNetwork, CriticNetwork
 from repro.pensieve.online import FineTuneResult, fine_tune, warm_start_trainer
-from repro.pensieve.stacked import StackedActorEnsemble, StackedCriticEnsemble
+from repro.pensieve.stacked import StackedEnsemble
 from repro.pensieve.training import A2CTrainer, TrainingConfig, TrainingSummary
 
 __all__ = [
@@ -36,8 +37,7 @@ __all__ = [
     "FineTuneResult",
     "PensieveAgent",
     "PensieveValueFunction",
-    "StackedActorEnsemble",
-    "StackedCriticEnsemble",
+    "StackedEnsemble",
     "TrainingConfig",
     "TrainingSummary",
     "fine_tune",

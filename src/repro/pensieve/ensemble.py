@@ -42,15 +42,9 @@ from repro.pensieve.checkpoint import (
     require,
     resolve_checkpoint_every,
 )
-from repro.pensieve.model import CriticNetwork
+from repro.pensieve.model import CriticNetwork, _export_arrays, _keyed, _load_arrays
 from repro.pensieve.stacked import StackedTrainingNetwork
-from repro.pensieve.training import (
-    A2CTrainer,
-    TrainingConfig,
-    _export_arrays,
-    _member_networks,
-    _restore_arrays,
-)
+from repro.pensieve.training import A2CTrainer, TrainingConfig, _member_networks
 from repro.traces.trace import Trace
 from repro.util.rng import rng_from_seed, spawn_seeds
 from repro.video.manifest import VideoManifest
@@ -217,6 +211,10 @@ def _train_value_members_lockstep(
     ]
     stacked = StackedTrainingNetwork(critics)
     optimizer = StackedRMSProp(stacked.params, learning_rate=learning_rate)
+    checkpoint_arrays = {
+        **_keyed("critic_p", stacked.params),
+        **_keyed("critic_ms", optimizer._mean_square),
+    }
     start = 0
     if checkpointer is not None:
         loaded = checkpointer.load()
@@ -225,8 +223,7 @@ def _train_value_members_lockstep(
             require(
                 meta, engine="value-lockstep", seeds=list(seeds), epochs_total=epochs
             )
-            _restore_arrays(stacked.params, arrays, "critic_p")
-            _restore_arrays(optimizer._mean_square, arrays, "critic_ms")
+            _load_arrays(checkpoint_arrays, arrays, TrainingError)
             start = int(meta["epochs_completed"])
     stacked_obs = np.broadcast_to(
         observations, (len(seeds),) + observations.shape
@@ -238,9 +235,6 @@ def _train_value_members_lockstep(
         stacked.backward((2.0 * diff / targets.size)[..., None])
         optimizer.step(stacked.grads)
         if checkpointer is not None and checkpointer.due(epoch + 1, epochs):
-            state: dict[str, np.ndarray] = {}
-            _export_arrays(state, "critic_p", stacked.params)
-            _export_arrays(state, "critic_ms", optimizer._mean_square)
             checkpointer.save(
                 {
                     "engine": "value-lockstep",
@@ -248,7 +242,7 @@ def _train_value_members_lockstep(
                     "epochs_total": epochs,
                     "epochs_completed": epoch + 1,
                 },
-                state,
+                _export_arrays(checkpoint_arrays),
             )
         chaos.maybe_fire("epoch", epoch)
     stacked.write_back()

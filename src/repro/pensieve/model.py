@@ -16,19 +16,35 @@ puts a softmax over ladder rungs on top; the critic a single linear unit.
 Gradients flow through every branch via the :mod:`repro.nn` layers; the
 trunk exposes flat parameter/gradient lists so the optimizers can treat the
 whole network uniformly.
+
+Inference skips the layer objects: :func:`stacked_forward` is the one
+fused, gradient-free forward, over the member-stacked
+:class:`StackedWeights` of ``M >= 1`` networks.  A single network reads
+its live weights as ``M = 1`` (:meth:`ActorNetwork.probabilities_inference`),
+:class:`repro.pensieve.stacked.StackedEnsemble` snapshots an ensemble, and
+the A2C trainer snapshots its stacked training weights once per rollout.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.abr.state import S_INFO, S_LEN
-from repro.errors import ModelError
+from repro.errors import ModelError, ReproError
 from repro.nn.layers import Conv1D, Dense, Flatten, ReLU
 from repro.nn.losses import softmax
 from repro.nn.network import Sequential
 
-__all__ = ["PensieveTrunk", "ActorNetwork", "CriticNetwork"]
+__all__ = [
+    "PensieveTrunk",
+    "PensieveNetwork",
+    "ActorNetwork",
+    "CriticNetwork",
+    "StackedWeights",
+    "stacked_forward",
+]
 
 _CONV_KERNEL = 4
 
@@ -138,143 +154,159 @@ class PensieveTrunk:
         for branch, piece in zip(self._branches, pieces):
             branch.backward(piece)
 
-    def features_inference(
-        self, observations: np.ndarray, row_stable: bool = False
-    ) -> np.ndarray:
-        """Gradient-free forward pass, bitwise-identical to :meth:`forward`.
 
-        Performs the same arithmetic as the layer objects but fused into
-        one function: no per-layer dispatch, no backward caches, and the
-        single-input-channel convolutions reduced to broadcast multiplies
-        (a one-term sum, so the floats are exactly those of the einsum).
-        Reads the live weights on every call, so it never goes stale under
-        in-situ adaptation.
+class StackedWeights(NamedTuple):
+    """Member-stacked weights of ``M >= 1`` identically shaped networks.
 
-        ``row_stable=True`` makes each output row bitwise-equal to that
-        observation's features computed alone: the merge matmul runs as
-        stacked ``(batch, 1, n) @ (n, m)`` single-row products, where a 2-D
-        matmul's accumulation order may depend on the batch size.
-        """
-        obs = np.asarray(observations, dtype=float)
-        if obs.ndim == 2:
-            obs = obs[None, :, :]
-        if obs.ndim != 3 or obs.shape[1:] != (S_INFO, S_LEN):
-            raise ModelError(
-                f"expected (batch, {S_INFO}, {S_LEN}) observations, got {obs.shape}"
-            )
-        batch = obs.shape[0]
-        # The three scalar branches are Dense(1, F): a one-term matmul, so
-        # all three reduce to a single broadcast multiply-add.  Flattening
-        # (batch, 3, F) row-major reproduces their concatenation order.
-        # Weight gathers use preallocated buffers instead of np.stack: this
-        # runs per decision step, and np.stack's shape bookkeeping costs
-        # more than the arithmetic on arrays this small.
-        scalars = obs[:, (0, 1, 5), -1]
-        branches = self._branches
-        filters = branches[0].layers[0].weight.shape[1]
-        dense_w = np.empty((3, filters))
-        dense_b = np.empty((3, filters))
-        for i in range(3):
-            dense_w[i] = branches[i].layers[0].weight[0]
-            dense_b[i] = branches[i].layers[0].bias
-        ys = scalars[:, :, None] * dense_w[None] + dense_b[None]
-        ys = np.where(ys > 0, ys, 0.0).reshape(batch, -1)
-        # The throughput and delay convolutions share their input shape, so
-        # both history branches run as one broadcast offset loop; the
-        # ladder-length sizes branch keeps its own.  Seeding the accumulator
-        # with the first offset term instead of zeros can only flip the sign
-        # of an exact zero, which the ReLU maps to +0.0 either way.
-        throughput_conv = self._conv_throughput.layers[0]
-        delay_conv = self._conv_delay.layers[0]
-        kernel = throughput_conv.kernel_size
-        out_length = S_LEN - kernel + 1
-        histories = obs[:, (2, 3), None, :]
-        out_channels = throughput_conv.weight.shape[0]
-        conv_w = np.empty((2, out_channels, kernel))
-        conv_w[0] = throughput_conv.weight[:, 0, :]
-        conv_w[1] = delay_conv.weight[:, 0, :]
-        conv_b = np.empty((2, out_channels))
-        conv_b[0] = throughput_conv.bias
-        conv_b[1] = delay_conv.bias
-        # einsum("bcl,oc->bol") with c == 1 is a plain broadcast product.
-        out = histories[..., 0:out_length] * conv_w[None, :, :, 0, None]
+    The layout is branch-fused, as :func:`stacked_forward` reads it.
+    """
+
+    num_bitrates: int
+    #: The three scalar ``Dense(1, F)`` branches, ``(M, 3, F)`` each.
+    scalar_w: np.ndarray
+    scalar_b: np.ndarray
+    #: The throughput and delay convolutions: ``(M, 2, O, K)`` / ``(M, 2, O)``.
+    history_w: np.ndarray
+    history_b: np.ndarray
+    #: The next-chunk-sizes convolution: ``(M, O, K)`` / ``(M, O)``.
+    sizes_w: np.ndarray
+    sizes_b: np.ndarray
+    #: The merge layer, ``(M, merged, H)`` / ``(M, H)``.
+    merge_w: np.ndarray
+    merge_b: np.ndarray
+    #: The head, ``(M, H, out)`` / ``(M, out)``.
+    head_w: np.ndarray
+    head_b: np.ndarray
+
+
+def stacked_forward(
+    weights: StackedWeights, observations: np.ndarray, row_stable: bool = False
+) -> np.ndarray:
+    """Every stacked member's head outputs, ``(members, batch, out)``.
+
+    The one gradient-free Pensieve forward.  *observations* are shared
+    ``(batch, 6, 8)`` (a single ``(6, 8)`` is a batch of one) or
+    per-member ``(members, batch, 6, 8)``.  Member *m*'s slice is
+    bitwise-identical to its own layer-by-layer forward: the
+    single-input-channel convolutions are one-term sums, so they run as
+    broadcast multiplies (seeding the accumulator with the first offset
+    term instead of zeros can only flip the sign of an exact zero, which
+    the ReLU maps to +0.0 either way), the one-term scalar matmuls as a
+    multiply-add, and stacked ``matmul`` runs one product per member.
+
+    ``row_stable=True`` makes each output row bitwise-equal to that
+    observation's outputs computed alone: the merge and head matmuls run
+    as stacked single-row products, where a 2-D matmul's accumulation
+    order may depend on the batch size.
+    """
+    obs = np.asarray(observations, dtype=float)
+    members = weights.merge_w.shape[0]
+    if obs.ndim == 2:
+        obs = obs[None]
+    if obs.ndim == 3:
+        obs = obs[None]
+    if (
+        obs.ndim != 4
+        or obs.shape[0] not in (1, members)
+        or obs.shape[2:] != (S_INFO, S_LEN)
+    ):
+        raise ModelError(
+            f"expected (batch, {S_INFO}, {S_LEN}) or ({members}, batch, "
+            f"{S_INFO}, {S_LEN}) observations, got {np.shape(observations)}"
+        )
+    batch = obs.shape[1]
+    parts = [
+        obs[:, :, (0, 1, 5), -1, None] * weights.scalar_w[:, None]
+        + weights.scalar_b[:, None]
+    ]
+    # Both history branches share their input length, so they run as one
+    # offset loop; the ladder-length sizes branch keeps its own.
+    for x, weight, bias in (
+        (obs[:, :, 2:4, None, :], weights.history_w, weights.history_b),
+        (
+            obs[:, :, None, 4, : weights.num_bitrates],
+            weights.sizes_w,
+            weights.sizes_b,
+        ),
+    ):
+        kernel = weight.shape[-1]
+        length = x.shape[-1] - kernel + 1
+        out = x[..., 0:length] * weight[:, None, ..., 0, None]
         for offset in range(1, kernel):
-            out += (
-                histories[..., offset : offset + out_length]
-                * conv_w[None, :, :, offset, None]
-            )
-        out = out + conv_b[None, :, :, None]
-        out = np.where(out > 0, out, 0.0).reshape(batch, -1)
-        sizes = _conv_relu_flat(
-            obs[:, 4, : self.num_bitrates].reshape(batch, 1, self.num_bitrates),
-            self._conv_sizes,
-        )
-        return _dense_relu(
-            np.concatenate([ys, out, sizes], axis=1), self._merge, row_stable
-        )
+            out += x[..., offset : offset + length] * weight[:, None, ..., offset, None]
+        parts.append(out + bias[:, None, ..., None])
+    # Flattening each (members, batch, ...) part row-major reproduces the
+    # layer-by-layer concatenation order.
+    merged = np.concatenate(
+        [part.reshape(members, batch, -1) for part in parts], axis=2
+    )
+    merged = np.where(merged > 0, merged, 0.0)
+    features = _stacked_matmul(merged, weights.merge_w, row_stable)
+    features = features + weights.merge_b[:, None]
+    features = np.where(features > 0, features, 0.0)
+    return (
+        _stacked_matmul(features, weights.head_w, row_stable)
+        + weights.head_b[:, None]
+    )
 
 
-def _export_params(params: list[np.ndarray]) -> dict[str, np.ndarray]:
-    """Index-keyed parameter copies, the on-disk ``.npz`` weight layout."""
-    return {f"p{index}": param.copy() for index, param in enumerate(params)}
-
-
-def _import_params(params: list[np.ndarray], arrays) -> None:
-    """Shape-checked in-place load of an :func:`_export_params` mapping."""
-    for index, param in enumerate(params):
-        key = f"p{index}"
-        if key not in arrays:
-            raise ModelError(f"weight arrays missing parameter {key}")
-        value = np.asarray(arrays[key], dtype=float)
-        if value.shape != param.shape:
-            raise ModelError(
-                f"parameter {key} shape {value.shape} != expected {param.shape}"
-            )
-        param[...] = value
-
-
-def _matmul(x: np.ndarray, weight: np.ndarray, row_stable: bool) -> np.ndarray:
-    """``x @ weight``; with *row_stable*, one stacked single-row product
+def _stacked_matmul(x: np.ndarray, weight: np.ndarray, row_stable: bool) -> np.ndarray:
+    """``x @ weight`` per member; with *row_stable*, one single-row product
     per row, so each row's floats do not depend on the batch size."""
     if row_stable:
-        return (x[:, None, :] @ weight)[:, 0, :]
+        return (x[:, :, None] @ weight[:, None])[:, :, 0]
     return x @ weight
 
 
-def _dense_relu(x: np.ndarray, branch: Sequential, row_stable: bool) -> np.ndarray:
-    """Fused Dense->ReLU with the exact arithmetic of the layer objects."""
-    dense = branch.layers[0]
-    y = _matmul(x, dense.weight, row_stable) + dense.bias
-    return np.where(y > 0, y, 0.0)
+def _keyed(prefix: str, values: list[np.ndarray]) -> dict[str, np.ndarray]:
+    """*values* keyed ``{prefix}{index}``: the ``.npz`` layout of network
+    weights and training checkpoints."""
+    return {f"{prefix}{index}": value for index, value in enumerate(values)}
 
 
-def _conv_relu_flat(x: np.ndarray, branch: Sequential) -> np.ndarray:
-    """Fused Conv1D->ReLU->Flatten for single-input-channel convolutions."""
-    conv = branch.layers[0]
-    out_length = x.shape[2] - conv.kernel_size + 1
-    # einsum("bcl,oc->bol") with c == 1 is a plain broadcast product; the
-    # first-term seed vs. a zeros accumulator only affects zero signs,
-    # which the ReLU normalizes.
-    out = x[:, :, 0:out_length] * conv.weight[None, :, 0, 0, None]
-    for offset in range(1, conv.kernel_size):
-        out += x[:, :, offset : offset + out_length] * conv.weight[None, :, 0, offset, None]
-    out = out + conv.bias[None, :, None]
-    out = np.where(out > 0, out, 0.0)
-    return out.reshape(x.shape[0], -1)
+def _export_arrays(targets: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Copies of a :func:`_keyed` mapping, for persistence."""
+    return {key: value.copy() for key, value in targets.items()}
 
 
-class ActorNetwork:
-    """Policy network: trunk features -> softmax over ladder rungs."""
+def _load_arrays(
+    targets: dict[str, np.ndarray], arrays, error: type[ReproError] = ModelError
+) -> None:
+    """In-place load of a :func:`_keyed` mapping of *targets* from *arrays*.
+
+    Every array's key, shape and finiteness is checked before any target
+    is written, so a refused load (raised as *error*) changes nothing.
+    """
+    values = []
+    for key, target in targets.items():
+        if key not in arrays:
+            raise error(f"arrays missing {key}")
+        value = np.asarray(arrays[key], dtype=float)
+        if value.shape != target.shape:
+            raise error(f"array {key} shape {value.shape} != expected {target.shape}")
+        if not np.all(np.isfinite(value)):
+            raise error(f"array {key} holds non-finite values")
+        values.append(value)
+    for target, value in zip(targets.values(), values):
+        target[...] = value
+
+
+class PensieveNetwork:
+    """A :class:`PensieveTrunk` under a dense head.
+
+    The shared body of :class:`ActorNetwork` and :class:`CriticNetwork`.
+    """
 
     def __init__(
         self,
         num_bitrates: int,
         rng: np.random.Generator,
-        filters: int = 16,
-        hidden: int = 64,
+        filters: int,
+        hidden: int,
+        outputs: int,
     ) -> None:
         self.trunk = PensieveTrunk(num_bitrates, rng, filters=filters, hidden=hidden)
-        self.head = Dense(hidden, num_bitrates, rng)
+        self.head = Dense(hidden, outputs, rng)
 
     @property
     def params(self) -> list[np.ndarray]:
@@ -288,6 +320,69 @@ class ActorNetwork:
         """Reset the gradient accumulators of trunk and head."""
         self.trunk.zero_grads()
         self.head.zero_grads()
+
+    def inference_weights(self) -> StackedWeights:
+        """This network's live weights as a one-member :class:`StackedWeights`.
+
+        The sizes, merge and head weights are views of the layers; the
+        fused scalar and history branch weights are fresh copies.
+        """
+        trunk = self.trunk
+        filters = trunk.filters
+        scalar_w = np.empty((1, 3, filters))
+        scalar_b = np.empty((1, 3, filters))
+        for index, branch in enumerate(trunk._branches[:3]):
+            scalar_w[0, index] = branch.layers[0].weight[0]
+            scalar_b[0, index] = branch.layers[0].bias
+        throughput = trunk._conv_throughput.layers[0]
+        delay = trunk._conv_delay.layers[0]
+        sizes = trunk._conv_sizes.layers[0]
+        history_w = np.empty((1, 2, filters, throughput.kernel_size))
+        history_w[0, 0] = throughput.weight[:, 0]
+        history_w[0, 1] = delay.weight[:, 0]
+        history_b = np.empty((1, 2, filters))
+        history_b[0, 0] = throughput.bias
+        history_b[0, 1] = delay.bias
+        merge = trunk._merge.layers[0]
+        return StackedWeights(
+            trunk.num_bitrates,
+            scalar_w,
+            scalar_b,
+            history_w,
+            history_b,
+            sizes.weight[None, :, 0],
+            sizes.bias[None],
+            merge.weight[None],
+            merge.bias[None],
+            self.head.weight[None],
+            self.head.bias[None],
+        )
+
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        """Index-keyed copies of every parameter, for ``.npz`` persistence
+        (see :meth:`repro.experiments.artifacts.ArtifactCache.store_arrays`)."""
+        return _export_arrays(_keyed("p", self.params))
+
+    def load_state_arrays(self, arrays) -> None:
+        """Checked in-place load of a :meth:`state_arrays` mapping.
+
+        Nothing is written unless every array has its key, its shape and
+        only finite values.
+        """
+        _load_arrays(_keyed("p", self.params), arrays)
+
+
+class ActorNetwork(PensieveNetwork):
+    """Policy network: trunk features -> softmax over ladder rungs."""
+
+    def __init__(
+        self,
+        num_bitrates: int,
+        rng: np.random.Generator,
+        filters: int = 16,
+        hidden: int = 64,
+    ) -> None:
+        super().__init__(num_bitrates, rng, filters, hidden, num_bitrates)
 
     def logits(self, observations: np.ndarray) -> np.ndarray:
         """Unnormalized action scores, shape ``(batch, num_bitrates)``."""
@@ -301,31 +396,22 @@ class ActorNetwork:
         self, observations: np.ndarray, row_stable: bool = False
     ) -> np.ndarray:
         """Gradient-free action distribution, bitwise-identical to
-        :meth:`probabilities` but through the fused trunk forward.
+        :meth:`probabilities` but through :func:`stacked_forward` on the
+        live weights.
 
         ``row_stable=True`` makes each row bitwise-equal to a
-        single-observation call (see :meth:`PensieveTrunk.features_inference`).
+        single-observation call.
         """
-        features = self.trunk.features_inference(observations, row_stable)
         return softmax(
-            _matmul(features, self.head.weight, row_stable) + self.head.bias
+            stacked_forward(self.inference_weights(), observations, row_stable)[0]
         )
 
     def backward(self, grad_logits: np.ndarray) -> None:
         """Backpropagate a gradient on the logits through head and trunk."""
         self.trunk.backward(self.head.backward(grad_logits))
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        """Index-keyed copies of every parameter, for ``.npz`` persistence
-        (see :meth:`repro.experiments.artifacts.ArtifactCache.store_arrays`)."""
-        return _export_params(self.params)
 
-    def load_state_arrays(self, arrays) -> None:
-        """Shape-checked in-place load of a :meth:`state_arrays` mapping."""
-        _import_params(self.params, arrays)
-
-
-class CriticNetwork:
+class CriticNetwork(PensieveNetwork):
     """Value network: trunk features -> scalar state value."""
 
     def __init__(
@@ -335,21 +421,7 @@ class CriticNetwork:
         filters: int = 16,
         hidden: int = 64,
     ) -> None:
-        self.trunk = PensieveTrunk(num_bitrates, rng, filters=filters, hidden=hidden)
-        self.head = Dense(hidden, 1, rng)
-
-    @property
-    def params(self) -> list[np.ndarray]:
-        return self.trunk.params + self.head.params
-
-    @property
-    def grads(self) -> list[np.ndarray]:
-        return self.trunk.grads + self.head.grads
-
-    def zero_grads(self) -> None:
-        """Reset the gradient accumulators of trunk and head."""
-        self.trunk.zero_grads()
-        self.head.zero_grads()
+        super().__init__(num_bitrates, rng, filters, hidden, 1)
 
     def values(self, observations: np.ndarray) -> np.ndarray:
         """State values, shape ``(batch,)``."""
@@ -357,20 +429,10 @@ class CriticNetwork:
 
     def values_inference(self, observations: np.ndarray) -> np.ndarray:
         """Gradient-free state values, bitwise-identical to :meth:`values`
-        but through the fused trunk forward."""
-        features = self.trunk.features_inference(observations)
-        return (features @ self.head.weight + self.head.bias)[:, 0]
+        but through :func:`stacked_forward` on the live weights."""
+        return stacked_forward(self.inference_weights(), observations)[0, :, 0]
 
     def backward(self, grad_values: np.ndarray) -> None:
         """Backpropagate a gradient on the scalar values."""
         grad = np.asarray(grad_values, dtype=float).reshape(-1, 1)
         self.trunk.backward(self.head.backward(grad))
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        """Index-keyed copies of every parameter, for ``.npz`` persistence
-        (see :meth:`repro.experiments.artifacts.ArtifactCache.store_arrays`)."""
-        return _export_params(self.params)
-
-    def load_state_arrays(self, arrays) -> None:
-        """Shape-checked in-place load of a :meth:`state_arrays` mapping."""
-        _import_params(self.params, arrays)

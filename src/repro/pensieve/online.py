@@ -23,25 +23,13 @@ import numpy as np
 
 from repro.errors import TrainingError
 from repro.pensieve.agent import PensieveAgent
+from repro.pensieve.model import _keyed, _load_arrays
 from repro.pensieve.training import A2CTrainer, TrainingConfig
 from repro.traces.trace import Trace
 from repro.video.manifest import VideoManifest
 from repro.video.qoe import QoEMetric
 
 __all__ = ["FineTuneResult", "warm_start_trainer", "fine_tune"]
-
-
-def _copy_params(destination: list[np.ndarray], source: list[np.ndarray]) -> None:
-    if len(destination) != len(source):
-        raise TrainingError(
-            f"parameter count mismatch: {len(destination)} vs {len(source)}"
-        )
-    for dst, src in zip(destination, source):
-        if dst.shape != src.shape:
-            raise TrainingError(
-                f"parameter shape mismatch: {dst.shape} vs {src.shape}"
-            )
-        dst[...] = src
 
 
 def warm_start_trainer(
@@ -55,7 +43,7 @@ def warm_start_trainer(
 
     The trainer's architecture hyperparameters (filters/hidden) must match
     the agent's; the configured seed only affects exploration, not the
-    starting point.  The weights are loaded, shape-checked, into the
+    starting point.  The weights are checked, then loaded into the
     trainer's member 0 (its stacked slice 0 and its member networks).
     """
     if agent.critic is None:
@@ -70,7 +58,11 @@ def warm_start_trainer(
         (trainer.stacked_actor, agent.actor),
         (trainer.stacked_critic, agent.critic),
     ):
-        _copy_params([param[0] for param in stacked.params], source.params)
+        _load_arrays(
+            _keyed("p", [param[0] for param in stacked.params]),
+            source.state_arrays(),
+            TrainingError,
+        )
         stacked.write_back()
     return trainer
 

@@ -43,7 +43,14 @@ from repro.nn.losses import entropy as probs_entropy
 from repro.nn.losses import softmax
 from repro.nn.optim import StackedRMSProp
 from repro.pensieve.agent import PensieveAgent
-from repro.pensieve.model import ActorNetwork, CriticNetwork
+from repro.pensieve.model import (
+    ActorNetwork,
+    CriticNetwork,
+    _export_arrays,
+    _keyed,
+    _load_arrays,
+    stacked_forward,
+)
 from repro.pensieve.stacked import StackedTrainingNetwork
 from repro.traces.trace import Trace
 from repro.util.rng import rng_from_seed
@@ -131,32 +138,6 @@ def _grad_norm(grads: list[np.ndarray]) -> float:
     """L2 norm over a parameter-gradient list (observability only —
     never feeds back into training)."""
     return float(np.sqrt(sum(float(np.sum(np.square(grad))) for grad in grads)))
-
-
-def _export_arrays(
-    arrays: dict[str, np.ndarray], prefix: str, values: list[np.ndarray]
-) -> None:
-    """Copy *values* into checkpoint *arrays* keyed ``{prefix}{index}``."""
-    for index, value in enumerate(values):
-        arrays[f"{prefix}{index}"] = value.copy()
-
-
-def _restore_arrays(
-    targets: list[np.ndarray], arrays: dict[str, np.ndarray], prefix: str
-) -> None:
-    """Shape-checked in-place load of *targets* from checkpoint arrays
-    keyed ``{prefix}{index}`` (parameters or optimizer accumulators)."""
-    for index, target in enumerate(targets):
-        key = f"{prefix}{index}"
-        if key not in arrays:
-            raise TrainingError(f"checkpoint missing array {key}")
-        value = np.asarray(arrays[key], dtype=float)
-        if value.shape != target.shape:
-            raise TrainingError(
-                f"checkpoint array {key} shape {value.shape} != "
-                f"expected {target.shape}"
-            )
-        target[...] = value
 
 
 def _member_networks(
@@ -385,11 +366,7 @@ class A2CTrainer:
         the stacked RMSProp accumulators (member *m*'s state is slice
         ``m``); the meta carries every member's RNG state and summaries.
         """
-        arrays: dict[str, np.ndarray] = {}
-        _export_arrays(arrays, "actor_p", self.stacked_actor.params)
-        _export_arrays(arrays, "critic_p", self.stacked_critic.params)
-        _export_arrays(arrays, "actor_ms", self._actor_opt._mean_square)
-        _export_arrays(arrays, "critic_ms", self._critic_opt._mean_square)
+        arrays = _export_arrays(self._checkpoint_arrays())
         meta = {
             "engine": "lockstep",
             "seeds": list(self.seeds),
@@ -407,6 +384,15 @@ class A2CTrainer:
         }
         return meta, arrays
 
+    def _checkpoint_arrays(self) -> dict[str, np.ndarray]:
+        """The live arrays a checkpoint holds, by checkpoint key."""
+        return {
+            **_keyed("actor_p", self.stacked_actor.params),
+            **_keyed("critic_p", self.stacked_critic.params),
+            **_keyed("actor_ms", self._actor_opt._mean_square),
+            **_keyed("critic_ms", self._critic_opt._mean_square),
+        }
+
     def restore_checkpoint(
         self, meta: dict, arrays: dict[str, np.ndarray]
     ) -> None:
@@ -418,10 +404,7 @@ class A2CTrainer:
             seeds=list(self.seeds),
             epochs_total=self.config.epochs,
         )
-        _restore_arrays(self.stacked_actor.params, arrays, "actor_p")
-        _restore_arrays(self.stacked_critic.params, arrays, "critic_p")
-        _restore_arrays(self._actor_opt._mean_square, arrays, "actor_ms")
-        _restore_arrays(self._critic_opt._mean_square, arrays, "critic_ms")
+        _load_arrays(self._checkpoint_arrays(), arrays, TrainingError)
         for rng, rng_state, summary, saved in zip(
             self._rngs, meta["rng_states"], self.summaries, meta["summaries"]
         ):
@@ -437,6 +420,10 @@ class A2CTrainer:
         members.  Fills the preallocated buffers and returns each
         member's mean raw episode return."""
         config = self.config
+        # The weights only change in _update, so one snapshot per rollout
+        # sees everything written since: the last update, a warm start or
+        # a restored checkpoint.
+        weights = self.stacked_actor.snapshot()
         members = len(self.seeds)
         horizon = self._horizon
         raw = np.empty((members, config.episodes_per_epoch))
@@ -452,7 +439,7 @@ class A2CTrainer:
             for t in range(horizon):
                 self._observations[:, base + t] = self._current
                 probabilities = softmax(
-                    self.stacked_actor.lockstep_outputs(self._current)
+                    stacked_forward(weights, self._current[:, None])[:, 0]
                 )
                 for index, (rng, env) in enumerate(zip(self._rngs, envs)):
                     action = int(rng.choice(num_actions, p=probabilities[index]))

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 import pytest
 
-from repro.errors import ChaosError, CheckpointError
+from repro.errors import ChaosError, CheckpointError, TrainingError
 from repro.experiments.artifacts import ArtifactCache
 from repro.parallel import chaos
 from repro.pensieve.checkpoint import (
@@ -36,6 +36,7 @@ from repro.pensieve.ensemble import (
 from repro.pensieve.training import A2CTrainer, TrainingConfig
 from repro.traces.dataset import make_dataset
 from repro.video.envivio import envivio_dash3_manifest
+from tests.pensieve_oracles import train_agents
 
 SEEDS = (0, 1, 2)
 
@@ -169,6 +170,18 @@ class TestTrainerResume:
     def test_lockstep_bitwise_resume(self, manifest, split, config, tmp_path):
         self._resume_matches(manifest, split, config, tmp_path, SEEDS)
 
+    def test_resume_matches_per_member_oracle(self, manifest, split, config, tmp_path):
+        # The restore writes the stacked weights in place after the
+        # trainer is built; the resumed rollouts must act on them, as the
+        # uninterrupted per-member loop does.
+        checkpointer = Checkpointer(_cache(tmp_path), "a2c", every=1)
+        _interrupted(manifest, split, config, SEEDS[:1], checkpointer)
+        resumed = A2CTrainer(manifest, split.train, SEEDS[:1], config=config)
+        resumed.checkpointer = checkpointer
+        (agent,) = resumed.train()
+        (reference,) = train_agents(manifest, split.train, config, SEEDS[:1])
+        _assert_same_state(_agent_state(agent), _agent_state(reference))
+
     def test_checkpoint_from_other_seeds_rejected(
         self, manifest, split, config, tmp_path
     ):
@@ -200,6 +213,24 @@ class TestTrainerResume:
         trainer.checkpointer = checkpointer
         with pytest.raises(CheckpointError, match="engine mismatch"):
             trainer.train()
+
+    def test_non_finite_checkpoint_refused_before_any_write(
+        self, manifest, split, config
+    ):
+        trainer = A2CTrainer(manifest, split.train, SEEDS[:1], config=config)
+        meta, arrays = trainer.checkpoint_payload()
+        meta["schema"] = CHECKPOINT_SCHEMA_VERSION
+        before = [param.copy() for param in trainer.stacked_actor.params]
+        poisoned = dict(arrays, critic_ms0=np.full_like(arrays["critic_ms0"], np.nan))
+        for name in arrays:
+            if name.startswith("actor_p"):
+                poisoned[name] = arrays[name] + 1.0
+        with pytest.raises(TrainingError, match="non-finite"):
+            trainer.restore_checkpoint(meta, poisoned)
+        # The actor arrays load before the critic's accumulators; the
+        # refusal comes before any of them is written.
+        for param, old in zip(trainer.stacked_actor.params, before):
+            assert np.array_equal(param, old)
 
 
 class TestEnsembleResume:

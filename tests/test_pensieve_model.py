@@ -117,6 +117,40 @@ class TestCriticNetwork:
             assert relative_error(grad, numeric) < 1e-5
 
 
+def _small_actor(seed):
+    return ActorNetwork(NUM_BITRATES, np.random.default_rng(seed), filters=4, hidden=8)
+
+
+class TestLoadStateArrays:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refused(self, bad):
+        actor = _small_actor(5)
+        arrays = actor.state_arrays()
+        head_weight = f"p{len(actor.params) - 2}"
+        arrays[head_weight] = np.full_like(arrays[head_weight], bad)
+        with pytest.raises(ModelError, match="non-finite"):
+            actor.load_state_arrays(arrays)
+        agent = PensieveAgent(np.arange(1, NUM_BITRATES + 1) * 500.0, actor)
+        assert np.all(np.isfinite(agent.action_probabilities(np.zeros((6, 8)))))
+
+    @pytest.mark.parametrize("fault", ["shape", "nan", "missing"])
+    def test_refused_load_leaves_every_param_unchanged(self, fault):
+        actor = _small_actor(5)
+        before = [param.copy() for param in actor.params]
+        arrays = _small_actor(6).state_arrays()
+        last = f"p{len(actor.params) - 1}"
+        if fault == "shape":
+            arrays[last] = np.zeros(arrays[last].size + 1)
+        elif fault == "nan":
+            arrays[last][0] = np.nan
+        else:
+            del arrays[last]
+        with pytest.raises(ModelError):
+            actor.load_state_arrays(arrays)
+        for param, old in zip(actor.params, before):
+            assert np.array_equal(param, old)
+
+
 @pytest.fixture(scope="module")
 def abr_observations(manifest):
     """Observations of real ABR sessions (two traces under BB)."""
@@ -154,11 +188,6 @@ class TestRowStableForward:
             assert rows.shape == (batch, len(manifest.bitrates_kbps))
             for offset in range(batch):
                 assert rows[offset].tobytes() == single[start + offset]
-
-    def test_features_match_plain_forward_values(self, manifest, abr_observations):
-        trunk = _abr_actor(manifest).trunk
-        stable = trunk.features_inference(abr_observations, row_stable=True)
-        assert np.allclose(stable, trunk.features_inference(abr_observations))
 
 
 class TestActBatch:

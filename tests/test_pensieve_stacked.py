@@ -12,84 +12,102 @@ from repro.core.ensemble_signals import (
 )
 from repro.errors import ModelError
 from repro.pensieve.agent import PensieveAgent, PensieveValueFunction
-from repro.pensieve.model import ActorNetwork, CriticNetwork
-from repro.pensieve.stacked import StackedActorEnsemble, StackedCriticEnsemble
+from repro.pensieve.model import ActorNetwork, CriticNetwork, stacked_forward
+from repro.pensieve.stacked import StackedEnsemble
 from repro.util.rng import rng_from_seed
 
 NUM_BITRATES = 6
 BITRATES = [300.0, 750.0, 1200.0, 1850.0, 2850.0, 4300.0]
 
 
-def make_actors(count=5, filters=8, hidden=48, base_seed=10):
+def make_networks(network, count=5, filters=8, hidden=48, base_seed=10):
     return [
-        ActorNetwork(
+        network(
             NUM_BITRATES, rng_from_seed(base_seed + i), filters=filters, hidden=hidden
         )
         for i in range(count)
     ]
+
+
+def make_actors(count=5, filters=8, hidden=48, base_seed=10):
+    return make_networks(ActorNetwork, count, filters, hidden, base_seed)
 
 
 def make_critics(count=5, filters=8, hidden=48, base_seed=20):
-    return [
-        CriticNetwork(
-            NUM_BITRATES, rng_from_seed(base_seed + i), filters=filters, hidden=hidden
-        )
-        for i in range(count)
-    ]
+    return make_networks(CriticNetwork, count, filters, hidden, base_seed)
 
 
 def observations(count, seed=0):
     return rng_from_seed(seed).normal(size=(count, 6, 8))
 
 
-class TestStackedActor:
+def layer_by_layer(network, batch):
+    """Head outputs through the layer objects, the training forward."""
+    return network.head.forward(network.trunk.forward(batch))
+
+
+class _StackedEnsembleCases:
+    """:class:`StackedEnsemble` against the member loop; the subclasses
+    run every case over actors and over critics."""
+
+    network = None
+
+    def make(self, **kwargs):
+        return make_networks(self.network, **kwargs)
+
     def test_bitwise_identical_to_member_loop(self):
-        actors = make_actors()
-        stacked = StackedActorEnsemble(actors)
+        networks = self.make()
+        stacked = StackedEnsemble(networks)
         for obs in observations(25):
-            reference = np.stack(
-                [actor.probabilities(obs[None])[0] for actor in actors]
-            )
-            assert np.array_equal(stacked.probabilities(obs), reference)
+            reference = np.stack([layer_by_layer(n, obs[None]) for n in networks])
+            assert np.array_equal(stacked.outputs(obs), reference)
+        # Per-member (members, batch, 6, 8) inputs: member m's rows are its
+        # own batch forward.
+        per_member = observations(5 * 3, seed=1).reshape(5, 3, 6, 8)
+        out = stacked.outputs(per_member)
+        for index, network in enumerate(networks):
+            reference = layer_by_layer(network, per_member[index])
+            assert np.array_equal(out[index], reference)
+        # Row-stable batches at M > 1: every row equals its lone forward.
+        batch = observations(7, seed=2)
+        stable = stacked_forward(stacked._weights, batch, row_stable=True)
+        for row, obs in enumerate(batch):
+            assert np.array_equal(stable[:, row], stacked.outputs(obs)[:, 0])
 
     def test_refresh_tracks_inplace_mutation(self):
-        actors = make_actors(count=3)
-        stacked = StackedActorEnsemble(actors)
+        networks = self.make(count=3)
+        stacked = StackedEnsemble(networks)
         obs = observations(1)[0]
-        actors[1].head.weight += 0.25
-        actors[1].trunk._merge.layers[0].weight *= 0.9
-        stale = stacked.probabilities(obs)
-        reference = np.stack(
-            [actor.probabilities(obs[None])[0] for actor in actors]
-        )
+        networks[1].head.weight += 0.25
+        networks[1].trunk._merge.layers[0].weight *= 0.9
+        stale = stacked.outputs(obs)
+        reference = np.stack([layer_by_layer(n, obs[None]) for n in networks])
         assert not np.array_equal(stale, reference)
         stacked.refresh()
-        assert np.array_equal(stacked.probabilities(obs), reference)
+        assert np.array_equal(stacked.outputs(obs), reference)
 
     def test_mixed_architectures_rejected(self):
-        actors = make_actors(count=2) + make_actors(count=1, hidden=24)
-        with pytest.raises(ModelError):
-            StackedActorEnsemble(actors)
+        for odd in (dict(hidden=24), dict(filters=4)):
+            with pytest.raises(ModelError):
+                StackedEnsemble(self.make(count=2) + self.make(count=1, **odd))
 
     def test_empty_rejected(self):
         with pytest.raises(ModelError):
-            StackedActorEnsemble([])
+            StackedEnsemble([])
+
+    def test_bad_observation_shape_rejected(self):
+        stacked = StackedEnsemble(self.make(count=2))
+        for shape in ((6, 9), (3, 6, 8, 1), (3, 1, 6, 8)):
+            with pytest.raises(ModelError):
+                stacked.outputs(np.zeros(shape))
 
 
-class TestStackedCritic:
-    def test_bitwise_identical_to_member_loop(self):
-        critics = make_critics()
-        stacked = StackedCriticEnsemble(critics)
-        for obs in observations(25):
-            reference = np.array(
-                [critic.values(obs[None])[0] for critic in critics]
-            )
-            assert np.array_equal(stacked.values(obs), reference)
+class TestStackedActor(_StackedEnsembleCases):
+    network = ActorNetwork
 
-    def test_mixed_architectures_rejected(self):
-        critics = make_critics(count=2) + make_critics(count=1, filters=4)
-        with pytest.raises(ModelError):
-            StackedCriticEnsemble(critics)
+
+class TestStackedCritic(_StackedEnsembleCases):
+    network = CriticNetwork
 
 
 class TestFusedInferenceForward:

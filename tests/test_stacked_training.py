@@ -17,7 +17,7 @@ from repro.nn.layers import Conv1D, Dense, StackedConv1D, StackedDense
 from repro.nn.optim import RMSProp, StackedRMSProp
 from repro.nn.recurrent import GRU, StackedGRU
 from repro.pensieve.ensemble import train_value_ensemble
-from repro.pensieve.model import ActorNetwork, CriticNetwork
+from repro.pensieve.model import ActorNetwork
 from repro.pensieve.stacked import StackedTrainingNetwork
 from repro.pensieve.training import (
     A2CTrainer,
@@ -160,18 +160,6 @@ class TestStackedTrainingNetwork:
             actor.backward(grad[index])
             for stacked_grad, member_grad in zip(stacked.grads, actor.grads):
                 assert np.array_equal(stacked_grad[index], member_grad)
-
-    def test_lockstep_outputs_match_inference(self):
-        rng = rng_from_seed(9)
-        critics = [CriticNetwork(6, rng_from_seed(s), filters=4, hidden=16) for s in range(MEMBERS)]
-        stacked = StackedTrainingNetwork(critics)
-        obs = rng.normal(size=(MEMBERS, 6, 8))
-        out = stacked.lockstep_outputs(obs)
-        for index, critic in enumerate(critics):
-            expected = critic.values_inference(obs[index][None])
-            assert np.array_equal(out[index], expected)
-        with pytest.raises(ModelError):
-            stacked.lockstep_outputs(rng.normal(size=(MEMBERS, 6, 9)))
 
     def test_stacked_backward_against_numerical_gradient(self):
         # Gradcheck of the new stacked backward: perturb entries of the

@@ -47,10 +47,11 @@ import numpy as np
 from repro.config import FAST
 from repro.core.osap import SafetyConfig
 from repro.experiments.training_runs import run_all_distributions
+from repro.nn.losses import softmax
 from repro.novelty.kernels import rbf_kernel
 from repro.novelty.ocsvm import OneClassSVM
 from repro.pensieve.model import ActorNetwork
-from repro.pensieve.stacked import StackedActorEnsemble
+from repro.pensieve.stacked import StackedEnsemble
 from repro.pensieve.training import TrainingConfig
 from repro.util.rng import rng_from_seed
 
@@ -155,7 +156,7 @@ def bench_stacked_forward(members: int = 5, steps: int = 400) -> dict:
         ActorNetwork(6, rng_from_seed(100 + i), filters=8, hidden=48)
         for i in range(members)
     ]
-    stacked = StackedActorEnsemble(actors)
+    stacked = StackedEnsemble(actors)
     observations = rng_from_seed(7).normal(size=(steps, 6, 8))
 
     start = time.perf_counter()
@@ -166,7 +167,7 @@ def bench_stacked_forward(members: int = 5, steps: int = 400) -> dict:
     loop_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    stacked_out = [stacked.probabilities(obs) for obs in observations]
+    stacked_out = [softmax(stacked.outputs(obs))[:, 0] for obs in observations]
     stacked_s = time.perf_counter() - start
 
     identical = all(
