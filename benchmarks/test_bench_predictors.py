@@ -1,8 +1,8 @@
 """Predictor bake-off: one-step-ahead throughput prediction accuracy.
 
 Backtests every predictor the library ships — classical estimators, the
-CS2P-style Markov chain, the Fugu-style MLP, and the GRU — on held-out
-traces from a correlated (norway) and an i.i.d. (gamma_2_2) dataset.
+CS2P-style Markov chain and the Fugu-style MLP — on held-out traces from
+a correlated (norway) and an i.i.d. (gamma_2_2) dataset.
 Expected shape: on correlated cellular traces the adaptive/learned
 predictors beat windowed means; on i.i.d. traces nothing can beat
 predicting the mean, and the learned models must not do worse.
@@ -20,7 +20,6 @@ from repro.predictors import (
     MovingAveragePredictor,
     backtest_predictor,
     train_neural_predictor,
-    train_recurrent_predictor,
 )
 from repro.traces.dataset import make_dataset
 from repro.util.tables import render_table
@@ -52,7 +51,6 @@ def build_predictors(train_series):
         "holt": HoltPredictor(),
         "markov (CS2P-like)": MarkovPredictor(num_bins=16).fit(train_series),
         "mlp (Fugu-like)": train_neural_predictor(train_series, epochs=250, seed=0),
-        "gru": train_recurrent_predictor(train_series, epochs=120, seed=0),
     }
 
 
@@ -80,18 +78,16 @@ def test_predictor_bakeoff_table(benchmark, prediction_data, emit):
     # Sanity: on correlated traces, the best adaptive predictor beats the
     # worst windowed mean by a clear margin.
     norway = {row[0]: row[1] for row in tables["norway"]}
-    assert min(norway["last-sample"], norway["mlp (Fugu-like)"], norway["gru"]) < (
+    assert min(norway["last-sample"], norway["mlp (Fugu-like)"]) < (
         norway["moving-average"]
     )
 
 
-@pytest.mark.parametrize("kind", ["mlp", "gru", "markov"])
+@pytest.mark.parametrize("kind", ["mlp", "markov"])
 def test_learned_predictor_inference_cost(benchmark, prediction_data, kind):
     train_series, _ = prediction_data["norway"]
     if kind == "mlp":
         predictor = train_neural_predictor(train_series, epochs=20, seed=0)
-    elif kind == "gru":
-        predictor = train_recurrent_predictor(train_series, epochs=10, seed=0)
     else:
         predictor = MarkovPredictor(num_bins=16).fit(train_series)
     for sample in train_series[0][:16]:

@@ -41,7 +41,6 @@ from repro.novelty import KDEDetector, MahalanobisDetector, OneClassSVM
 from repro.parallel import parallel_map
 from repro.pensieve import A2CTrainer, PensieveAgent, TrainingConfig
 from repro.policies import (
-    BolaPolicy,
     BufferBasedPolicy,
     ConstantPolicy,
     PredictiveMPCPolicy,
@@ -58,7 +57,6 @@ __version__ = "1.0.0"
 __all__ = [
     "A2CTrainer",
     "ABREnv",
-    "BolaPolicy",
     "BufferBasedPolicy",
     "ConstantPolicy",
     "Dataset",

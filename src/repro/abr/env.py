@@ -109,7 +109,11 @@ class ABREnv:
         start_offset_s: float = 0.0,
     ) -> None:
         self._setup(
-            _StepTables(manifest, qoe_metric), trace, rtt_s, max_buffer_s, start_offset_s
+            _StepTables(manifest, qoe_metric),
+            trace,
+            rtt_s,
+            max_buffer_s,
+            start_offset_s,
         )
 
     @classmethod

@@ -35,7 +35,9 @@ _THROUGHPUT_NORM_MBPS = 8.0
 _BYTES_PER_MB = 1e6
 
 
-def next_size_rows(chunk_sizes_bytes: np.ndarray, num_bitrates: int) -> list[np.ndarray]:
+def next_size_rows(
+    chunk_sizes_bytes: np.ndarray, num_bitrates: int
+) -> list[np.ndarray]:
     """Row 4 for every next chunk of a video, normalised once.
 
     Entry ``n`` holds chunk ``n``'s sizes in MB, zero-padded to

@@ -102,7 +102,9 @@ def render_report(
         for scheme, values in fig1["series"].items()
     ]
     parts.append("### Figure 1 — in-distribution QoE (train = test)\n")
-    parts.append("```\n" + render_table(["scheme"] + fig1["datasets"], rows) + "\n```\n")
+    parts.append(
+        "```\n" + render_table(["scheme"] + fig1["datasets"], rows) + "\n```\n"
+    )
     fig2 = figure2(config, matrix=matrix)
     for train, panel in fig2.items():
         parts.append(f"### Figure 2 — trained on {train}, raw QoE\n")
@@ -159,7 +161,9 @@ def render_report(
     rows = []
     for scheme, cdf in fig5["cdfs"].items():
         values = cdf["values"]
-        quartiles = [values[int(q * (len(values) - 1))] for q in (0.0, 0.25, 0.5, 0.75, 1.0)]
+        quartiles = [
+            values[int(q * (len(values) - 1))] for q in (0.0, 0.25, 0.5, 0.75, 1.0)
+        ]
         rows.append([scheme] + [round(v, 2) for v in quartiles])
     parts.append(
         "```\n"

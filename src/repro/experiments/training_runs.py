@@ -140,7 +140,9 @@ def _sweep_sessions(
     order and reduce to mean (QoE, default fraction) per
     ``(policy, group)``."""
     grouped: dict[tuple[str, str], list[tuple[float, float]]] = {}
-    with obs.span("experiment.sweep_sessions", tasks=len(tasks), policies=len(policies)):
+    with obs.span(
+        "experiment.sweep_sessions", tasks=len(tasks), policies=len(policies)
+    ):
         for policy_key, group_key, index, seed in tasks:
             result = run_session(
                 policies[policy_key],

@@ -8,8 +8,6 @@ package provides:
   :class:`~repro.mdp.interfaces.Policy`, and
   :class:`~repro.mdp.interfaces.ValueFunction` protocols that both the ABR
   case study and the toy environments implement,
-* an explicit tabular :class:`~repro.mdp.mdp.TabularMDP` with value
-  iteration and policy evaluation (:mod:`repro.mdp.mdp`),
 * trajectory collection utilities (:mod:`repro.mdp.rollout`), and
 * a :class:`~repro.mdp.gridworld.GridWorld` whose dynamics can be shifted in
   a controlled way, used to validate that the uncertainty signals fire
@@ -18,7 +16,6 @@ package provides:
 
 from repro.mdp.gridworld import GridWorld, make_shifted_gridworld
 from repro.mdp.interfaces import Environment, Policy, StepResult, ValueFunction
-from repro.mdp.mdp import TabularMDP, policy_evaluation, value_iteration
 from repro.mdp.qlearning import (
     QLearningAgent,
     grid_state_indexer,
@@ -32,15 +29,12 @@ __all__ = [
     "Policy",
     "QLearningAgent",
     "StepResult",
-    "TabularMDP",
     "Trajectory",
     "Transition",
     "ValueFunction",
     "discounted_returns",
     "grid_state_indexer",
     "make_shifted_gridworld",
-    "policy_evaluation",
     "rollout",
     "train_q_learning",
-    "value_iteration",
 ]

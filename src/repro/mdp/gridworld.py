@@ -49,7 +49,9 @@ class GridWorld:
         if not 0.0 <= slip <= 1.0:
             raise ConfigError(f"slip must be in [0, 1], got {slip}")
         if observation_noise < 0:
-            raise ConfigError(f"observation_noise must be >= 0, got {observation_noise}")
+            raise ConfigError(
+                f"observation_noise must be >= 0, got {observation_noise}"
+            )
         if max_episode_steps <= 0:
             raise ConfigError(
                 f"max_episode_steps must be positive, got {max_episode_steps}"
@@ -89,7 +91,9 @@ class GridWorld:
     def step(self, action: int) -> StepResult:
         """Move (with slip), reward, and signal termination at the goal."""
         if not 0 <= action < self.num_actions:
-            raise ConfigError(f"action must be in [0, {self.num_actions}), got {action}")
+            raise ConfigError(
+                f"action must be in [0, {self.num_actions}), got {action}"
+            )
         if self._rng.random() < self.slip:
             action = int(self._rng.integers(self.num_actions))
         row, col = self._position

@@ -18,17 +18,10 @@ All arrays are ``float64`` and batch-first.
 
 from repro.nn.gradcheck import numerical_gradient, relative_error
 from repro.nn.initializers import glorot_uniform, he_normal, normal, zeros
-from repro.nn.layers import Conv1D, Dense, Flatten, Layer, LeakyReLU, ReLU, Tanh
-from repro.nn.losses import (
-    entropy,
-    kl_divergence,
-    log_softmax,
-    mean_squared_error,
-    softmax,
-    softmax_cross_entropy,
-)
+from repro.nn.layers import Conv1D, Dense, Flatten, Layer, ReLU, Tanh
+from repro.nn.losses import entropy, kl_divergence, softmax
 from repro.nn.network import Sequential, build_mlp
-from repro.nn.optim import SGD, Adam, Optimizer, RMSProp
+from repro.nn.optim import Adam, Optimizer, RMSProp
 
 __all__ = [
     "Adam",
@@ -36,11 +29,9 @@ __all__ = [
     "Dense",
     "Flatten",
     "Layer",
-    "LeakyReLU",
     "Optimizer",
     "ReLU",
     "RMSProp",
-    "SGD",
     "Sequential",
     "Tanh",
     "build_mlp",
@@ -48,12 +39,9 @@ __all__ = [
     "glorot_uniform",
     "he_normal",
     "kl_divergence",
-    "log_softmax",
-    "mean_squared_error",
     "normal",
     "numerical_gradient",
     "relative_error",
     "softmax",
-    "softmax_cross_entropy",
     "zeros",
 ]

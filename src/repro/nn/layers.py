@@ -31,7 +31,6 @@ __all__ = [
     "Layer",
     "Dense",
     "ReLU",
-    "LeakyReLU",
     "Tanh",
     "Conv1D",
     "Flatten",
@@ -80,7 +79,8 @@ class Dense(Layer):
     ) -> None:
         if in_features <= 0 or out_features <= 0:
             raise ModelError(
-                f"Dense dimensions must be positive, got ({in_features}, {out_features})"
+                "Dense dimensions must be positive, got "
+                f"({in_features}, {out_features})"
             )
         self.weight = initializer((in_features, out_features), rng)
         self.bias = zeros((out_features,), rng)
@@ -129,25 +129,6 @@ class ReLU(Layer):
         return grad_out * self._mask
 
 
-class LeakyReLU(Layer):
-    """Leaky rectifier; keeps a small gradient on the negative side."""
-
-    def __init__(self, negative_slope: float = 0.01) -> None:
-        if negative_slope < 0:
-            raise ModelError(f"negative_slope must be >= 0, got {negative_slope}")
-        self.negative_slope = negative_slope
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, self.negative_slope * x)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise ModelError("backward called before forward")
-        return np.where(self._mask, grad_out, self.negative_slope * grad_out)
-
-
 class Tanh(Layer):
     """Elementwise hyperbolic tangent."""
 
@@ -193,7 +174,8 @@ class Conv1D(Layer):
         x = np.asarray(x, dtype=float)
         if x.ndim != 3 or x.shape[1] != self.weight.shape[1]:
             raise ModelError(
-                f"Conv1D expected (batch, {self.weight.shape[1]}, length), got {x.shape}"
+                f"Conv1D expected (batch, {self.weight.shape[1]}, length), "
+                f"got {x.shape}"
             )
         if x.shape[2] < self.kernel_size:
             raise ModelError(
@@ -265,7 +247,9 @@ class StackedDense(Layer):
         weight = np.asarray(weight, dtype=float)
         bias = np.asarray(bias, dtype=float)
         if weight.ndim != 3:
-            raise ModelError(f"stacked weight must be (members, in, out), got {weight.shape}")
+            raise ModelError(
+                f"stacked weight must be (members, in, out), got {weight.shape}"
+            )
         if bias.shape != (weight.shape[0], weight.shape[2]):
             raise ModelError(
                 f"stacked bias {bias.shape} does not match weight {weight.shape}"
@@ -300,7 +284,11 @@ class StackedDense(Layer):
             layer.bias[...] = self.bias[index]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 3 or x.shape[0] != self.weight.shape[0] or x.shape[2] != self.weight.shape[1]:
+        if (
+            x.ndim != 3
+            or x.shape[0] != self.weight.shape[0]
+            or x.shape[2] != self.weight.shape[1]
+        ):
             raise ModelError(
                 f"StackedDense expected ({self.weight.shape[0]}, batch, "
                 f"{self.weight.shape[1]}), got {x.shape}"
@@ -378,7 +366,11 @@ class StackedConv1D(Layer):
             layer.bias[...] = self.bias[index]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 4 or x.shape[0] != self.weight.shape[0] or x.shape[2] != self.weight.shape[2]:
+        if (
+            x.ndim != 4
+            or x.shape[0] != self.weight.shape[0]
+            or x.shape[2] != self.weight.shape[2]
+        ):
             raise ModelError(
                 f"StackedConv1D expected ({self.weight.shape[0]}, batch, "
                 f"{self.weight.shape[2]}, length), got {x.shape}"
@@ -395,7 +387,9 @@ class StackedConv1D(Layer):
             out += np.einsum("mbcl,moc->mbol", segment, self.weight[:, :, :, offset])
         return out + self.bias[:, None, :, None]
 
-    def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+    def backward(
+        self, grad_out: np.ndarray, input_grad: bool = True
+    ) -> np.ndarray | None:
         if self._x is None:
             raise ModelError("backward called before forward")
         x = self._x

@@ -1,6 +1,6 @@
 """Losses and probability helpers.
 
-Includes the numerically stable softmax family used by the actor network,
+Includes the numerically stable softmax used by the actor network,
 the KL divergence that defines the paper's ``U_pi`` uncertainty measure, and
 the entropy bonus used by the A2C trainer.
 """
@@ -11,9 +11,6 @@ import numpy as np
 
 __all__ = [
     "softmax",
-    "log_softmax",
-    "softmax_cross_entropy",
-    "mean_squared_error",
     "entropy",
     "kl_divergence",
 ]
@@ -27,52 +24,6 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = logits - logits.max(axis=axis, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=axis, keepdims=True)
-
-
-def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable log-softmax along *axis*."""
-    logits = np.asarray(logits, dtype=float)
-    shifted = logits - logits.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-
-
-def softmax_cross_entropy(
-    logits: np.ndarray, targets: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy between ``softmax(logits)`` and *targets*.
-
-    *targets* may be integer class labels of shape ``(batch,)`` or soft
-    target distributions of shape ``(batch, classes)``.  Returns the scalar
-    loss and its gradient with respect to *logits* (already averaged over
-    the batch), which is the standard ``softmax - target`` form.
-    """
-    logits = np.asarray(logits, dtype=float)
-    batch = logits.shape[0]
-    probs = softmax(logits)
-    targets = np.asarray(targets)
-    if targets.ndim == 1:
-        one_hot = np.zeros_like(probs)
-        one_hot[np.arange(batch), targets.astype(int)] = 1.0
-        targets = one_hot
-    loss = float(-(targets * log_softmax(logits)).sum() / batch)
-    grad = (probs - targets) / batch
-    return loss, grad
-
-
-def mean_squared_error(
-    predictions: np.ndarray, targets: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Mean squared error and its gradient with respect to *predictions*."""
-    predictions = np.asarray(predictions, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    if predictions.shape != targets.shape:
-        raise ValueError(
-            f"shape mismatch: predictions {predictions.shape} vs targets {targets.shape}"
-        )
-    diff = predictions - targets
-    loss = float(np.mean(diff**2))
-    grad = 2.0 * diff / diff.size
-    return loss, grad
 
 
 def entropy(probs: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -1,9 +1,8 @@
 """First-order optimizers operating on (params, grads) array lists.
 
 Pensieve's reference implementation trained the actor and critic with
-RMSProp; Adam and plain momentum SGD are provided as well.  Optimizers
-mutate parameter arrays in place so that layers, ensembles, and save/load
-all observe the same storage.
+RMSProp; Adam is provided as well.  Optimizers mutate parameter arrays in
+place so that layers, ensembles, and save/load all observe the same storage.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import numpy as np
 
 from repro.errors import ModelError
 
-__all__ = ["Optimizer", "SGD", "RMSProp", "Adam", "StackedRMSProp"]
+__all__ = ["Optimizer", "RMSProp", "Adam", "StackedRMSProp"]
 
 
 class Optimizer:
@@ -43,28 +42,6 @@ class Optimizer:
 
     def _update(self, index: int, param: np.ndarray, grad: np.ndarray) -> None:
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with classical momentum."""
-
-    def __init__(
-        self,
-        params: list[np.ndarray],
-        learning_rate: float = 1e-2,
-        momentum: float = 0.0,
-    ) -> None:
-        super().__init__(params, learning_rate)
-        if not 0.0 <= momentum < 1.0:
-            raise ModelError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p) for p in self.params]
-
-    def _update(self, index: int, param: np.ndarray, grad: np.ndarray) -> None:
-        velocity = self._velocity[index]
-        velocity *= self.momentum
-        velocity -= self.learning_rate * grad
-        param += velocity
 
 
 class RMSProp(Optimizer):

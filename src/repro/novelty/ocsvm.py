@@ -62,7 +62,9 @@ class OneClassSVM(NoveltyDetector):
 
     def _fit(self, samples: np.ndarray) -> None:
         n = samples.shape[0]
-        gamma = self.gamma if self.gamma is not None else median_heuristic_gamma(samples)
+        gamma = (
+            self.gamma if self.gamma is not None else median_heuristic_gamma(samples)
+        )
         self._gamma_value = gamma
         upper = 1.0 / (self.nu * n)
         kernel = rbf_kernel(samples, samples, gamma)

@@ -187,7 +187,9 @@ class _StackedTrainingTrunk:
             raise ModelError("backward called before forward")
         grad_concat = self._merge.backward(self._merge_relu.backward(grad_features))
         pieces = np.split(grad_concat, self._split_points, axis=2)
-        for layer, relu, piece in zip(self._scalar_layers, self._scalar_relus, pieces[:3]):
+        for layer, relu, piece in zip(
+            self._scalar_layers, self._scalar_relus, pieces[:3]
+        ):
             layer.backward(relu.backward(piece))
         for layer, relu, piece, shape in zip(
             self._conv_layers, self._conv_relus, pieces[3:], self._conv_shapes

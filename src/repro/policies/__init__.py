@@ -15,7 +15,6 @@
 """
 
 from repro.policies.base import ABRPolicy, DeterministicPolicy
-from repro.policies.bola import BolaPolicy
 from repro.policies.buffer_based import BufferBasedPolicy
 from repro.policies.constant import ConstantPolicy
 from repro.policies.mpc import RobustMPCPolicy
@@ -25,7 +24,6 @@ from repro.policies.rate_based import RateBasedPolicy
 
 __all__ = [
     "ABRPolicy",
-    "BolaPolicy",
     "BufferBasedPolicy",
     "ConstantPolicy",
     "DeterministicPolicy",

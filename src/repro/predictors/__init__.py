@@ -29,10 +29,6 @@ from repro.predictors.classic import (
 from repro.predictors.evaluation import backtest_predictor
 from repro.predictors.markov import MarkovPredictor
 from repro.predictors.neural import NeuralPredictor, train_neural_predictor
-from repro.predictors.recurrent import (
-    RecurrentPredictor,
-    train_recurrent_predictor,
-)
 
 __all__ = [
     "EWMAPredictor",
@@ -42,9 +38,7 @@ __all__ = [
     "MarkovPredictor",
     "MovingAveragePredictor",
     "NeuralPredictor",
-    "RecurrentPredictor",
     "ThroughputPredictor",
     "backtest_predictor",
     "train_neural_predictor",
-    "train_recurrent_predictor",
 ]

@@ -34,11 +34,8 @@ from repro.traces.trace import Trace
 from repro.traces.transforms import (
     add_cross_traffic,
     concatenate,
-    crop,
-    fair_share,
     inject_outages,
     scale,
-    time_warp,
 )
 
 __all__ = [
@@ -51,9 +48,7 @@ __all__ = [
     "add_cross_traffic",
     "belgium_4g_trace",
     "concatenate",
-    "crop",
     "exponential_trace",
-    "fair_share",
     "gamma_trace",
     "iid_trace",
     "inject_outages",
@@ -62,6 +57,5 @@ __all__ = [
     "norway_3g_trace",
     "read_mahimahi",
     "scale",
-    "time_warp",
     "write_mahimahi",
 ]

@@ -9,11 +9,9 @@ experiments build *graded* distribution shifts (is a 10% slowdown enough
 to trigger defaulting?  a 2x one?):
 
 * :func:`scale` — uniform capacity change (route change / plan change),
-* :func:`time_warp` — faster/slower dynamics (mobility change),
 * :func:`inject_outages` — periodic failures (handoffs, tunnels),
 * :func:`add_cross_traffic` — a competing flow stealing bandwidth,
-* :func:`concatenate` — splicing traces (regime switches mid-session),
-* :func:`crop` — cutting a window out of a longer trace.
+* :func:`concatenate` — splicing traces (regime switches mid-session).
 """
 
 from __future__ import annotations
@@ -26,12 +24,9 @@ from repro.util.rng import rng_from_seed
 
 __all__ = [
     "scale",
-    "time_warp",
     "inject_outages",
     "add_cross_traffic",
-    "fair_share",
     "concatenate",
-    "crop",
 ]
 
 _FLOOR_MBPS = 0.01
@@ -40,22 +35,6 @@ _FLOOR_MBPS = 0.01
 def scale(trace: Trace, factor: float) -> Trace:
     """Multiply all bandwidth by *factor* (capacity upgrade/downgrade)."""
     return trace.scaled(factor)
-
-
-def time_warp(trace: Trace, factor: float) -> Trace:
-    """Stretch (*factor* > 1) or compress (< 1) the time axis.
-
-    Bandwidth values are untouched; only how fast conditions change
-    changes — a warped i.i.d. trace is distributionally identical per
-    sample but differently correlated in wall-clock time.
-    """
-    if factor <= 0:
-        raise TraceError(f"time factor must be positive, got {factor}")
-    return Trace(
-        times=trace.times * factor,
-        bandwidths_mbps=trace.bandwidths_mbps.copy(),
-        name=f"{trace.name}~t{factor:g}",
-    )
 
 
 def inject_outages(
@@ -122,35 +101,6 @@ def add_cross_traffic(
     )
 
 
-def fair_share(
-    trace: Trace,
-    session_windows: list[tuple[float, float]],
-) -> Trace:
-    """The bandwidth one client sees when other sessions share the link.
-
-    *session_windows* lists the ``(start_s, end_s)`` intervals during
-    which each competing session is active; while ``k`` competitors are
-    active the client receives a ``1 / (k + 1)`` fair share.  This builds
-    the "addition/removal of traffic sources" shift the paper names as a
-    cause of train/test mismatch, endogenously rather than as noise.
-    """
-    for start, end in session_windows:
-        if not 0.0 <= start < end:
-            raise TraceError(
-                f"session window must satisfy 0 <= start < end, got ({start}, {end})"
-            )
-    bandwidths = trace.bandwidths_mbps.copy()
-    for index, time in enumerate(trace.times):
-        active = sum(1 for start, end in session_windows if start <= time < end)
-        if active:
-            bandwidths[index] /= active + 1
-    return Trace(
-        times=trace.times.copy(),
-        bandwidths_mbps=np.maximum(bandwidths, _FLOOR_MBPS),
-        name=f"{trace.name}+share{len(session_windows)}",
-    )
-
-
 def concatenate(first: Trace, second: Trace, name: str | None = None) -> Trace:
     """Splice *second* after *first* (a mid-session regime switch)."""
     offset = first.times[-1] + (
@@ -166,20 +116,4 @@ def concatenate(first: Trace, second: Trace, name: str | None = None) -> Trace:
         times=times,
         bandwidths_mbps=bandwidths,
         name=name or f"{first.name}+{second.name}",
-    )
-
-
-def crop(trace: Trace, start_s: float, end_s: float) -> Trace:
-    """Cut the window [start_s, end_s) out of *trace* (rebased to 0)."""
-    if not 0.0 <= start_s < end_s:
-        raise TraceError(f"need 0 <= start < end, got ({start_s}, {end_s})")
-    mask = (trace.times >= start_s) & (trace.times < end_s)
-    if mask.sum() < 2:
-        raise TraceError(
-            f"window [{start_s}, {end_s}) covers fewer than two samples"
-        )
-    return Trace(
-        times=trace.times[mask] - trace.times[mask][0],
-        bandwidths_mbps=trace.bandwidths_mbps[mask].copy(),
-        name=f"{trace.name}[{start_s:g}:{end_s:g}]",
     )

@@ -9,7 +9,6 @@ re-exported here and is imported by its full path.
 from repro.util.bootstrap import ConfidenceInterval, bootstrap_ci
 from repro.util.rng import child_rng, rng_from_seed, spawn_seeds
 from repro.util.stats import (
-    RunningStats,
     empirical_cdf,
     mean_std_window,
     normalize_scores,
@@ -18,7 +17,6 @@ from repro.util.stats import (
 
 __all__ = [
     "ConfidenceInterval",
-    "RunningStats",
     "bootstrap_ci",
     "child_rng",
     "empirical_cdf",

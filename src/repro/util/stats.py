@@ -1,63 +1,20 @@
 """Small statistics helpers used throughout the library.
 
-Includes Welford running moments, windowed mean/std features (the input
-representation of the paper's ``U_S`` novelty signal), the paper's score
-normalization (Random = 0, BB = 1), and empirical CDFs (Figure 5).
+Includes windowed mean/std features (the input representation of the
+paper's ``U_S`` novelty signal), the paper's score normalization
+(Random = 0, BB = 1), and empirical CDFs (Figure 5).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 __all__ = [
-    "RunningStats",
     "mean_std_window",
     "normalize_scores",
     "empirical_cdf",
     "summarize",
 ]
-
-
-@dataclass
-class RunningStats:
-    """Numerically stable (Welford) running mean and variance.
-
-    >>> stats = RunningStats()
-    >>> for x in [1.0, 2.0, 3.0]:
-    ...     stats.update(x)
-    >>> stats.mean
-    2.0
-    """
-
-    count: int = 0
-    mean: float = 0.0
-    _m2: float = field(default=0.0, repr=False)
-
-    def update(self, value: float) -> None:
-        """Fold one observation into the running moments."""
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
-
-    def update_many(self, values: np.ndarray) -> None:
-        """Fold a batch of observations into the running moments."""
-        for value in np.asarray(values, dtype=float).ravel():
-            self.update(float(value))
-
-    @property
-    def variance(self) -> float:
-        """Population variance of the observations seen so far."""
-        if self.count == 0:
-            return 0.0
-        return self._m2 / self.count
-
-    @property
-    def std(self) -> float:
-        """Population standard deviation of the observations seen so far."""
-        return float(np.sqrt(self.variance))
 
 
 def mean_std_window(values: np.ndarray, window: int) -> tuple[float, float]:

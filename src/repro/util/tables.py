@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-__all__ = ["render_table", "render_bar_chart", "render_cdf"]
+__all__ = ["render_table", "render_cdf"]
 
 
 def render_table(
@@ -33,7 +33,9 @@ def render_table(
                 f"row has {len(row)} cells but table has {len(headers)} columns"
             )
     widths = [
-        max(len(header), *(len(row[col]) for row in text_rows)) if text_rows else len(header)
+        max(len(header), *(len(row[col]) for row in text_rows))
+        if text_rows
+        else len(header)
         for col, header in enumerate(headers)
     ]
     lines = [
@@ -42,30 +44,6 @@ def render_table(
     ]
     for row in text_rows:
         lines.append("  ".join(cell.ljust(width) for cell, width in zip(row, widths)))
-    return "\n".join(lines)
-
-
-def render_bar_chart(
-    labels: Sequence[str],
-    values: Sequence[float],
-    width: int = 40,
-) -> str:
-    """Render a horizontal ASCII bar chart (bars scaled to *width* chars).
-
-    Negative values draw to the left of a zero axis so that the paper's
-    "worse than Random" scores are visually distinct.
-    """
-    if len(labels) != len(values):
-        raise ValueError("labels and values must have the same length")
-    if not values:
-        return "(empty chart)"
-    magnitude = max(abs(float(v)) for v in values) or 1.0
-    label_width = max(len(label) for label in labels)
-    lines = []
-    for label, value in zip(labels, values):
-        bar_len = int(round(abs(value) / magnitude * width))
-        bar = ("-" if value < 0 else "#") * bar_len
-        lines.append(f"{label.ljust(label_width)} | {bar} {value:.3f}")
     return "\n".join(lines)
 
 

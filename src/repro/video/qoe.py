@@ -30,7 +30,9 @@ class QoEMetric:
     form above, applied in quality units.
     """
 
-    def __init__(self, rebuffer_penalty: float, smoothness_penalty: float = 1.0) -> None:
+    def __init__(
+        self, rebuffer_penalty: float, smoothness_penalty: float = 1.0
+    ) -> None:
         if rebuffer_penalty < 0 or smoothness_penalty < 0:
             raise ConfigError("QoE penalties must be non-negative")
         self.rebuffer_penalty = rebuffer_penalty

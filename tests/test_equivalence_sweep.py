@@ -218,7 +218,14 @@ class TestMonitorPathEquivalence:
     @pytest.mark.parametrize("scheme", ["ND", "A-ensemble", "V-ensemble"])
     @pytest.mark.parametrize("test_split", ["split", "second_split"])
     def test_controller_loop_matches_monitor_loop(
-        self, scheme, test_split, request, agents, value_functions, nd_detector, manifest
+        self,
+        scheme,
+        test_split,
+        request,
+        agents,
+        value_functions,
+        nd_detector,
+        manifest,
     ):
         traces = request.getfixturevalue(test_split).test
         default = BufferBasedPolicy(manifest.bitrates_kbps)

@@ -105,7 +105,9 @@ class TestWeightCache:
         )
         return calls
 
-    def test_second_suite_build_trains_nothing(self, tiny_config, tmp_path, monkeypatch):
+    def test_second_suite_build_trains_nothing(
+        self, tiny_config, tmp_path, monkeypatch
+    ):
         # The acceptance property of weight-level caching: rebuilding a
         # safety suite with an unchanged configuration must invoke zero
         # trainers — everything loads from the fingerprint-keyed .npz.

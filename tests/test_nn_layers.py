@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ModelError
 from repro.nn.gradcheck import numerical_gradient, relative_error
-from repro.nn.layers import Conv1D, Dense, Flatten, LeakyReLU, ReLU, Tanh
+from repro.nn.layers import Conv1D, Dense, Flatten, ReLU, Tanh
 
 RNG = np.random.default_rng(0)
 
@@ -72,7 +72,7 @@ class TestDense:
 
 
 class TestActivations:
-    @pytest.mark.parametrize("cls", [ReLU, Tanh, LeakyReLU])
+    @pytest.mark.parametrize("cls", [ReLU, Tanh])
     def test_gradients(self, cls):
         layer = cls()
         # Keep inputs away from the ReLU kink where the numeric gradient
@@ -84,14 +84,6 @@ class TestActivations:
     def test_relu_clamps_negative(self):
         out = ReLU().forward(np.array([[-1.0, 2.0]]))
         assert np.array_equal(out, [[0.0, 2.0]])
-
-    def test_leaky_relu_keeps_negative_slope(self):
-        out = LeakyReLU(0.1).forward(np.array([[-2.0, 2.0]]))
-        assert np.allclose(out, [[-0.2, 2.0]])
-
-    def test_leaky_relu_rejects_negative_slope_param(self):
-        with pytest.raises(ModelError):
-            LeakyReLU(-0.5)
 
     def test_tanh_range(self):
         out = Tanh().forward(RNG.normal(size=(3, 3)) * 10)

@@ -1,19 +1,11 @@
-"""Tests for repro.nn.losses: softmax family, MSE, entropy, KL."""
+"""Tests for repro.nn.losses: softmax, entropy, KL."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.nn.gradcheck import numerical_gradient, relative_error
-from repro.nn.losses import (
-    entropy,
-    kl_divergence,
-    log_softmax,
-    mean_squared_error,
-    softmax,
-    softmax_cross_entropy,
-)
+from repro.nn.losses import entropy, kl_divergence, softmax
 
 RNG = np.random.default_rng(0)
 
@@ -36,64 +28,11 @@ class TestSoftmax:
         assert np.isfinite(probs).all()
         assert probs[0, 0] == pytest.approx(1.0)
 
-    def test_log_softmax_consistent(self):
-        logits = RNG.normal(size=(3, 4))
-        assert np.allclose(log_softmax(logits), np.log(softmax(logits)))
-
     @given(finite_logits)
     def test_property_valid_distribution(self, logits):
         probs = softmax(logits)
         assert np.all(probs >= 0)
         assert probs.sum() == pytest.approx(1.0)
-
-
-class TestSoftmaxCrossEntropy:
-    def test_perfect_prediction_low_loss(self):
-        logits = np.array([[100.0, 0.0]])
-        loss, _ = softmax_cross_entropy(logits, np.array([0]))
-        assert loss < 1e-6
-
-    def test_uniform_loss_is_log_k(self):
-        logits = np.zeros((1, 4))
-        loss, _ = softmax_cross_entropy(logits, np.array([2]))
-        assert loss == pytest.approx(np.log(4))
-
-    def test_gradient_matches_numeric(self):
-        logits = RNG.normal(size=(3, 5))
-        targets = np.array([0, 2, 4])
-        _, grad = softmax_cross_entropy(logits, targets)
-        numeric = numerical_gradient(
-            lambda: softmax_cross_entropy(logits, targets)[0], logits
-        )
-        assert relative_error(grad, numeric) < 1e-5
-
-    def test_soft_targets(self):
-        logits = RNG.normal(size=(2, 3))
-        soft = softmax(RNG.normal(size=(2, 3)))
-        loss, grad = softmax_cross_entropy(logits, soft)
-        assert np.isfinite(loss)
-        assert grad.shape == logits.shape
-
-
-class TestMeanSquaredError:
-    def test_zero_at_match(self):
-        x = RNG.normal(size=(5,))
-        loss, grad = mean_squared_error(x, x.copy())
-        assert loss == 0.0
-        assert np.allclose(grad, 0.0)
-
-    def test_gradient_matches_numeric(self):
-        predictions = RNG.normal(size=(6,))
-        targets = RNG.normal(size=(6,))
-        _, grad = mean_squared_error(predictions, targets)
-        numeric = numerical_gradient(
-            lambda: mean_squared_error(predictions, targets)[0], predictions
-        )
-        assert relative_error(grad, numeric) < 1e-5
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            mean_squared_error(np.zeros(3), np.zeros(4))
 
 
 class TestEntropy:

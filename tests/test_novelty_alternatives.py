@@ -37,7 +37,9 @@ class TestSharedBehaviour:
     def test_scores_sign_consistent(self, factory):
         detector = factory().fit(cloud(seed=1))
         samples = np.vstack([cloud(30, seed=4), cloud(30, center=6.0, seed=5)])
-        assert np.all((detector.scores(samples) >= 0) == (detector.predict(samples) == 1))
+        assert np.all(
+            (detector.scores(samples) >= 0) == (detector.predict(samples) == 1)
+        )
 
     def test_one_dimensional_input_promoted(self, factory):
         detector = factory().fit(cloud(seed=1))

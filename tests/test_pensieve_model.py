@@ -61,7 +61,9 @@ class TestActorNetwork:
         assert np.all(probs >= 0)
 
     def test_gradient_check(self):
-        actor = ActorNetwork(NUM_BITRATES, np.random.default_rng(3), filters=3, hidden=6)
+        actor = ActorNetwork(
+            NUM_BITRATES, np.random.default_rng(3), filters=3, hidden=6
+        )
         obs = random_observations(2)
         weights = RNG.normal(size=(2, NUM_BITRATES))
 

@@ -63,7 +63,9 @@ class TestA2CTrainer:
         with pytest.raises(TrainingError):
             A2CTrainer(manifest, [], [0], config=tiny_training_config)
 
-    def test_trains_and_returns_agent(self, manifest, steady_trace, tiny_training_config):
+    def test_trains_and_returns_agent(
+        self, manifest, steady_trace, tiny_training_config
+    ):
         config = tiny_training_config
         trainer = A2CTrainer(manifest, [steady_trace], [4, 9], config=config)
         agents = trainer.train()
@@ -73,7 +75,9 @@ class TestA2CTrainer:
         for summary in trainer.summaries:
             assert len(summary.episode_returns) == tiny_training_config.epochs
 
-    def test_deterministic_given_seed(self, manifest, steady_trace, tiny_training_config):
+    def test_deterministic_given_seed(
+        self, manifest, steady_trace, tiny_training_config
+    ):
         _, a = _train_one(manifest, [steady_trace], tiny_training_config)
         _, b = _train_one(manifest, [steady_trace], tiny_training_config)
         obs = np.zeros((6, 8))

@@ -1,4 +1,4 @@
-"""Tests for the extension policies: BOLA and predictor-driven MPC."""
+"""Tests for the extension policy: predictor-driven MPC."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.abr.session import run_session
 from repro.abr.state import StateBuilder
 from repro.errors import ConfigError
-from repro.policies.bola import BolaPolicy
 from repro.policies.predictive import PredictiveMPCPolicy
 from repro.predictors.classic import HarmonicMeanPredictor, LastSamplePredictor
 
@@ -27,45 +26,6 @@ def observation_with(buffer_s=0.0, throughputs=(), last_bitrate=0):
             chunks_remaining=24,
         )
     return obs
-
-
-class TestBola:
-    def test_empty_buffer_picks_low(self):
-        policy = BolaPolicy(BITRATES)
-        assert policy.select(observation_with(buffer_s=0.0)) == 0
-
-    def test_full_buffer_picks_high(self):
-        policy = BolaPolicy(BITRATES, buffer_target_s=25.0)
-        assert policy.select(observation_with(buffer_s=25.0)) == len(BITRATES) - 1
-
-    def test_monotone_in_buffer(self):
-        policy = BolaPolicy(BITRATES)
-        selections = [
-            policy.select(observation_with(buffer_s=b))
-            for b in np.linspace(0.0, 30.0, 61)
-        ]
-        assert selections == sorted(selections)
-
-    def test_ignores_throughput(self):
-        policy = BolaPolicy(BITRATES)
-        slow = observation_with(buffer_s=10.0, throughputs=[0.2])
-        fast = observation_with(buffer_s=10.0, throughputs=[80.0])
-        assert policy.select(slow) == policy.select(fast)
-
-    def test_streams_whole_video(self, manifest, steady_trace):
-        policy = BolaPolicy(
-            manifest.bitrates_kbps, chunk_duration_s=manifest.chunk_duration_s
-        )
-        result = run_session(policy, manifest, steady_trace)
-        assert len(result) == manifest.num_chunks - 1
-
-    def test_bad_parameters(self):
-        with pytest.raises(ConfigError):
-            BolaPolicy(BITRATES, chunk_duration_s=0.0)
-        with pytest.raises(ConfigError):
-            BolaPolicy(BITRATES, buffer_target_s=2.0, chunk_duration_s=4.0)
-        with pytest.raises(ConfigError):
-            BolaPolicy(BITRATES, gamma_p=0.0)
 
 
 class TestPredictiveMPC:

@@ -85,13 +85,17 @@ class TestNeuralPredictor:
         assert a.predict() == pytest.approx(b.predict())
 
     def test_cold_start_behaviour(self):
-        predictor = train_neural_predictor([alternating_series(120)], history=4, epochs=5)
+        predictor = train_neural_predictor(
+            [alternating_series(120)], history=4, epochs=5
+        )
         assert predictor.predict() > 0  # no samples yet
         predictor.update(5.0)
         assert predictor.predict() == pytest.approx(5.0)  # window mean fallback
 
     def test_prediction_clamped_to_sane_range(self):
-        predictor = train_neural_predictor([alternating_series(120)], history=4, epochs=5)
+        predictor = train_neural_predictor(
+            [alternating_series(120)], history=4, epochs=5
+        )
         for sample in [100.0] * 4:
             predictor.update(sample)
         assert 0.01 <= predictor.predict() <= 200.0

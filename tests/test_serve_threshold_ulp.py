@@ -106,7 +106,9 @@ class TestScalarTriggersAtThreshold:
     def test_variance_one_ulp_below_alpha_fires(self):
         trigger = VarianceTrigger(alpha=np.nextafter(1.0, 0.0), k=2, l=1)
         table = trigger.make_table(1)
-        fired_scalar = [bool(trigger.update(float(step % 2) * 2.0)) for step in range(3)]
+        fired_scalar = [
+            bool(trigger.update(float(step % 2) * 2.0)) for step in range(3)
+        ]
         fired_table = [
             bool(
                 table.update_rows(

@@ -15,7 +15,6 @@ from repro.errors import ModelError, TrainingError
 from repro.nn.gradcheck import numerical_gradient, relative_error
 from repro.nn.layers import Conv1D, Dense, StackedConv1D, StackedDense
 from repro.nn.optim import RMSProp, StackedRMSProp
-from repro.nn.recurrent import GRU, StackedGRU
 from repro.pensieve.ensemble import train_value_ensemble
 from repro.pensieve.model import ActorNetwork
 from repro.pensieve.stacked import StackedTrainingNetwork
@@ -101,33 +100,6 @@ class TestStackedConv1D:
         assert np.any(stacked.grad_weight != 0.0)
 
 
-class TestStackedGRU:
-    def test_forward_backward_match_members(self):
-        rng = rng_from_seed(5)
-        members = [GRU(4, 6, rng) for _ in range(MEMBERS)]
-        stacked = StackedGRU.from_layers(members)
-        x = rng.normal(size=(MEMBERS, 5, 7, 4))
-        grad_out = rng.normal(size=(MEMBERS, 5, 6))
-        out = stacked.forward(x)
-        grad_x = stacked.backward(grad_out)
-        for index, member in enumerate(members):
-            ref_out = member.forward(x[index])
-            ref_grad_x = member.backward(grad_out[index])
-            assert np.array_equal(out[index], ref_out)
-            assert np.array_equal(grad_x[index], ref_grad_x)
-            for stacked_grad, member_grad in zip(stacked.grads, member.grads):
-                assert np.array_equal(stacked_grad[index], member_grad)
-
-    def test_write_back_round_trips(self):
-        rng = rng_from_seed(6)
-        members = [GRU(3, 4, rng) for _ in range(MEMBERS)]
-        stacked = StackedGRU.from_layers(members)
-        stacked.w_x *= 2.0
-        stacked.write_back(members)
-        for index, member in enumerate(members):
-            assert np.array_equal(member.w_x, stacked.w_x[index])
-
-
 class TestStackedRMSProp:
     def test_matches_per_member_rmsprop(self):
         rng = rng_from_seed(7)
@@ -147,7 +119,10 @@ class TestStackedRMSProp:
 class TestStackedTrainingNetwork:
     def test_outputs_and_backward_match_members(self):
         rng = rng_from_seed(8)
-        actors = [ActorNetwork(6, rng_from_seed(s), filters=4, hidden=16) for s in range(MEMBERS)]
+        actors = [
+            ActorNetwork(6, rng_from_seed(s), filters=4, hidden=16)
+            for s in range(MEMBERS)
+        ]
         stacked = StackedTrainingNetwork(actors)
         obs = rng.normal(size=(MEMBERS, 5, 6, 8))
         grad = rng.normal(size=(MEMBERS, 5, 6))
@@ -167,7 +142,9 @@ class TestStackedTrainingNetwork:
         # forward) finite-difference cost manageable) and compare against
         # the analytic gradients.
         rng = rng_from_seed(10)
-        actors = [ActorNetwork(4, rng_from_seed(s), filters=3, hidden=8) for s in range(2)]
+        actors = [
+            ActorNetwork(4, rng_from_seed(s), filters=3, hidden=8) for s in range(2)
+        ]
         stacked = StackedTrainingNetwork(actors)
         obs = rng.normal(size=(2, 3, 6, 8))
         target = rng.normal(size=(2, 3, 4))

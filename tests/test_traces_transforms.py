@@ -10,10 +10,8 @@ from repro.traces.trace import Trace
 from repro.traces.transforms import (
     add_cross_traffic,
     concatenate,
-    crop,
     inject_outages,
     scale,
-    time_warp,
 )
 
 
@@ -29,20 +27,6 @@ class TestScale:
 
     def test_preserves_times(self, base_trace):
         assert np.array_equal(scale(base_trace, 0.5).times, base_trace.times)
-
-
-class TestTimeWarp:
-    def test_stretches_duration(self, base_trace):
-        warped = time_warp(base_trace, 2.0)
-        assert warped.duration == pytest.approx(base_trace.duration * 2.0)
-
-    def test_preserves_bandwidth_values(self, base_trace):
-        warped = time_warp(base_trace, 0.5)
-        assert np.array_equal(warped.bandwidths_mbps, base_trace.bandwidths_mbps)
-
-    def test_bad_factor(self, base_trace):
-        with pytest.raises(TraceError):
-            time_warp(base_trace, 0.0)
 
 
 class TestInjectOutages:
@@ -106,29 +90,9 @@ class TestConcatenate:
         assert np.all(np.diff(spliced.times) > 0)
 
 
-class TestCrop:
-    def test_window_contents(self, base_trace):
-        window = crop(base_trace, 10.0, 20.0)
-        assert window.times[0] == 0.0
-        assert len(window) == 10
-
-    def test_too_small_window_rejected(self, base_trace):
-        with pytest.raises(TraceError):
-            crop(base_trace, 10.0, 10.5)
-
-    def test_bad_bounds(self, base_trace):
-        with pytest.raises(TraceError):
-            crop(base_trace, 20.0, 10.0)
-
-
 class TestPropertyBased:
     @given(st.floats(0.1, 10.0))
     def test_scale_then_inverse_is_identity(self, factor):
         trace = Trace.from_bandwidths([2.0, 5.0, 3.0])
         round_trip = scale(scale(trace, factor), 1.0 / factor)
         assert np.allclose(round_trip.bandwidths_mbps, trace.bandwidths_mbps)
-
-    @given(st.floats(0.2, 5.0))
-    def test_time_warp_preserves_sample_count(self, factor):
-        trace = Trace.from_bandwidths([2.0] * 20)
-        assert len(time_warp(trace, factor)) == len(trace)

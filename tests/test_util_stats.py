@@ -1,4 +1,4 @@
-"""Tests for repro.util.stats: running moments, windows, normalization, CDFs."""
+"""Tests for repro.util.stats: windows, normalization, CDFs."""
 
 import numpy as np
 import pytest
@@ -6,46 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.util.stats import (
-    RunningStats,
     empirical_cdf,
     mean_std_window,
     normalize_scores,
     summarize,
 )
-
-
-class TestRunningStats:
-    def test_single_value(self):
-        stats = RunningStats()
-        stats.update(5.0)
-        assert stats.mean == 5.0
-        assert stats.variance == 0.0
-
-    def test_matches_numpy(self):
-        values = [1.5, -2.0, 3.25, 0.0, 7.0]
-        stats = RunningStats()
-        for value in values:
-            stats.update(value)
-        assert stats.mean == pytest.approx(np.mean(values))
-        assert stats.variance == pytest.approx(np.var(values))
-        assert stats.std == pytest.approx(np.std(values))
-
-    def test_update_many(self):
-        stats = RunningStats()
-        stats.update_many(np.arange(10.0))
-        assert stats.count == 10
-        assert stats.mean == pytest.approx(4.5)
-
-    def test_empty_variance_is_zero(self):
-        assert RunningStats().variance == 0.0
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))
-    def test_property_matches_numpy(self, values):
-        stats = RunningStats()
-        for value in values:
-            stats.update(value)
-        assert stats.mean == pytest.approx(np.mean(values), rel=1e-9, abs=1e-6)
-        assert stats.variance == pytest.approx(np.var(values), rel=1e-6, abs=1e-4)
 
 
 class TestMeanStdWindow:

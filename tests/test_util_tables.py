@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util.tables import render_bar_chart, render_cdf, render_table
+from repro.util.tables import render_cdf, render_table
 
 
 class TestRenderTable:
@@ -26,25 +26,6 @@ class TestRenderTable:
     def test_empty_rows_ok(self):
         text = render_table(["a", "b"], [])
         assert "a" in text
-
-
-class TestRenderBarChart:
-    def test_positive_and_negative_bars(self):
-        text = render_bar_chart(["up", "down"], [1.0, -0.5])
-        lines = text.splitlines()
-        assert "#" in lines[0]
-        assert "-" in lines[1]
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            render_bar_chart(["a"], [1.0, 2.0])
-
-    def test_empty_chart(self):
-        assert "empty" in render_bar_chart([], [])
-
-    def test_all_zero_values(self):
-        text = render_bar_chart(["z"], [0.0])
-        assert "0.000" in text
 
 
 class TestRenderCdf:

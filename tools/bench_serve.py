@@ -187,7 +187,9 @@ def bench_scheme(
     )
     print(f"  serial           : {serial:8.3f}s  {[round(w, 3) for w in serial_runs]}")
     batched, batched_runs, batched_results = _timed(lambda: engine.run(specs), repeats)
-    print(f"  engine batched   : {batched:8.3f}s  {[round(w, 3) for w in batched_runs]}")
+    print(
+        f"  engine batched   : {batched:8.3f}s  {[round(w, 3) for w in batched_runs]}"
+    )
 
     # Continuous admission through the slot free-list: halving the slots
     # forces sessions to join mid-run, and must not change a single chunk.
@@ -262,7 +264,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     repeats = args.repeats if args.repeats is not None else (1 if args.smoke else 3)
-    sessions = args.sessions if args.sessions is not None else (8 if args.smoke else SESSIONS)
+    sessions = (
+        args.sessions if args.sessions is not None else (8 if args.smoke else SESSIONS)
+    )
 
     print("training bench suite ...")
     _, split, suite = build_bench_suite(args.smoke)
