@@ -26,6 +26,7 @@ from repro.core.runner import (
     MonitoredSessionResult,
     SessionFactory,
     SessionSpec,
+    frozen_record,
 )
 from repro.mdp.interfaces import Policy, StepResult
 from repro.traces.trace import Trace
@@ -106,16 +107,19 @@ class ABRSessionFactory(SessionFactory):
 
     def record(self, step: StepResult, defaulted: bool) -> ChunkRecord:
         info = step.info
-        return ChunkRecord(
-            chunk_index=info["chunk_index"],
-            bitrate_index=info["bitrate_index"],
-            bitrate_mbps=info["bitrate_mbps"],
-            rebuffer_s=info["rebuffer_s"],
-            download_time_s=info["download_time_s"],
-            throughput_mbps=info["throughput_mbps"],
-            buffer_s=info["buffer_s"],
-            reward=step.reward,
-            defaulted=defaulted,
+        return frozen_record(
+            ChunkRecord,
+            {
+                "chunk_index": info["chunk_index"],
+                "bitrate_index": info["bitrate_index"],
+                "bitrate_mbps": info["bitrate_mbps"],
+                "rebuffer_s": info["rebuffer_s"],
+                "download_time_s": info["download_time_s"],
+                "throughput_mbps": info["throughput_mbps"],
+                "buffer_s": info["buffer_s"],
+                "reward": step.reward,
+                "defaulted": defaulted,
+            },
         )
 
 

@@ -41,9 +41,31 @@ __all__ = [
     "MonitoredSessionResult",
     "SessionFactory",
     "SessionSpec",
+    "frozen_record",
     "run_monitored_session",
     "run_session",
 ]
+
+_new_instance = object.__new__
+_set_attribute = object.__setattr__
+
+
+def frozen_record(cls: type, fields: dict):
+    """An instance of the frozen dataclass *cls* whose attributes are *fields*.
+
+    One ``__dict__`` write instead of the generated ``__init__``'s
+    ``object.__setattr__`` per field: a per-step record costs one dict.
+    *fields* must name every field of *cls* in declaration order, as
+    ``vars`` of a constructed instance would, and *cls* must have no
+    ``__post_init__`` or ``__slots__``; the result then equals, prints,
+    pickles and refuses assignment exactly like ``cls(**fields)``.  The
+    dict becomes the instance's own, so the caller must not reuse it;
+    it also takes more memory than the inline attribute values the
+    generated ``__init__`` fills (about 2x per record on CPython 3.11).
+    """
+    record = _new_instance(cls)
+    _set_attribute(record, "__dict__", fields)
+    return record
 
 
 class SessionSpec:

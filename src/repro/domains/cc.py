@@ -26,18 +26,22 @@ bleed off against the drift, while the persistent post-shift elevation
 accumulates and must fire.  Members are read at a softening temperature;
 ``U_pi`` is then a pure function of the discrete state, so
 :class:`TabularEnsembleSignal` scores every state once at construction
-and answers a whole serve wave with one state-index gather.
+into a per-state Python list and answers a whole serve wave with one
+read of it per row: one ``.tolist()`` of the wave's newest samples,
+then the scalar :func:`_state_of` binning of each.
 
 The fluid-queue arithmetic lives once, in :func:`_fluid_step`, the
 state binning once, in :func:`_state_of`, and the link capacity is read
 once, in :func:`_capacity_schedule`: one vectorized pass over a run of
 control intervals, bitwise what stepping ``Trace.bandwidth_at`` through
 ``time += STEP_S`` reads.  The served :class:`CCEnv` steps through them
-with its full observation history, filling its schedule
-:data:`DEFAULT_HORIZON` steps at a time; the training env
-(:class:`_CyclingTraceEnv`) steps through the same functions over one
-schedule per trace and observes only the newest sample, which is all
-the indexer bins.  Training is the one generic
+with its full observation history, kept in a ring that a step writes
+one column of, filling its schedule :data:`DEFAULT_HORIZON` steps at a
+time; it builds each ``StepResult``, and :class:`CCSessionFactory` each
+record, with one dict through :func:`~repro.core.runner.frozen_record`.
+The training env (:class:`_CyclingTraceEnv`) steps through the same
+functions over one schedule per trace and observes only the newest
+sample, which is all the indexer bins.  Training is the one generic
 :func:`~repro.mdp.qlearning.train_q_learning` loop on Python floats, so
 the learned agent and the K prior members train without a numpy call
 per step, and their tables are byte-identical to a numpy loop over full
@@ -56,6 +60,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -65,6 +70,7 @@ from repro.core.runner import (
     MonitoredSessionResult,
     SessionFactory,
     SessionSpec,
+    frozen_record,
 )
 from repro.core.strategies import CusumTrigger
 from repro.domains.base import DOMAINS, Domain
@@ -105,6 +111,10 @@ LOSS_PENALTY = 2.0
 DELAY_PENALTY = 0.5
 #: Default decision steps per monitored session.
 DEFAULT_HORIZON = 160
+#: Spare columns of :class:`CCEnv`'s history ring: one demo session
+#: (:data:`DEFAULT_HORIZON` steps) fills it without moving a column.
+_RING_SPARE = DEFAULT_HORIZON
+_RING_END = HISTORY + _RING_SPARE
 #: Softmax temperature the ensemble members are read at (greedy one-hot
 #: distributions would hide inter-member Q-value disagreement).
 MEMBER_TEMPERATURE = 0.5
@@ -188,16 +198,19 @@ class CCEnv:
     and no randomness is drawn anywhere — the same action sequence
     always yields the same floats.  Episodes never terminate on their
     own; the session horizon is owned by :class:`CCSessionFactory`.
+
+    The observation history lives in a ``(4, HISTORY + _RING_SPARE)``
+    ring: a step writes one column and copies out the newest
+    :data:`HISTORY` columns, and only when the ring is full are the
+    newest ``HISTORY - 1`` columns moved back to its start.
     """
 
     def __init__(self, trace: Trace, start_offset_s: float = 0.0) -> None:
         self.trace = trace
         self.start_offset_s = float(start_offset_s)
-        self._history = np.zeros((4, HISTORY))
         self._capacities: list[float] = []
         self._schedule_end_s = self.start_offset_s
-        self._queue_mbit = 0.0
-        self._step_index = 0
+        self.reset()
 
     @property
     def num_actions(self) -> int:
@@ -205,10 +218,11 @@ class CCEnv:
 
     def reset(self) -> np.ndarray:
         """Empty the queue and history and return the initial observation."""
-        self._history = np.zeros((4, HISTORY))
+        self._ring = np.zeros((4, HISTORY + _RING_SPARE))
+        self._end = HISTORY
         self._queue_mbit = 0.0
         self._step_index = 0
-        return self._history.copy()
+        return np.zeros((4, HISTORY))
 
     def step(self, action: int) -> StepResult:
         """Send at ladder rung ``action`` for one interval of the fluid queue."""
@@ -230,27 +244,35 @@ class CCEnv:
             self._queue_mbit, rate, capacity
         )
         self._queue_mbit = queue_mbit
-        history = self._history
-        history[:, :-1] = history[:, 1:]
+        ring = self._ring
+        end = self._end
+        if end == _RING_END:
+            ring[:, : HISTORY - 1] = ring[:, _RING_END - HISTORY + 1 :]
+            end = HISTORY - 1
         # Four scalar writes take about half the time of one column
         # assignment from a tuple, which builds an array first.
-        history[0, -1] = rate / RATE_SCALE
-        history[1, -1] = delivered_mbps / RATE_SCALE
-        history[2, -1] = loss_fraction
-        history[3, -1] = queue_delay_s / DELAY_SCALE
+        ring[0, end] = rate / RATE_SCALE
+        ring[1, end] = delivered_mbps / RATE_SCALE
+        ring[2, end] = loss_fraction
+        ring[3, end] = queue_delay_s / DELAY_SCALE
+        end += 1
+        self._end = end
         self._step_index = step_index + 1
-        return StepResult(
-            observation=history.copy(),
-            reward=reward,
-            done=False,
-            info={
-                "step_index": step_index,
-                "rate_index": action,
-                "rate_mbps": rate,
-                "throughput_mbps": delivered_mbps,
-                "loss_fraction": loss_fraction,
-                "queue_delay_s": queue_delay_s,
-                "capacity_mbps": capacity,
+        return frozen_record(
+            StepResult,
+            {
+                "observation": ring[:, end - HISTORY : end].copy(),
+                "reward": reward,
+                "done": False,
+                "info": {
+                    "step_index": step_index,
+                    "rate_index": action,
+                    "rate_mbps": rate,
+                    "throughput_mbps": delivered_mbps,
+                    "loss_fraction": loss_fraction,
+                    "queue_delay_s": queue_delay_s,
+                    "capacity_mbps": capacity,
+                },
             },
         )
 
@@ -292,15 +314,18 @@ class CCSessionFactory(SessionFactory):
 
     def record(self, step: StepResult, defaulted: bool) -> CCStepRecord:
         info = step.info
-        return CCStepRecord(
-            step_index=info["step_index"],
-            rate_index=info["rate_index"],
-            rate_mbps=info["rate_mbps"],
-            throughput_mbps=info["throughput_mbps"],
-            loss_fraction=info["loss_fraction"],
-            queue_delay_s=info["queue_delay_s"],
-            reward=step.reward,
-            defaulted=defaulted,
+        return frozen_record(
+            CCStepRecord,
+            {
+                "step_index": info["step_index"],
+                "rate_index": info["rate_index"],
+                "rate_mbps": info["rate_mbps"],
+                "throughput_mbps": info["throughput_mbps"],
+                "loss_fraction": info["loss_fraction"],
+                "queue_delay_s": info["queue_delay_s"],
+                "reward": step.reward,
+                "defaulted": defaulted,
+            },
         )
 
 
@@ -317,22 +342,13 @@ class CCStateIndexer:
     def __call__(self, observation: np.ndarray) -> int:
         latest = np.asarray(observation)[1:4, -1].tolist()
         if not all(map(math.isfinite, latest)):
-            self.batch(np.asarray(observation)[None])  # raises, naming the field
+            _reject_non_finite([latest])
         return _state_of(latest)
 
     def batch(self, observations: np.ndarray) -> np.ndarray:
         """The state of every row of *observations*, ``intp[rows]``,
         bitwise-equal to the scalar indexer row for row."""
-        latest = np.asarray(observations, dtype=float)[:, 1:4, -1]
-        finite = np.isfinite(latest)
-        if not finite.all():
-            row, column = np.argwhere(~finite)[0]
-            field = ("delivered rate", "loss fraction", "queue delay")[column]
-            raise SimulationError(f"non-finite {field}: {latest[row, column]}")
-        with np.errstate(over="ignore"):
-            scaled = latest * _FIELD_SCALES
-        bins = (scaled[:, :, None] > _FIELD_EDGES).sum(axis=2)
-        return bins @ _BIN_WEIGHTS
+        return np.array(_states_of(observations), dtype=np.intp)
 
 
 def _state_of(sample: Sequence[float]) -> int:
@@ -351,13 +367,30 @@ def _state_of(sample: Sequence[float]) -> int:
     return (throughput_bin * 3 + loss_bin) * 3 + delay_bin
 
 
-#: ``CCStateIndexer.batch`` bins a scaled field by how many of its edges
-#: it exceeds (``inf`` pads); ``x >= edge`` is ``x > nextafter(edge, -inf)``.
-_FIELD_SCALES = np.array([RATE_SCALE, 1.0, DELAY_SCALE])
-_FIELD_EDGES = np.full((3, RATE_LADDER_MBPS.size), np.inf)
-_FIELD_EDGES[0] = RATE_LADDER_MBPS
-_FIELD_EDGES[1:, :2] = [1e-9, np.nextafter(0.1, -1)], np.nextafter([0.3, 0.75], -1)
-_BIN_WEIGHTS = np.array([9, 3, 1], dtype=np.intp)
+def _states_of(observations: np.ndarray) -> list[int]:
+    """The :class:`CCStateIndexer` state of every row of *observations*,
+    as Python ints: one ``.tolist()`` of the newest samples, then
+    :func:`_state_of` per row.  A non-finite sample raises, as the
+    scalar indexer does."""
+    samples = np.asarray(observations, dtype=float)[:, 1:4, -1].tolist()
+    # A sum of floats is non-finite if any of them is, or if it
+    # overflows; the exact scan then tells the two apart.
+    if not math.isfinite(sum(chain.from_iterable(samples))):
+        _reject_non_finite(samples)
+    return [_state_of(sample) for sample in samples]
+
+
+_FIELD_NAMES = ("delivered rate", "loss fraction", "queue delay")
+
+
+def _reject_non_finite(samples: list[list[float]]) -> None:
+    """Raise :class:`~repro.errors.SimulationError` naming the field of
+    the first non-finite value in *samples*, row by row; return if
+    every value is finite."""
+    for sample in samples:
+        for field, value in zip(_FIELD_NAMES, sample):
+            if not math.isfinite(value):
+                raise SimulationError(f"non-finite {field}: {value}")
 
 
 #: Number of discrete states :class:`CCStateIndexer` produces.
@@ -419,22 +452,21 @@ class TabularEnsembleSignal(PolicyEnsembleSignal):
         if any(agent.state_indexer != CCStateIndexer() for agent in agents):
             raise ConfigError("ensemble members must index states with CCStateIndexer")
         self._indexer = CCStateIndexer()
-        self._values = np.array(
-            [
-                policy_disagreement(
-                    np.stack([agent.state_probabilities(state) for agent in agents]),
-                    trim,
-                )
-                for state in range(NUM_STATES)
-            ]
-        )
+        self._values = [
+            policy_disagreement(
+                np.stack([agent.state_probabilities(state) for agent in agents]),
+                trim,
+            )
+            for state in range(NUM_STATES)
+        ]
 
     def measure(self, observation: np.ndarray) -> float:
-        return float(self._values[self._indexer(observation)])
+        return self._values[self._indexer(observation)]
 
     def measure_batch(self, observations: np.ndarray) -> np.ndarray:
         """``U_pi`` for one observation per concurrent session."""
-        return self._values[self._indexer.batch(observations)]
+        values = self._values
+        return np.array([values[state] for state in _states_of(observations)])
 
 
 class _CyclingTraceEnv:

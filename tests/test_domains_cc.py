@@ -42,7 +42,7 @@ from repro.errors import ConfigError, SimulationError, TraceError
 from repro.mdp.qlearning import QLearningAgent, train_q_learning
 from repro.serve import ServeEngine
 from repro.traces.trace import Trace
-from tests import qlearning_oracles
+from tests import cc_oracles, qlearning_oracles
 
 
 def _observation(delivered=0.0, loss=0.0, delay=0.0):
@@ -197,6 +197,77 @@ class TestCapacitySchedule:
         ]
 
 
+def _assert_same_step(served, expected):
+    """*served* is *expected*: observation bytes, reward, done and every
+    ``info`` value with its type."""
+    assert type(served) is type(expected)
+    assert served.observation.shape == expected.observation.shape
+    assert served.observation.dtype == expected.observation.dtype
+    assert served.observation.tobytes() == expected.observation.tobytes()
+    assert type(served.reward) is type(expected.reward)
+    assert served.reward == expected.reward
+    assert served.done is expected.done
+    assert list(served.info) == list(expected.info)
+    for key, value in expected.info.items():
+        assert type(served.info[key]) is type(value), key
+        assert served.info[key] == value, key
+
+
+class TestRingHistoryOracle:
+    """``CCEnv``'s history ring steps like the shifted-array oracle."""
+
+    SPARE = cc._RING_SPARE
+
+    @staticmethod
+    def _actions(count, seed):
+        # Python and numpy integers alike; both must serve the same step.
+        actions = np.random.default_rng(seed).integers(0, 8, size=count)
+        return [int(a) if i % 2 else a for i, a in enumerate(actions)]
+
+    def _compare(self, trace, start_offset_s, segments, seed=0):
+        """Step both envs through *segments* (step counts), resetting
+        between segments, and compare every step and reset."""
+        env = CCEnv(trace, start_offset_s=start_offset_s)
+        oracle = cc_oracles.ShiftingCCEnv(trace, start_offset_s=start_offset_s)
+        for index, count in enumerate(segments):
+            served, expected = env.reset(), oracle.reset()
+            assert served.tobytes() == expected.tobytes()
+            assert served.shape == expected.shape
+            for action in self._actions(count, seed + index):
+                _assert_same_step(env.step(action), oracle.step(action))
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_sessions_around_one_ring_length(self, split, offset):
+        # R - 1 steps never move a column, R fills the ring exactly and
+        # R + 1 moves the window back once.
+        trace = split.test[0].scaled(0.4)
+        self._compare(trace, 0.0, [self.SPARE + offset])
+
+    @pytest.mark.parametrize("start_offset_s", [0.0, 3.25, 517.0])
+    def test_long_sessions_refill_the_ring_repeatedly(self, split, start_offset_s):
+        # The ring moves its window back at steps R + 1, 2 (R + 1), ...:
+        # four refills here.
+        steps = 4 * (self.SPARE + 1) + 3
+        trace = split.test[1].scaled(0.3)
+        self._compare(trace, start_offset_s, [steps], seed=7)
+
+    def test_reset_mid_session_restarts_the_window(self, split):
+        # Resets before, at and after a refill, and an empty session.
+        trace = split.train[2].scaled(0.35)
+        segments = [5, self.SPARE + 3, 0, 2 * self.SPARE + 9, self.SPARE, 1]
+        self._compare(trace, 11.5, segments, seed=3)
+
+    def test_observations_do_not_alias_the_ring(self, split):
+        env = CCEnv(split.test[0].scaled(0.4))
+        env.reset()
+        first = env.step(7).observation
+        kept = first.copy()
+        for action in self._actions(2 * self.SPARE + 4, seed=5):
+            env.step(action).observation[:] = np.nan
+        assert first.tobytes() == kept.tobytes()
+        assert first.flags.c_contiguous and first.flags.owndata
+
+
 class TestFactoryAndIndexer:
     def test_factory_defaults(self, domain):
         factory = domain.session_factory()
@@ -260,6 +331,11 @@ class TestFactoryAndIndexer:
         states = indexer.batch(rows)
         assert states.dtype == np.intp
         np.testing.assert_array_equal(states, expected)
+
+    def test_batch_of_no_rows_is_an_empty_state_array(self):
+        states = CCStateIndexer().batch(np.zeros((0, 4, 8)))
+        assert states.dtype == np.intp
+        assert states.shape == (0,)
 
     @pytest.mark.parametrize("field", range(3))
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -364,6 +440,18 @@ class TestTabularEnsembleSignal:
         batch = signal.measure_batch(np.stack(observations))
         scalar = np.array([signal.measure(o) for o in observations])
         np.testing.assert_array_equal(batch, scalar)
+
+    def test_measurement_types(self):
+        signal = TabularEnsembleSignal(self._agents(), trim=1)
+        assert type(signal.measure(_observation())) is float
+        for rows in (0, 1, 5):
+            batch = signal.measure_batch(np.zeros((rows, 4, 8)))
+            assert batch.dtype == np.float64
+            assert batch.shape == (rows,)
+        with pytest.raises(SimulationError, match="non-finite queue delay"):
+            signal.measure_batch(
+                np.stack([_observation(), _observation(0.5, 0.0, np.inf)])
+            )
 
     def test_state_table_is_bitwise_equal_to_the_reference_path(self):
         signal = TabularEnsembleSignal(self._agents(), trim=1)
