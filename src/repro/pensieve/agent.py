@@ -22,6 +22,15 @@ from repro.policies.base import ABRPolicy
 __all__ = ["PensieveAgent", "PensieveValueFunction"]
 
 
+def _finite(observations: np.ndarray) -> np.ndarray:
+    """*observations* as a float array, or :class:`ModelError` if any
+    value is NaN or infinite."""
+    observations = np.asarray(observations, dtype=float)
+    if not np.isfinite(observations).all():
+        raise ModelError("observation holds a non-finite value")
+    return observations
+
+
 class PensieveAgent(ABRPolicy):
     """A trained actor (plus optional critic) as an ABR policy."""
 
@@ -45,8 +54,12 @@ class PensieveAgent(ABRPolicy):
         self.name = name
 
     def action_probabilities(self, observation: np.ndarray) -> np.ndarray:
-        """The actor's softmax distribution for one observation."""
-        return self.actor.probabilities_inference(observation)[0]
+        """The actor's softmax distribution for one observation.
+
+        A non-finite observation raises :class:`ModelError`: the ReLU
+        would map a NaN feature to zero and score it as a real one.
+        """
+        return self.actor.probabilities_inference(_finite(observation))[0]
 
     def act(self, observation: np.ndarray, rng: np.random.Generator) -> int:
         probabilities = self.action_probabilities(observation)
@@ -59,10 +72,15 @@ class PensieveAgent(ABRPolicy):
     ) -> list[int]:
         """Exactly ``[act(o, r) for o, r in zip(observations, rngs)]``.
 
-        A greedy agent takes the argmax of one row-stable forward; a
-        sampling agent acts row by row so each session's RNG is drawn
-        exactly as :meth:`act` draws it.
+        *rngs* holds one RNG per observation; a length mismatch raises
+        :class:`ModelError`, as does a non-finite observation.  A greedy
+        agent takes the argmax of one row-stable forward; a sampling agent
+        acts row by row so each session's RNG is drawn exactly as
+        :meth:`act` draws it.
         """
+        observations = _finite(observations)
+        if len(rngs) != len(observations):
+            raise ModelError(f"{len(rngs)} rngs for {len(observations)} observations")
         if not self.greedy:
             return [
                 self.act(observation, rng)

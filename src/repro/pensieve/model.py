@@ -19,8 +19,11 @@ whole network uniformly.
 
 Inference skips the layer objects: :func:`stacked_forward` is the one
 fused, gradient-free forward, over the member-stacked
-:class:`StackedWeights` of ``M >= 1`` networks.  A single network reads
-its live weights as ``M = 1`` (:meth:`ActorNetwork.probabilities_inference`),
+:class:`StackedWeights` of ``M >= 1`` networks.  The trunk keeps each
+group of like branch parameters (the three scalar layers, the three
+convolutions) in one array the layers view, so a single network's
+:meth:`PensieveNetwork.inference_weights` is a fixed ``M = 1`` layout of
+views over its live parameters, built once and never stale.
 :class:`repro.pensieve.stacked.StackedEnsemble` snapshots an ensemble, and
 the A2C trainer snapshots its stacked training weights once per rollout.
 """
@@ -47,6 +50,8 @@ __all__ = [
 ]
 
 _CONV_KERNEL = 4
+#: Observation rows of the three scalar branches, in branch order.
+_SCALAR_ROWS = np.array([0, 1, 5])
 
 
 class PensieveTrunk:
@@ -98,6 +103,33 @@ class PensieveTrunk:
             self._conv_sizes,
         ]
         self._split_points: list[int] | None = None
+        self._fuse()
+
+    def _fuse(self) -> None:
+        """Move each branch group's parameters into one array the layers
+        then view: ``scalar_w``/``scalar_b`` ``(3, F)`` for the scalar
+        branches, ``conv_w`` ``(3, O, K)``/``conv_b`` ``(3, O)`` for the
+        throughput, download-time and sizes convolutions.  Every parameter
+        write is in place, so these arrays always hold the live weights."""
+        fused = []
+        for layers in (
+            [branch.layers[0] for branch in self._branches[:3]],
+            [branch.layers[0] for branch in self._branches[3:]],
+        ):
+            for name in ("weight", "bias"):
+                stacked = np.stack([getattr(layer, name) for layer in layers])
+                for layer, view in zip(layers, stacked):
+                    setattr(layer, name, view)
+                fused.append(stacked)
+        scalar_w, self.scalar_b, conv_w, self.conv_b = fused
+        self.scalar_w = scalar_w[:, 0]
+        self.conv_w = conv_w[:, :, 0]
+
+    def __setstate__(self, state: dict) -> None:
+        # A copy or unpickle gives every array its own storage; share it
+        # again so the fused arrays stay live.
+        self.__dict__.update(state)
+        self._fuse()
 
     @property
     def params(self) -> list[np.ndarray]:
@@ -156,25 +188,28 @@ class PensieveTrunk:
 
 
 class StackedWeights(NamedTuple):
-    """Member-stacked weights of ``M >= 1`` identically shaped networks.
+    """Member-stacked inference weights of ``M >= 1`` identical networks.
 
-    The layout is branch-fused, as :func:`stacked_forward` reads it.
+    The branch-fused layout :func:`stacked_forward` reads.  Every array
+    carries a length-1 batch axis after the member axis, so it broadcasts
+    against ``(M, batch, ...)`` activations as it is.  A single network's
+    layout views its live parameters
+    (:meth:`PensieveNetwork.inference_weights`); an ensemble's or the
+    trainer's is a stacked copy.
     """
 
     num_bitrates: int
-    #: The three scalar ``Dense(1, F)`` branches, ``(M, 3, F)`` each.
+    #: The three scalar ``Dense(1, F)`` branches, ``(M, 1, 3, F)`` each.
     scalar_w: np.ndarray
     scalar_b: np.ndarray
-    #: The throughput and delay convolutions: ``(M, 2, O, K)`` / ``(M, 2, O)``.
-    history_w: np.ndarray
-    history_b: np.ndarray
-    #: The next-chunk-sizes convolution: ``(M, O, K)`` / ``(M, O)``.
-    sizes_w: np.ndarray
-    sizes_b: np.ndarray
-    #: The merge layer, ``(M, merged, H)`` / ``(M, H)``.
+    #: The throughput, download-time and next-chunk-sizes convolutions:
+    #: ``(M, 1, 3, O, K)`` / ``(M, 1, 3, O)``.
+    conv_w: np.ndarray
+    conv_b: np.ndarray
+    #: The merge layer, ``(M, 1, merged, H)`` / ``(M, 1, H)``.
     merge_w: np.ndarray
     merge_b: np.ndarray
-    #: The head, ``(M, H, out)`` / ``(M, out)``.
+    #: The head, ``(M, 1, H, out)`` / ``(M, 1, out)``.
     head_w: np.ndarray
     head_b: np.ndarray
 
@@ -185,14 +220,24 @@ def stacked_forward(
     """Every stacked member's head outputs, ``(members, batch, out)``.
 
     The one gradient-free Pensieve forward.  *observations* are shared
-    ``(batch, 6, 8)`` (a single ``(6, 8)`` is a batch of one) or
-    per-member ``(members, batch, 6, 8)``.  Member *m*'s slice is
-    bitwise-identical to its own layer-by-layer forward: the
-    single-input-channel convolutions are one-term sums, so they run as
-    broadcast multiplies (seeding the accumulator with the first offset
-    term instead of zeros can only flip the sign of an exact zero, which
-    the ReLU maps to +0.0 either way), the one-term scalar matmuls as a
-    multiply-add, and stacked ``matmul`` runs one product per member.
+    ``(batch, 6, 8)`` (a single ``(6, 8)`` is a batch of one; an empty
+    batch gives ``(members, 0, out)``) or per-member ``(members, batch,
+    6, 8)``.  Member *m*'s slice is bitwise-identical to its own
+    layer-by-layer forward:
+
+    * the three convolutions run as one offset loop of broadcast
+      multiplies over the fused ``(M, 1, 3, O, K)`` weight, then add
+      their bias (a single-input-channel convolution is a one-term sum;
+      seeding the accumulator with the first offset term instead of
+      zeros can only flip the sign of an exact zero, which the ReLU maps
+      to +0.0).  The sizes row runs over all 8 columns and keeps its
+      first ``num_bitrates - K + 1`` outputs, the ones whose window lies
+      on the ladder;
+    * the one-term scalar matmuls run as a multiply-add;
+    * every branch writes into one preallocated merge input in the
+      layer-by-layer concatenation order, and bias and ReLU apply in
+      place (``fmax(x, 0) + 0.0`` is ``x > 0 ? x : +0.0``, NaN included);
+    * stacked ``matmul`` runs one product per member.
 
     ``row_stable=True`` makes each output row bitwise-equal to that
     observation's outputs computed alone: the merge and head matmuls run
@@ -200,10 +245,21 @@ def stacked_forward(
     order may depend on the batch size.
     """
     obs = np.asarray(observations, dtype=float)
-    members = weights.merge_w.shape[0]
+    (
+        num_bitrates,
+        scalar_w,
+        scalar_b,
+        conv_w,
+        conv_b,
+        merge_w,
+        merge_b,
+        head_w,
+        head_b,
+    ) = weights
+    members, _, width, _ = merge_w.shape
     if obs.ndim == 2:
-        obs = obs[None]
-    if obs.ndim == 3:
+        obs = obs[None, None]
+    elif obs.ndim == 3:
         obs = obs[None]
     if (
         obs.ndim != 4
@@ -215,47 +271,50 @@ def stacked_forward(
             f"{S_INFO}, {S_LEN}) observations, got {np.shape(observations)}"
         )
     batch = obs.shape[1]
-    parts = [
-        obs[:, :, (0, 1, 5), -1, None] * weights.scalar_w[:, None]
-        + weights.scalar_b[:, None]
+    filters = scalar_w.shape[3]
+    _, _, _, channels, kernel = conv_w.shape
+    length = S_LEN - kernel + 1
+    kept = num_bitrates - kernel + 1
+    history_start = 3 * filters
+    sizes_start = history_start + 2 * channels * length
+    merged = np.empty((members, batch, width))
+    scalars = merged[:, :, :history_start].reshape(members, batch, 3, filters)
+    np.multiply(obs[:, :, _SCALAR_ROWS, -1, None], scalar_w, out=scalars)
+    scalars += scalar_b
+    rows = obs[:, :, 2:5, None, :]
+    conv = rows[..., :length] * conv_w[..., 0, None]
+    for offset in range(1, kernel):
+        conv += rows[..., offset : offset + length] * conv_w[..., offset, None]
+    conv += conv_b[..., None]
+    merged[:, :, history_start:sizes_start] = conv[:, :, :2].reshape(
+        members, batch, sizes_start - history_start
+    )
+    merged[:, :, sizes_start:].reshape(members, batch, channels, kept)[...] = conv[
+        :, :, 2, :, :kept
     ]
-    # Both history branches share their input length, so they run as one
-    # offset loop; the ladder-length sizes branch keeps its own.
-    for x, weight, bias in (
-        (obs[:, :, 2:4, None, :], weights.history_w, weights.history_b),
-        (
-            obs[:, :, None, 4, : weights.num_bitrates],
-            weights.sizes_w,
-            weights.sizes_b,
-        ),
-    ):
-        kernel = weight.shape[-1]
-        length = x.shape[-1] - kernel + 1
-        out = x[..., 0:length] * weight[:, None, ..., 0, None]
-        for offset in range(1, kernel):
-            out += x[..., offset : offset + length] * weight[:, None, ..., offset, None]
-        parts.append(out + bias[:, None, ..., None])
-    # Flattening each (members, batch, ...) part row-major reproduces the
-    # layer-by-layer concatenation order.
-    merged = np.concatenate(
-        [part.reshape(members, batch, -1) for part in parts], axis=2
-    )
-    merged = np.where(merged > 0, merged, 0.0)
-    features = _stacked_matmul(merged, weights.merge_w, row_stable)
-    features = features + weights.merge_b[:, None]
-    features = np.where(features > 0, features, 0.0)
-    return (
-        _stacked_matmul(features, weights.head_w, row_stable)
-        + weights.head_b[:, None]
-    )
+    _relu(merged)
+    features = _stacked_matmul(merged, merge_w, row_stable)
+    features += merge_b
+    _relu(features)
+    outputs = _stacked_matmul(features, head_w, row_stable)
+    outputs += head_b
+    return outputs
+
+
+def _relu(x: np.ndarray) -> None:
+    """In-place ``np.where(x > 0, x, 0.0)``: ``fmax`` maps NaN to 0, and
+    adding +0.0 turns the -0.0 it may keep into +0.0."""
+    np.fmax(x, 0.0, out=x)
+    x += 0.0
 
 
 def _stacked_matmul(x: np.ndarray, weight: np.ndarray, row_stable: bool) -> np.ndarray:
-    """``x @ weight`` per member; with *row_stable*, one single-row product
-    per row, so each row's floats do not depend on the batch size."""
+    """``x @ weight`` per member for an ``(M, 1, in, out)`` *weight*; with
+    *row_stable*, one single-row product per row, so each row's floats do
+    not depend on the batch size."""
     if row_stable:
-        return (x[:, :, None] @ weight[:, None])[:, :, 0]
-    return x @ weight
+        return (x[:, :, None] @ weight)[:, :, 0]
+    return x @ weight[:, 0]
 
 
 def _keyed(prefix: str, values: list[np.ndarray]) -> dict[str, np.ndarray]:
@@ -307,6 +366,7 @@ class PensieveNetwork:
     ) -> None:
         self.trunk = PensieveTrunk(num_bitrates, rng, filters=filters, hidden=hidden)
         self.head = Dense(hidden, outputs, rng)
+        self._weights = self._view_weights()
 
     @property
     def params(self) -> list[np.ndarray]:
@@ -322,41 +382,39 @@ class PensieveNetwork:
         self.head.zero_grads()
 
     def inference_weights(self) -> StackedWeights:
-        """This network's live weights as a one-member :class:`StackedWeights`.
+        """This network's weights as a one-member :class:`StackedWeights`.
 
-        The sizes, merge and head weights are views of the layers; the
-        fused scalar and history branch weights are fresh copies.
+        Every array views a live parameter (the trunk's fused branch
+        arrays, the merge and head layers), so the layout is built once
+        and sees every in-place write: optimizer steps,
+        :meth:`load_state_arrays` and a stacked trainer's ``write_back``.
         """
+        return self._weights
+
+    def _view_weights(self) -> StackedWeights:
         trunk = self.trunk
-        filters = trunk.filters
-        scalar_w = np.empty((1, 3, filters))
-        scalar_b = np.empty((1, 3, filters))
-        for index, branch in enumerate(trunk._branches[:3]):
-            scalar_w[0, index] = branch.layers[0].weight[0]
-            scalar_b[0, index] = branch.layers[0].bias
-        throughput = trunk._conv_throughput.layers[0]
-        delay = trunk._conv_delay.layers[0]
-        sizes = trunk._conv_sizes.layers[0]
-        history_w = np.empty((1, 2, filters, throughput.kernel_size))
-        history_w[0, 0] = throughput.weight[:, 0]
-        history_w[0, 1] = delay.weight[:, 0]
-        history_b = np.empty((1, 2, filters))
-        history_b[0, 0] = throughput.bias
-        history_b[0, 1] = delay.bias
         merge = trunk._merge.layers[0]
         return StackedWeights(
             trunk.num_bitrates,
-            scalar_w,
-            scalar_b,
-            history_w,
-            history_b,
-            sizes.weight[None, :, 0],
-            sizes.bias[None],
-            merge.weight[None],
-            merge.bias[None],
-            self.head.weight[None],
-            self.head.bias[None],
+            *(
+                array[None, None]
+                for array in (
+                    trunk.scalar_w,
+                    trunk.scalar_b,
+                    trunk.conv_w,
+                    trunk.conv_b,
+                    merge.weight,
+                    merge.bias,
+                    self.head.weight,
+                    self.head.bias,
+                )
+            ),
         )
+
+    def __setstate__(self, state: dict) -> None:
+        # A copied layout would hold its own arrays; view the copy's.
+        self.__dict__.update(state)
+        self._weights = self._view_weights()
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Index-keyed copies of every parameter, for ``.npz`` persistence
@@ -402,9 +460,7 @@ class ActorNetwork(PensieveNetwork):
         ``row_stable=True`` makes each row bitwise-equal to a
         single-observation call.
         """
-        return softmax(
-            stacked_forward(self.inference_weights(), observations, row_stable)[0]
-        )
+        return softmax(stacked_forward(self._weights, observations, row_stable)[0])
 
     def backward(self, grad_logits: np.ndarray) -> None:
         """Backpropagate a gradient on the logits through head and trunk."""
@@ -430,7 +486,7 @@ class CriticNetwork(PensieveNetwork):
     def values_inference(self, observations: np.ndarray) -> np.ndarray:
         """Gradient-free state values, bitwise-identical to :meth:`values`
         but through :func:`stacked_forward` on the live weights."""
-        return stacked_forward(self.inference_weights(), observations)[0, :, 0]
+        return stacked_forward(self._weights, observations)[0, :, 0]
 
     def backward(self, grad_values: np.ndarray) -> None:
         """Backpropagate a gradient on the scalar values."""

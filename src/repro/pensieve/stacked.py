@@ -64,7 +64,10 @@ class StackedEnsemble:
         self.refresh()
 
     def refresh(self) -> None:
-        """Re-snapshot the member weights (after in-place mutation)."""
+        """Re-snapshot the member weights (after in-place mutation).
+
+        The members' one-member layouts are concatenated into one copy.
+        """
         members = [network.inference_weights() for network in self.networks]
         if len({tuple(np.shape(part) for part in member) for member in members}) != 1:
             raise ModelError("cannot stack networks with different architectures")
@@ -272,20 +275,22 @@ class StackedTrainingNetwork:
         outputs equal member *m*'s own inference forward exactly."""
         trunk = self._trunk
         scalars = trunk._scalar_layers
-        histories = trunk._conv_layers[:2]
-        sizes = trunk._conv_layers[2]
+        convs = trunk._conv_layers
         return StackedWeights(
             trunk.num_bitrates,
-            np.stack([layer.weight[:, 0] for layer in scalars], axis=1),
-            np.stack([layer.bias for layer in scalars], axis=1),
-            np.stack([layer.weight[:, :, 0] for layer in histories], axis=1),
-            np.stack([layer.bias for layer in histories], axis=1),
-            sizes.weight[:, :, 0].copy(),
-            sizes.bias.copy(),
-            trunk._merge.weight.copy(),
-            trunk._merge.bias.copy(),
-            self._head.weight.copy(),
-            self._head.bias.copy(),
+            *(
+                array[:, None]
+                for array in (
+                    np.stack([layer.weight[:, 0] for layer in scalars], axis=1),
+                    np.stack([layer.bias for layer in scalars], axis=1),
+                    np.stack([layer.weight[:, :, 0] for layer in convs], axis=1),
+                    np.stack([layer.bias for layer in convs], axis=1),
+                    trunk._merge.weight.copy(),
+                    trunk._merge.bias.copy(),
+                    self._head.weight.copy(),
+                    self._head.bias.copy(),
+                )
+            ),
         )
 
     def write_back(self) -> None:

@@ -1,6 +1,9 @@
 """Stacked ensemble forwards must reproduce the member-by-member loop
 bitwise — they exist purely to make the per-step signals cheaper."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -11,19 +14,31 @@ from repro.core.ensemble_signals import (
     value_disagreement,
 )
 from repro.errors import ModelError
+from repro.nn.optim import RMSProp
 from repro.pensieve.agent import PensieveAgent, PensieveValueFunction
-from repro.pensieve.model import ActorNetwork, CriticNetwork, stacked_forward
+from repro.pensieve.model import (
+    ActorNetwork,
+    CriticNetwork,
+    _relu,
+    stacked_forward,
+)
+from repro.pensieve.online import warm_start_trainer
 from repro.pensieve.stacked import StackedEnsemble
+from repro.pensieve.training import TrainingConfig
+from repro.traces.trace import Trace
 from repro.util.rng import rng_from_seed
+from repro.video.envivio import envivio_dash3_manifest
 
 NUM_BITRATES = 6
 BITRATES = [300.0, 750.0, 1200.0, 1850.0, 2850.0, 4300.0]
 
 
-def make_networks(network, count=5, filters=8, hidden=48, base_seed=10):
+def make_networks(
+    network, count=5, filters=8, hidden=48, base_seed=10, num_bitrates=NUM_BITRATES
+):
     return [
         network(
-            NUM_BITRATES, rng_from_seed(base_seed + i), filters=filters, hidden=hidden
+            num_bitrates, rng_from_seed(base_seed + i), filters=filters, hidden=hidden
         )
         for i in range(count)
     ]
@@ -185,3 +200,205 @@ class TestSignalIntegration:
         assert signal._stacked is None
         obs = observations(1)[0]
         assert np.isfinite(signal.measure(obs))
+
+
+def boundary_observations(count, seed=5):
+    """Random observations with exact zeros in every row, whole zero rows,
+    and -0.0 in the last column (the scalar branches' inputs)."""
+    batch = observations(count, seed=seed)
+    batch[:, :, ::3] = 0.0
+    batch[::2, 1] = 0.0
+    batch[1::2, :, -1] = -0.0
+    return batch
+
+
+def negative_zero_bias_networks(network, count, **shape):
+    """Networks whose biases are all -0.0, so a zero input puts a
+    pre-activation on the ReLU boundary as -0.0 (fresh networks'
+    biases are +0.0)."""
+    networks = make_networks(network, count=count, **shape)
+    for net in networks:
+        for param in net.params:
+            if param.ndim == 1:
+                param[...] = -0.0
+    return networks
+
+
+class TestLeanForward:
+    """:func:`stacked_forward` against the layer-by-layer training forward
+    plus head, at every shape the serving paths use."""
+
+    @pytest.mark.parametrize("network", [ActorNetwork, CriticNetwork])
+    @pytest.mark.parametrize("members", [1, 5])
+    @pytest.mark.parametrize("row_stable", [False, True])
+    def test_bitwise_equal_to_layer_by_layer(self, network, members, row_stable):
+        for networks in (
+            make_networks(network, count=members),
+            negative_zero_bias_networks(network, members),
+            # An odd merge width (17 * 3 features) leaves elements past
+            # the last full SIMD vector of the in-place ReLU.
+            negative_zero_bias_networks(
+                network, members, filters=3, hidden=13, num_bitrates=7
+            ),
+        ):
+            # One network reads its live layout, an ensemble its snapshot.
+            if members == 1:
+                weights = networks[0].inference_weights()
+            else:
+                weights = StackedEnsemble(networks)._weights
+            for batch_size in (1, 2, 3, 4):
+                for batch in (
+                    observations(batch_size, seed=batch_size),
+                    boundary_observations(batch_size),
+                    np.zeros((batch_size, 6, 8)),
+                ):
+                    out = stacked_forward(weights, batch, row_stable)
+                    assert out.shape[:2] == (members, batch_size)
+                    for index, net in enumerate(networks):
+                        if row_stable:
+                            reference = np.concatenate(
+                                [layer_by_layer(net, obs[None]) for obs in batch]
+                            )
+                        else:
+                            reference = layer_by_layer(net, batch)
+                        assert out[index].tobytes() == reference.tobytes()
+
+    def test_in_place_relu_is_the_where_relu(self):
+        # fmax keeps some -0.0 (which ones depends on the array length and
+        # the SIMD width); the in-place ReLU must still give +0.0.
+        specials = [-0.0, 0.0, np.nan, -np.inf, np.inf, -1.0, 2.0, -5e-324]
+        for length in range(1, 20):
+            for value in specials:
+                x = np.full((1, length), value)
+                x[0, ::3] = -0.0
+                expected = np.where(x > 0, x, 0.0)
+                _relu(x)
+                assert x.tobytes() == expected.tobytes()
+
+    def test_non_finite_inputs_follow_the_relu(self):
+        # NaN and -inf pre-activations map to +0.0 exactly as the
+        # layer-by-layer np.where ReLU maps them.
+        actor = make_actors(count=1)[0]
+        batch = observations(4, seed=9)
+        batch[0, 2, 3] = np.nan
+        batch[1, 0, -1] = -np.inf
+        batch[2, 4, 0] = np.inf
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = stacked_forward(actor.inference_weights(), batch)[0]
+            reference = layer_by_layer(actor, batch)
+        assert out.tobytes() == reference.tobytes()
+
+    def test_empty_batch(self):
+        for networks, width in ((make_actors(), NUM_BITRATES), (make_critics(), 1)):
+            stacked = StackedEnsemble(networks)
+            empty = np.zeros((0, 6, 8))
+            assert stacked.outputs(empty).shape == (5, 0, width)
+            for row_stable in (False, True):
+                out = stacked_forward(
+                    networks[0].inference_weights(), empty, row_stable
+                )
+                assert out.shape == (1, 0, width)
+        agent = PensieveAgent(BITRATES, actor=make_actors(count=1)[0])
+        assert agent.act_batch(np.zeros((0, 6, 8)), []) == []
+        agent.greedy = False
+        assert agent.act_batch(np.zeros((0, 6, 8)), []) == []
+
+
+def fresh_probabilities(actor, obs):
+    """The training forward's action distribution for one observation."""
+    return actor.probabilities(obs[None])[0]
+
+
+class TestLiveInferenceWeights:
+    """An agent's inference layout views the live parameters: every
+    in-place write is seen by the next act without a refresh."""
+
+    def assert_acts_fresh(self, agent, batch):
+        rngs = [rng_from_seed(index) for index in range(len(batch))]
+        for obs in batch:
+            expected = fresh_probabilities(agent.actor, obs)
+            assert agent.action_probabilities(obs).tobytes() == expected.tobytes()
+            assert agent.act(obs, rngs[0]) == int(np.argmax(expected))
+        expected = [
+            int(np.argmax(fresh_probabilities(agent.actor, obs))) for obs in batch
+        ]
+        assert agent.act_batch(batch, rngs) == expected
+
+    def test_optimizer_step_and_state_load(self):
+        actor, other = make_actors(count=2)
+        agent = PensieveAgent(BITRATES, actor=actor)
+        batch = observations(4, seed=3)
+        before = agent.action_probabilities(batch[0])
+        self.assert_acts_fresh(agent, batch)
+        rng = rng_from_seed(7)
+        RMSProp(actor.params, learning_rate=0.05).step(
+            [rng.normal(size=param.shape) for param in actor.params]
+        )
+        assert not np.array_equal(agent.action_probabilities(batch[0]), before)
+        self.assert_acts_fresh(agent, batch)
+        actor.load_state_arrays(other.state_arrays())
+        assert agent.action_probabilities(batch[0]).tobytes() == (
+            fresh_probabilities(other, batch[0]).tobytes()
+        )
+        self.assert_acts_fresh(agent, batch)
+
+    def test_trainer_write_back(self):
+        manifest = envivio_dash3_manifest(repeats=1)
+        config = TrainingConfig(epochs=1, filters=4, hidden=12, seed=2)
+        source = PensieveAgent(
+            manifest.bitrates_kbps,
+            actor=ActorNetwork(
+                manifest.num_bitrates, rng_from_seed(30), filters=4, hidden=12
+            ),
+            critic=CriticNetwork(
+                manifest.num_bitrates, rng_from_seed(31), filters=4, hidden=12
+            ),
+        )
+        trace = Trace.from_bandwidths([2.0] * 400, name="ops")
+        trainer = warm_start_trainer(source, manifest, [trace], config)
+        agent = PensieveAgent(
+            manifest.bitrates_kbps, trainer.actors[0], trainer.critics[0]
+        )
+        batch = observations(4, seed=8)
+        before = agent.action_probabilities(batch[0])
+        assert before.tobytes() == source.action_probabilities(batch[0]).tobytes()
+        trainer.train()  # ends with write_back into trainer.actors[0]
+        assert not np.array_equal(agent.action_probabilities(batch[0]), before)
+        self.assert_acts_fresh(agent, batch)
+
+    def test_copies_stay_live(self):
+        agent = PensieveAgent(BITRATES, actor=make_actors(count=1)[0])
+        batch = observations(3, seed=4)
+        for clone in (copy.deepcopy(agent), pickle.loads(pickle.dumps(agent))):
+            for param in clone.actor.params:
+                param *= 1.5
+            self.assert_acts_fresh(clone, batch)
+            assert not np.array_equal(
+                clone.action_probabilities(batch[0]),
+                agent.action_probabilities(batch[0]),
+            )
+        self.assert_acts_fresh(agent, batch)
+
+
+class TestAgentInputChecks:
+    def test_rngs_must_match_observations(self):
+        agent = PensieveAgent(BITRATES, actor=make_actors(count=1)[0])
+        batch = observations(3)
+        for greedy in (True, False):
+            agent.greedy = greedy
+            for rngs in ([rng_from_seed(0)], [rng_from_seed(i) for i in range(4)]):
+                with pytest.raises(ModelError):
+                    agent.act_batch(batch, rngs)
+
+    def test_non_finite_observation_rejected(self):
+        agent = PensieveAgent(BITRATES, actor=make_actors(count=1)[0])
+        batch = observations(3)
+        for bad in (np.nan, np.inf, -np.inf):
+            poisoned = batch.copy()
+            poisoned[1, 3, 2] = bad
+            for greedy in (True, False):
+                agent.greedy = greedy
+                with pytest.raises(ModelError):
+                    agent.act(poisoned[1], rng_from_seed(0))
+                with pytest.raises(ModelError):
+                    agent.act_batch(poisoned, [rng_from_seed(i) for i in range(3)])

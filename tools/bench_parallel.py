@@ -175,6 +175,17 @@ def bench_stacked_forward(members: int = 5, steps: int = 400) -> dict:
     )
     if not identical:
         raise AssertionError("stacked ensemble forward diverged from member loop")
+    # The agents' batched act runs one network row-stable: every row must be
+    # that observation's layer-by-layer forward, at every batch size.
+    for size in range(1, 5):
+        for start in range(0, 40, size):
+            batch = observations[start : start + size]
+            rows = actors[0].probabilities_inference(batch, row_stable=True)
+            for offset, row in enumerate(rows):
+                if row.tobytes() != loop_out[start + offset][0].tobytes():
+                    raise AssertionError(
+                        f"row-stable single-network forward diverged at batch {size}"
+                    )
     result = {
         "members": members,
         "steps": steps,
