@@ -40,12 +40,15 @@ one column of, filling its schedule :data:`DEFAULT_HORIZON` steps at a
 time; it builds each ``StepResult``, and :class:`CCSessionFactory` each
 record, with one dict through :func:`~repro.core.runner.frozen_record`.
 The training env (:class:`_CyclingTraceEnv`) steps through the same
-functions over one schedule per trace and observes only the newest
-sample, which is all the indexer bins.  Training is the one generic
-:func:`~repro.mdp.qlearning.train_q_learning` loop on Python floats, so
-the learned agent and the K prior members train without a numpy call
-per step, and their tables are byte-identical to a numpy loop over full
-:class:`CCEnv` sessions.
+functions over one schedule per trace, observes only the newest
+sample, which is all the indexer bins, and builds its ``StepResult``
+through :func:`~repro.core.runner.frozen_record` too.  Training is the
+one generic :func:`~repro.mdp.qlearning.train_q_learning` loop on Python
+floats, which reads its exploration draws from blocks of raw PCG64
+values, so the learned agent and the K prior members train with one
+numpy call per 4096 draws rather than one or two per step, and their
+tables are byte-identical to a numpy loop over full :class:`CCEnv`
+sessions that calls ``rng.random()`` and ``rng.integers()`` per step.
 
 Everything is deterministic given the seeds: the environment itself
 draws no randomness, training consumes a seeded RNG, and trained tables
@@ -514,12 +517,19 @@ class _CyclingTraceEnv:
         )
         self._queue_mbit = queue_mbit
         self._step_index = step_index + 1
-        observation = (
-            delivered_mbps / RATE_SCALE,
-            loss_fraction,
-            queue_delay_s / DELAY_SCALE,
+        return frozen_record(
+            StepResult,
+            {
+                "observation": (
+                    delivered_mbps / RATE_SCALE,
+                    loss_fraction,
+                    queue_delay_s / DELAY_SCALE,
+                ),
+                "reward": reward,
+                "done": False,
+                "info": {},
+            },
         )
-        return StepResult(observation, reward, False, {})
 
 
 def _scaled_split(
@@ -550,11 +560,9 @@ def _training_traces() -> list[Trace]:
     )
 
 
-@lru_cache(maxsize=8)
-def _demo_tables(
-    seed: int, ensemble_size: int
-) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Trained Q-tables for one demo scheme, cached per configuration.
+def _demo_training_runs(seed: int, ensemble_size: int) -> list[dict]:
+    """The :func:`~repro.mdp.qlearning.train_q_learning` options of one
+    demo scheme's tables: the learned policy's, then each member's.
 
     The learned policy trains greedily from a zero table; each ensemble
     member trains from its own randomized prior with a slower learning
@@ -562,49 +570,45 @@ def _demo_tables(
     sustained exploration floor (so every state the learned policy's
     trajectory touches in-distribution is well-visited by every member).
     """
-    traces = _training_traces()
+    common = dict(gamma=0.95, max_steps=DEFAULT_HORIZON)
+    learned = dict(
+        common, episodes=300, learning_rate=0.2, epsilon_end=0.05, seed=seed + 1
+    )
+    members = [
+        dict(
+            common,
+            episodes=600,
+            learning_rate=0.05,
+            epsilon_end=0.25,
+            seed=member_seed,
+            initial_q=np.random.default_rng(member_seed).normal(
+                scale=PRIOR_SCALE, size=(NUM_STATES, RATE_LADDER_MBPS.size)
+            ),
+        )
+        for member_seed in range(seed + 10, seed + 10 + ensemble_size)
+    ]
+    return [learned, *members]
 
-    def train(
-        member_seed: int,
-        learning_rate: float,
-        episodes: int,
-        epsilon_end: float,
-        prior: bool,
-    ) -> np.ndarray:
-        initial_q = None
-        if prior:
-            initial_q = np.random.default_rng(member_seed).normal(
-                scale=PRIOR_SCALE,
-                size=(NUM_STATES, RATE_LADDER_MBPS.size),
-            )
-        agent = train_q_learning(
+
+@lru_cache(maxsize=8)
+def _demo_tables(
+    seed: int, ensemble_size: int
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Trained Q-tables for one demo scheme, cached per configuration:
+    one :func:`~repro.mdp.qlearning.train_q_learning` call per
+    :func:`_demo_training_runs` entry, each over a fresh
+    :class:`_CyclingTraceEnv` of the training traces."""
+    traces = _training_traces()
+    learned, *members = (
+        train_q_learning(
             _CyclingTraceEnv(traces, DEFAULT_HORIZON),
             _state_of,
             NUM_STATES,
-            episodes=episodes,
-            learning_rate=learning_rate,
-            gamma=0.95,
-            epsilon_end=epsilon_end,
-            max_steps=DEFAULT_HORIZON,
-            seed=member_seed,
-            initial_q=initial_q,
-        )
-        return agent.q_table
-
-    learned = train(
-        seed + 1, learning_rate=0.2, episodes=300, epsilon_end=0.05, prior=False
+            **options,
+        ).q_table
+        for options in _demo_training_runs(seed, ensemble_size)
     )
-    members = tuple(
-        train(
-            seed + 10 + index,
-            learning_rate=0.05,
-            episodes=600,
-            epsilon_end=0.25,
-            prior=True,
-        )
-        for index in range(ensemble_size)
-    )
-    return learned, members
+    return learned, tuple(members)
 
 
 @DOMAINS.register("cc")

@@ -10,6 +10,9 @@ protocol, so the safety controller can wrap it unchanged.
 
 from __future__ import annotations
 
+import math
+from itertools import chain
+from operator import length_hint
 from typing import Callable
 
 import numpy as np
@@ -103,6 +106,78 @@ class QLearningAgent:
         return float(self.q_table[self.state_indexer(observation)].max())
 
 
+#: Raw draws read from the bit generator per block.
+_BLOCK = 4096
+
+
+class _PCG64Draws:
+    """A :class:`~numpy.random.PCG64` generator's draws, read in blocks.
+
+    Reads ``bit_generator.random_raw(_BLOCK)`` as Python ints and
+    reproduces numpy's ``Generator`` draws from them bit for bit:
+    :meth:`random_raw` is one raw 64-bit value (``rng.random()`` is
+    ``(raw >> 11) * 2**-53``), and :meth:`integers` is
+    ``rng.integers(n)`` for ``1 <= n <= 2**32``: a 32-bit half by
+    PCG64's cached-uint32 rule (a fresh raw value gives its low half and
+    keeps its high half for the next call), scaled by Lemire's method,
+    ``(x * n) >> 32``, redrawn while the low 32 bits of ``x * n`` are
+    below ``(2**32 - n) % n``; ``n == 1`` draws nothing.  :meth:`sync`
+    leaves the generator exactly as those numpy calls would have: the
+    same number of raw values consumed and the same cached half.  A
+    generator over another bit generator raises
+    :class:`~repro.errors.TrainingError`.
+    """
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        bit_generator = rng.bit_generator
+        if not isinstance(bit_generator, np.random.PCG64):
+            raise TrainingError(
+                f"need a PCG64 generator, got {type(bit_generator).__name__}"
+            )
+        self._bit_generator = bit_generator
+        self._start = bit_generator.state
+        self._has_half = bool(self._start["has_uint32"])
+        self._half = self._start["uinteger"]
+        self._blocks = 0
+        self._block = iter(())
+        #: The next raw value, a C-level call across block boundaries.
+        self.random_raw = chain.from_iterable(iter(self._next_block, None)).__next__
+
+    def _next_block(self):
+        self._blocks += 1
+        self._block = iter(self._bit_generator.random_raw(_BLOCK).tolist())
+        return self._block
+
+    def integers(self, n: int) -> int:
+        """``rng.integers(n)`` for ``1 <= n <= 2**32``."""
+        if n == 1:
+            return 0
+        reject = (0x100000000 - n) % n
+        while True:
+            if self._has_half:
+                self._has_half = False
+                scaled = self._half * n
+            else:
+                raw = self.random_raw()
+                self._has_half = True
+                self._half = raw >> 32
+                scaled = (raw & 0xFFFFFFFF) * n
+            if scaled & 0xFFFFFFFF >= reject:
+                return scaled >> 32
+
+    def sync(self) -> None:
+        """Advance the generator past exactly the values drawn so far."""
+        consumed = self._blocks * _BLOCK - length_hint(self._block)
+        bit_generator = self._bit_generator
+        bit_generator.state = self._start
+        bit_generator.advance(consumed)
+        # ``advance`` clears the cached half; restore the one in use.
+        state = bit_generator.state
+        state["has_uint32"] = int(self._has_half)
+        state["uinteger"] = self._half
+        bit_generator.state = state
+
+
 def train_q_learning(
     environment: Environment,
     state_indexer: Callable[[np.ndarray], int],
@@ -116,7 +191,7 @@ def train_q_learning(
     seed: int | np.random.Generator | None = 0,
     initial_q: np.ndarray | None = None,
 ) -> QLearningAgent:
-    """Standard epsilon-greedy Q-learning; returns the greedy agent.
+    """Epsilon-greedy Q-learning on raw PCG64 draws; returns the greedy agent.
 
     ``initial_q`` seeds the Q-table (default zeros).  A distinct random
     prior per ensemble member turns the table into a visit-count
@@ -130,8 +205,18 @@ def train_q_learning(
     which is why ``initial_q`` must be finite) and each update is the
     same float64 arithmetic an array update does, so the returned table
     is bitwise what a numpy loop would produce, at a fraction of the
-    per-step cost.  Each step draws ``rng.random()`` and then, when
-    exploring, ``rng.integers(num_actions)``.
+    per-step cost.
+
+    The random stream is that of ``rng.random()`` each step and then,
+    when exploring, ``rng.integers(num_actions)``, bit for bit, but read
+    from blocks of the generator's raw 64-bit values instead of one
+    ``Generator`` call per draw: the explore test is the exact integer
+    comparison ``(raw >> 11) < epsilon * 2**53``.  A caller's generator
+    (*seed* may be one) is left in exactly the state those calls would
+    leave, cached 32-bit half included.  The generator must be a
+    :class:`~numpy.random.PCG64` one (``np.random.default_rng``'s), else
+    :class:`~repro.errors.TrainingError` is raised, as it is for a
+    ``num_actions`` outside ``[1, 2**32]``.
     """
     if episodes < 1:
         raise TrainingError(f"episodes must be >= 1, got {episodes}")
@@ -144,8 +229,10 @@ def train_q_learning(
             f"need 0 <= epsilon_end <= epsilon_start <= 1, got "
             f"({epsilon_start}, {epsilon_end})"
         )
-    rng = rng_from_seed(seed)
     num_actions = environment.num_actions
+    if not 1 <= num_actions <= 0x100000000:
+        raise TrainingError(f"num_actions must be in [1, 2**32], got {num_actions}")
+    draws = _PCG64Draws(rng_from_seed(seed))
     if initial_q is None:
         q_table = np.zeros((num_states, num_actions))
     else:
@@ -158,25 +245,31 @@ def train_q_learning(
         if not np.isfinite(q_table).all():
             raise TrainingError("initial_q must be finite (no NaN or inf)")
     table = q_table.tolist()
-    random, integers = rng.random, rng.integers
+    random_raw, integers = draws.random_raw, draws.integers
     reset, step = environment.reset, environment.step
-    for episode in range(episodes):
-        fraction = episode / max(episodes - 1, 1)
-        epsilon = epsilon_start + fraction * (epsilon_end - epsilon_start)
-        state = state_indexer(reset())
-        for _ in range(max_steps):
-            row = table[state]
-            if random() < epsilon:
-                action = int(integers(num_actions))
-            else:
-                action = row.index(max(row))
-            result = step(action)
-            next_state = state_indexer(result.observation)
-            target = result.reward
-            if not result.done:
-                target += gamma * max(table[next_state])
-            row[action] += learning_rate * (target - row[action])
-            state = next_state
-            if result.done:
-                break
+    try:
+        for episode in range(episodes):
+            fraction = episode / max(episodes - 1, 1)
+            epsilon = epsilon_start + fraction * (epsilon_end - epsilon_start)
+            # random() < epsilon, exactly: random() is (raw >> 11) * 2**-53,
+            # so it holds iff raw < ceil(epsilon * 2**53) * 2**11.
+            explore_below = math.ceil(epsilon * 9007199254740992.0) << 11
+            state = state_indexer(reset())
+            for _ in range(max_steps):
+                row = table[state]
+                if random_raw() < explore_below:
+                    action = integers(num_actions)
+                else:
+                    action = row.index(max(row))
+                result = step(action)
+                next_state = state_indexer(result.observation)
+                target = result.reward
+                if not result.done:
+                    target += gamma * max(table[next_state])
+                row[action] += learning_rate * (target - row[action])
+                state = next_state
+                if result.done:
+                    break
+    finally:
+        draws.sync()
     return QLearningAgent(np.array(table).reshape(q_table.shape), state_indexer)

@@ -93,10 +93,13 @@ class PensieveAgent(ABRPolicy):
 
     def value(self, observation: np.ndarray) -> float:
         """The built-in critic's value estimate (actor-critic agents have
-        value estimation "built in", as the paper notes of Pensieve)."""
+        value estimation "built in", as the paper notes of Pensieve).
+
+        A non-finite observation raises :class:`ModelError`.
+        """
         if self.critic is None:
             raise ModelError("this agent was built without a critic")
-        return float(self.critic.values_inference(observation)[0])
+        return float(self.critic.values_inference(_finite(observation))[0])
 
 
 class PensieveValueFunction:
@@ -107,9 +110,15 @@ class PensieveValueFunction:
         self.name = name
 
     def value(self, observation: np.ndarray) -> float:
-        """Predicted discounted return from *observation*."""
-        return float(self.critic.values_inference(observation)[0])
+        """Predicted discounted return from *observation*.
+
+        A non-finite observation raises :class:`ModelError`.
+        """
+        return float(self.critic.values_inference(_finite(observation))[0])
 
     def values(self, observations: np.ndarray) -> np.ndarray:
-        """Batched value prediction."""
-        return self.critic.values_inference(observations)
+        """Batched value prediction.
+
+        A non-finite observation raises :class:`ModelError`.
+        """
+        return self.critic.values_inference(_finite(observations))

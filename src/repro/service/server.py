@@ -640,9 +640,19 @@ class BackgroundService:
         return host, port
 
     def stop(self) -> None:
-        """Request shutdown from any thread and join the loop thread."""
-        if self._loop is not None and self._thread.is_alive():
-            self._loop.call_soon_threadsafe(self.service.request_shutdown)
+        """Request shutdown from any thread and join the loop thread.
+
+        A loop that closes between the liveness check and the request
+        (a client's ``shutdown`` op can end it at any moment) is already
+        stopping, so the request is dropped and the thread joined.
+        """
+        loop = self._loop
+        if loop is not None and self._thread.is_alive():
+            try:
+                loop.call_soon_threadsafe(self.service.request_shutdown)
+            except RuntimeError:
+                if not loop.is_closed():
+                    raise
         self._thread.join(timeout=30)
         if self._error is not None:
             raise ServiceError(

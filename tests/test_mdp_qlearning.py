@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from repro.errors import TrainingError
+from repro.mdp import qlearning
 from repro.mdp.gridworld import GridWorld
+from repro.mdp.interfaces import StepResult
 from repro.mdp.qlearning import QLearningAgent, grid_state_indexer, train_q_learning
 from repro.mdp.rollout import rollout
 from tests import qlearning_oracles
@@ -113,6 +115,124 @@ class TestTrainQLearning:
             tables.append(getattr(trained, "q_table", trained))
         assert tables[0].dtype == np.float64
         assert tables[0].tobytes() == tables[1].tobytes()
+
+
+class _RingEnv:
+    """*num_actions* actions over a ring of 6 states, counting its steps.
+
+    Action ``a`` moves ``a % 3 + 1`` cells and earns ``a % 5 - 2``;
+    leaving cell 5 with an odd action ends the episode, so episodes end
+    at different steps.
+    """
+
+    def __init__(self, num_actions, fail_at_step=None):
+        self.num_actions = num_actions
+        self.steps = 0
+        self._fail_at_step = fail_at_step
+        self._cell = 0
+
+    def reset(self):
+        self._cell = 0
+        return 0
+
+    def step(self, action):
+        self.steps += 1
+        if self.steps == self._fail_at_step:
+            raise RuntimeError("env failed")
+        done = self._cell == 5 and action % 2 == 1
+        self._cell = (self._cell + action % 3 + 1) % 6
+        return StepResult(self._cell, float(action % 5 - 2), done, {})
+
+
+def _ring_state(observation):
+    return observation
+
+
+class TestRawDrawStream:
+    """``train_q_learning`` reads raw PCG64 blocks; the oracle calls
+    ``rng.random()``/``rng.integers()``.  Tables and the generator's end
+    state must match bit for bit."""
+
+    def _train_both(self, num_actions, rngs, **kwargs):
+        envs, tables = [], []
+        fail_at_step = kwargs.pop("fail_at_step", None)
+        for train, rng in zip(
+            (train_q_learning, qlearning_oracles.train_q_table), rngs
+        ):
+            env = _RingEnv(num_actions, fail_at_step)
+            trained = train(env, _ring_state, 6, seed=rng, **kwargs)
+            envs.append(env)
+            tables.append(getattr(trained, "q_table", trained))
+        return envs, tables
+
+    @pytest.mark.parametrize("num_actions", [1, 2, 3, 5, 7, 9, 1000])
+    def test_tables_and_generator_state_match_the_oracle(self, num_actions):
+        rngs = [np.random.default_rng(21), np.random.default_rng(21)]
+        envs, tables = self._train_both(
+            num_actions, rngs, episodes=30, max_steps=40, learning_rate=0.3
+        )
+        assert envs[0].steps == envs[1].steps
+        assert tables[0].tobytes() == tables[1].tobytes()
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+    def test_run_across_a_block_boundary_matches_the_oracle(self):
+        rngs = [np.random.default_rng(4), np.random.default_rng(4)]
+        envs, tables = self._train_both(
+            5, rngs, episodes=600, max_steps=100, epsilon_end=0.5
+        )
+        # At least one raw value per step: three blocks or more.
+        assert envs[0].steps > 2 * qlearning._BLOCK
+        assert tables[0].tobytes() == tables[1].tobytes()
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+    @pytest.mark.parametrize("cached_half", [False, True])
+    def test_caller_generator_ends_in_the_oracle_state(self, cached_half):
+        rngs = [np.random.default_rng(8), np.random.default_rng(8)]
+        if cached_half:
+            for rng in rngs:
+                rng.integers(7)
+            assert rngs[0].bit_generator.state["has_uint32"] == 1
+        self._train_both(7, rngs, episodes=9, max_steps=25)
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+        assert rngs[0].random() == rngs[1].random()
+        assert rngs[0].integers(7) == rngs[1].integers(7)
+
+    def test_env_failure_leaves_the_generator_at_the_failing_step(self):
+        rngs = [np.random.default_rng(2), np.random.default_rng(2)]
+        with pytest.raises(RuntimeError, match="env failed"):
+            self._train_both(3, rngs[:1], episodes=40, fail_at_step=500)
+        with pytest.raises(RuntimeError, match="env failed"):
+            qlearning_oracles.train_q_table(
+                _RingEnv(3, fail_at_step=500), _ring_state, 6, episodes=40,
+                seed=rngs[1],
+            )
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+    def test_non_pcg64_generator_rejected(self):
+        rng = np.random.Generator(np.random.MT19937(0))
+        with pytest.raises(TrainingError, match="PCG64"):
+            train_q_learning(_RingEnv(3), _ring_state, 6, seed=rng)
+
+    @pytest.mark.parametrize("num_actions", [0, 2**32 + 1])
+    def test_num_actions_outside_the_32_bit_draw_rejected(self, num_actions):
+        with pytest.raises(TrainingError, match="num_actions"):
+            train_q_learning(_RingEnv(num_actions), _ring_state, 6)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_draws_equal_generator_calls(self, seed):
+        # 3_000_000_000 rejects about 30% of its 32-bit draws; 2**32
+        # takes the half unscaled; 1 draws nothing.
+        bounds = [1, 2, 3, 7, 8, 1000, 3_000_000_000, 2**32] * 700
+        reference = np.random.default_rng(seed)
+        reference.integers(3)
+        rng = np.random.default_rng(seed)
+        rng.integers(3)
+        draws = qlearning._PCG64Draws(rng)
+        for n in bounds:
+            assert draws.integers(n) == reference.integers(n)
+            assert (draws.random_raw() >> 11) * 2**-53 == reference.random()
+        draws.sync()
+        assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def _first_state(observation):

@@ -7,7 +7,7 @@ from repro.domains import SessionSpec, get_domain, run_session
 from repro.errors import ModelError
 from repro.nn.gradcheck import numerical_gradient, relative_error
 from repro.nn.losses import softmax
-from repro.pensieve.agent import PensieveAgent
+from repro.pensieve.agent import PensieveAgent, PensieveValueFunction
 from repro.pensieve.model import ActorNetwork, CriticNetwork, PensieveTrunk
 from repro.policies.buffer_based import BufferBasedPolicy
 from repro.traces.dataset import make_dataset
@@ -223,3 +223,27 @@ class TestActBatch:
         assert actions == expected
         for batched, solo in zip(batched_rngs, solo_rngs):
             assert batched.bit_generator.state == solo.bit_generator.state
+
+
+class TestNonFiniteObservations:
+    """Every agent and value-function entry point refuses NaN and inf:
+    the ReLU would map a NaN feature to zero and score it as real."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_value_paths_raise(self, bad):
+        critic = CriticNetwork(
+            NUM_BITRATES, np.random.default_rng(1), filters=8, hidden=32
+        )
+        agent = PensieveAgent(
+            np.arange(1, NUM_BITRATES + 1) * 500.0, _small_actor(2), critic=critic
+        )
+        value_function = PensieveValueFunction(critic)
+        observations = np.random.default_rng(3).normal(size=(2, 6, 8))
+        assert np.isfinite(value_function.values(observations)).all()
+        observations[1, 2, 3] = bad
+        with pytest.raises(ModelError, match="non-finite"):
+            value_function.values(observations)
+        for value in (value_function.value, agent.value):
+            assert np.isfinite(value(observations[0]))
+            with pytest.raises(ModelError, match="non-finite"):
+                value(observations[1])

@@ -16,6 +16,7 @@ import asyncio
 import json
 import socket
 import sqlite3
+import threading
 import time
 
 import numpy as np
@@ -549,6 +550,23 @@ class TestOverloadBehaviour:
                 assert reply["ok"] and reply["op"] == "sleep"
             with ServiceClient(host, port) as client:
                 client.shutdown()
+
+
+class TestBackgroundServiceStop:
+    def test_stop_after_the_loop_closed_joins_without_raising(self, runtime):
+        # A client's shutdown can close the loop between stop()'s
+        # liveness check and its shutdown request; pin that interleaving
+        # with a closed loop and a thread that is still alive.
+        background = BackgroundService(SafetyService([runtime], ServiceConfig()))
+        loop = asyncio.new_event_loop()
+        loop.close()
+        background._loop = loop
+        release = threading.Event()
+        background._thread = threading.Thread(target=release.wait, daemon=True)
+        background._thread.start()
+        threading.Timer(0.05, release.set).start()
+        background.stop()
+        assert not background._thread.is_alive()
 
 
 class TestBackgroundEviction:

@@ -16,8 +16,12 @@ root seeds**, each of which must also match the reference float for
 float — and writes ``BENCH_training.json`` at the repository root so the
 perf trajectory is tracked PR over PR.  Further sections time the
 lockstep value-function regression against its per-member oracle, the
-vectorized n-step return scan against the reference nested loop, and a
-weight-cache round trip (store + load vs. retrain).
+vectorized n-step return scan against the reference nested loop, a
+weight-cache round trip (store + load vs. retrain), and the CC demo
+scheme's Q-tables (``_demo_tables(0, 4)``, trained from raw PCG64
+blocks) against the numpy oracle loop that calls ``rng.random()`` and
+``rng.integers()`` per step, over the same training envs; the tables
+must be byte-equal (no timing floor).
 
 Wall times are the minimum over ``--repeats`` runs of each variant, the
 standard defense against scheduler noise on shared machines.
@@ -48,6 +52,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # The per-member baselines are the test oracles in tests/pensieve_oracles.py.
 sys.path.insert(0, str(ROOT))
 
+from repro.domains import cc  # noqa: E402
 from repro.experiments.artifacts import ArtifactCache  # noqa: E402
 from repro.pensieve.ensemble import (  # noqa: E402
     train_agent_ensemble,
@@ -57,7 +62,7 @@ from repro.pensieve.training import TrainingConfig, n_step_targets  # noqa: E402
 from repro.traces.dataset import make_dataset  # noqa: E402
 from repro.util.rng import rng_from_seed, spawn_seeds  # noqa: E402
 from repro.video.envivio import envivio_dash3_manifest  # noqa: E402
-from tests import pensieve_oracles  # noqa: E402
+from tests import pensieve_oracles, qlearning_oracles  # noqa: E402
 
 MIN_SPEEDUP = 3.0
 
@@ -268,6 +273,48 @@ def bench_weight_cache(
     return result
 
 
+def bench_q_tables(repeats: int, seed: int = 0, ensemble_size: int = 4) -> dict:
+    """The CC demo Q-tables (uncached) vs. the numpy oracle loop."""
+    print(f"CC demo Q-tables (seed {seed}, {ensemble_size} members) ...")
+    traces = cc._training_traces()
+    oracle_walls, lean_walls = [], []
+    reference = lean = None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        reference = [
+            qlearning_oracles.train_q_table(
+                cc._CyclingTraceEnv(traces, cc.DEFAULT_HORIZON),
+                cc._state_of,
+                cc.NUM_STATES,
+                **options,
+            )
+            for options in cc._demo_training_runs(seed, ensemble_size)
+        ]
+        oracle_walls.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        learned, members = cc._demo_tables.__wrapped__(seed, ensemble_size)
+        lean_walls.append(time.perf_counter() - start)
+        lean = [learned, *members]
+    if [table.tobytes() for table in reference] != [
+        table.tobytes() for table in lean
+    ]:
+        raise AssertionError("CC demo Q-tables diverged from the numpy oracle")
+    oracle, fast = min(oracle_walls), min(lean_walls)
+    print(
+        f"  oracle {oracle:6.2f}s -> train_q_learning {fast:6.2f}s "
+        f"({oracle / fast:.2f}x, tables byte-identical)"
+    )
+    return {
+        "seed": seed,
+        "ensemble_size": ensemble_size,
+        "repeats": repeats,
+        "oracle_s": oracle,
+        "lean_s": fast,
+        "speedup": oracle / fast,
+        "tables_byte_identical": True,
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument(
@@ -305,6 +352,8 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         cache = bench_weight_cache(manifest, traces, config, members, Path(tmp))
 
+    q_tables = bench_q_tables(repeats)
+
     if args.smoke:
         print("smoke run complete (no JSON written)")
         return 0
@@ -320,6 +369,7 @@ def main(argv: list[str] | None = None) -> int:
         "value_ensemble": value,
         "micro": micro,
         "weight_cache": cache,
+        "q_tables": q_tables,
     }
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.output}")
