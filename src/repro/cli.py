@@ -100,22 +100,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="training/test distribution (default: the config's first)",
     )
     serve.add_argument(
-        "--continuous",
-        action="store_true",
-        help=(
-            "serve through a bounded slot table (default: half the "
-            "sessions) so finished sessions hand their slot to queued "
-            "ones mid-wave; trajectories are identical either way"
-        ),
-    )
-    serve.add_argument(
         "--max-slots",
         type=int,
         default=None,
         metavar="N",
         help=(
-            "cap concurrently live sessions at N slots (implies "
-            "--continuous admission through the slot free-list)"
+            "cap concurrently live sessions at N slots, so finished "
+            "sessions hand their slot to queued ones mid-wave; "
+            "trajectories are identical either way"
         ),
     )
     serve.add_argument(
@@ -384,10 +376,6 @@ def _cmd_serve_demo(args, out) -> int:
     if args.sessions < 1:
         raise ReproError(f"--sessions must be >= 1, got {args.sessions}")
     max_slots = args.max_slots
-    if max_slots is None and args.continuous:
-        # Default slot cap that actually exercises continuous admission:
-        # half the sessions queue behind the slot free-list.
-        max_slots = max(1, args.sessions // 2)
     if max_slots is not None and max_slots < 1:
         raise ReproError(f"--max-slots must be >= 1, got {max_slots}")
     domain = get_domain(args.domain)

@@ -304,17 +304,6 @@ class MonitorTable:
         self.default_steps[row] = 0
         self.trigger_table.reset_rows(np.array([row]))
 
-    def sticky_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Of *rows*, those whose next step skips measuring.
-
-        The vectorized form of ``not SafetyMonitor.will_measure()``:
-        defaulted rows of a non-revertible bank are settled for the rest
-        of their session.
-        """
-        if self.allow_revert:
-            return rows[:0]
-        return rows[self.defaulted[rows]]
-
     def observe_sticky(self, rows: np.ndarray, waves: int = 1) -> None:
         """Advance settled rows *waves* steps without measuring.
 

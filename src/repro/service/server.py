@@ -90,9 +90,11 @@ class ServiceConfig:
     store: str = "memory"
     #: SQLite database path (required when ``store == "sqlite"``).
     store_path: str | None = None
-    #: Idle bound before a hot session is snapshotted to cold storage.
+    #: Idle bound before a hot session is snapshotted to cold storage;
+    #: ``inf`` means never (only an explicit ``evict`` moves it).
     hot_ttl_s: float = 300.0
-    #: Period of the background eviction task; ``0`` disables it.
+    #: Period of the background eviction task; ``0`` disables it and
+    #: ``inf`` starts a task that never sweeps.
     evict_interval_s: float = 0.0
     #: Hot-slot budget enforced by admission control on ``attach``.
     max_sessions: int = 64
@@ -108,9 +110,10 @@ class ServiceConfig:
             )
         if self.store == "sqlite" and not self.store_path:
             raise ServiceError("the sqlite backend requires a store path")
-        if self.hot_ttl_s <= 0:
+        # Negated comparisons, so NaN (False against everything) fails.
+        if not self.hot_ttl_s > 0:
             raise ServiceError(f"hot_ttl_s must be > 0, got {self.hot_ttl_s}")
-        if self.evict_interval_s < 0:
+        if not self.evict_interval_s >= 0:
             raise ServiceError(
                 f"evict_interval_s must be >= 0, got {self.evict_interval_s}"
             )

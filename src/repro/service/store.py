@@ -312,8 +312,9 @@ class SessionStore:
     a fresh, config-matching :class:`~repro.core.monitor.SafetyMonitor`
     (the service passes its scheme registry's
     :meth:`~repro.service.schemes.SchemeRuntime.new_monitor`).
-    *hot_ttl_s* is the idle bound for :meth:`evict_idle`; *clock* is
-    injectable so tests drive eviction deterministically.
+    *hot_ttl_s* is the idle bound for :meth:`evict_idle` (``inf``: no
+    TTL eviction; NaN is refused); *clock* is injectable so tests drive
+    eviction deterministically.
 
     All methods are lock-guarded: the asyncio service is single-threaded
     but tests and the benchmark drive stores from helper threads.
@@ -326,7 +327,7 @@ class SessionStore:
         hot_ttl_s: float = 300.0,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if hot_ttl_s <= 0:
+        if not hot_ttl_s > 0:
             raise ServiceError(f"hot_ttl_s must be > 0, got {hot_ttl_s}")
         self.backend = backend
         self.hot_ttl_s = float(hot_ttl_s)

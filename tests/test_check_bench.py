@@ -30,12 +30,12 @@ def check_bench():
     return module
 
 
-def _run(check_bench, tmp_path, fresh, *extra):
+def _run(check_bench, tmp_path, fresh):
     fresh_path = tmp_path / "fresh.json"
     committed_path = tmp_path / "committed.json"
     fresh_path.write_text(json.dumps(fresh))
     committed_path.write_text(json.dumps(COMMITTED))
-    return check_bench.main([str(fresh_path), str(committed_path), *extra])
+    return check_bench.main([str(fresh_path), str(committed_path)])
 
 
 def _fresh(a_batching=2.0, cc_batching=4.0):
@@ -73,23 +73,3 @@ def test_extra_fresh_field_is_not_a_failure(check_bench, tmp_path):
     fresh = _fresh()
     fresh["schemes"]["new"] = {"speedup_batching": 0.1}
     assert _run(check_bench, tmp_path, fresh) == 0
-
-
-def test_require_on_missing_path_fails(check_bench, tmp_path, capsys):
-    code = _run(
-        check_bench,
-        tmp_path,
-        _fresh(),
-        "--require",
-        "schemes.V-ensemble.speedup_batching>=1.3",
-    )
-    assert code == 1
-    captured = capsys.readouterr()
-    assert "schemes.V-ensemble.speedup_batching: MISSING" in captured.out
-    assert "absolute floor(s) not met" in captured.err
-
-
-def test_require_met_and_below_floor(check_bench, tmp_path):
-    spec = "schemes.A-ensemble.speedup_batching>=1.3"
-    assert _run(check_bench, tmp_path, _fresh(), "--require", spec) == 0
-    assert _run(check_bench, tmp_path, _fresh(a_batching=1.2), "--require", spec) == 1

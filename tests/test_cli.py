@@ -148,7 +148,8 @@ class TestServeDemoCommand:
                 "smoke",
                 "--sessions",
                 "4",
-                "--continuous",
+                "--max-slots",
+                "2",
                 "--metrics-out",
                 str(metrics),
             ],

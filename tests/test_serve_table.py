@@ -156,7 +156,7 @@ class TestMonitorTableEquivalence:
             if len(rows) == 0:
                 continue
             values = np.abs(rng.normal(0.1, 0.15, size=len(rows)))
-            sticky = bank.sticky_rows(rows)
+            sticky = rows[:0] if allow_revert else rows[bank.defaulted[rows]]
             measured = rows[~bank.defaulted[rows]] if len(sticky) else rows
             if len(sticky):
                 bank.observe_sticky(sticky)
@@ -173,19 +173,6 @@ class TestMonitorTableEquivalence:
             assert int(bank.total_steps[row]) == oracles[row].total_steps
             assert int(bank.default_steps[row]) == oracles[row].default_steps
             assert bank.default_fraction(row) == oracles[row].default_fraction
-
-    def test_sticky_rows_respects_revert(self):
-        table = VarianceTrigger(alpha=0.0, k=2, l=1).make_table(3)
-        sticky_bank = MonitorTable(3, table, allow_revert=False)
-        sticky_bank.defaulted[:] = [True, False, True]
-        assert sticky_bank.sticky_rows(np.arange(3)).tolist() == [0, 2]
-        revert_bank = MonitorTable(
-            3,
-            VarianceTrigger(alpha=0.0, k=2, l=1).make_table(3),
-            allow_revert=True,
-        )
-        revert_bank.defaulted[:] = True
-        assert len(revert_bank.sticky_rows(np.arange(3))) == 0
 
     def test_capacity_validated(self):
         with pytest.raises(SafetyError, match="capacity"):

@@ -34,7 +34,7 @@ from repro.service import (
     build_demo_scheme,
     protocol,
 )
-from repro.service.store import DictBackend
+from repro.service.store import DictBackend, SessionStore
 from repro.traces.dataset import make_dataset
 from repro.video.envivio import envivio_dash3_manifest
 
@@ -121,10 +121,6 @@ class _EnvDriver:
         )
         self._observation = step.observation
         self.done = step.done or len(self.chunks) >= self.manifest.num_chunks - 1
-
-    def run_to_completion(self) -> None:
-        while not self.done:
-            self.step()
 
 
 def _dispatch(service, message):
@@ -412,6 +408,27 @@ class TestServiceConfigValidation:
         with pytest.raises(ServiceError, match="unknown store backend"):
             ServiceConfig(store="redis")
 
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda value: ServiceConfig(hot_ttl_s=value), "hot_ttl_s"),
+            (lambda value: ServiceConfig(evict_interval_s=value), "evict_interval_s"),
+            (
+                lambda value: SessionStore(
+                    DictBackend(), lambda scheme: None, hot_ttl_s=value
+                ),
+                "hot_ttl_s",
+            ),
+        ],
+        ids=["config-ttl", "config-interval", "store-ttl"],
+    )
+    def test_nan_duration_rejected_inf_accepted(self, build, field):
+        # NaN compares False with every bound: a NaN TTL would never
+        # expire a session and a NaN interval would never sweep.
+        with pytest.raises(ServiceError, match=field):
+            build(float("nan"))
+        build(float("inf"))
+
     def test_service_requires_schemes(self):
         with pytest.raises(ServiceError, match="at least one scheme"):
             SafetyService([])
@@ -450,8 +467,11 @@ class TestEndToEndEquality:
                 runtime, demo_manifest, traces[index], index
             ), f"session {index} diverged from run_monitored_session"
 
+    @pytest.mark.parametrize(
+        "evict_every, max_cycles", [(10, 1), (5, None)], ids=["once", "every-5"]
+    )
     def test_evicted_session_resumes_identically_after_reopen(
-        self, runtime, demo_manifest, traces, tmp_path
+        self, runtime, demo_manifest, traces, tmp_path, evict_every, max_cycles
     ):
         config = ServiceConfig(
             store="sqlite",
@@ -464,17 +484,26 @@ class TestEndToEndEquality:
                 driver = _EnvDriver(
                     client, demo_manifest, traces[0], "t", "s", seed=0
                 )
-                for _ in range(10):
+                cycles = 0
+                while not driver.done:
                     driver.step()
-                evicted = client.evict(0.0)
-                assert evicted["ok"] and evicted["evicted"] == 1
-                # The rebuilt store handle (fresh SQLite connection) is
-                # what a different worker would see.
-                assert client.reopen()["cold"] == 1
-                driver.run_to_completion()
-                assert driver.resumed_steps == 1
+                    if (
+                        driver.done
+                        or len(driver.chunks) % evict_every
+                        or cycles == max_cycles
+                    ):
+                        continue
+                    evicted = client.evict(0.0)
+                    assert evicted["ok"] and evicted["evicted"] == 1
+                    # The rebuilt store handle (fresh SQLite connection)
+                    # is what a different worker would see.
+                    assert client.reopen()["cold"] == 1
+                    cycles += 1
+                expected = max_cycles or (len(driver.chunks) - 1) // evict_every
+                assert cycles == expected
+                assert driver.resumed_steps == cycles
                 stats = client.detach("t", "s")
-                assert stats["ok"] and stats["resumes"] == 1
+                assert stats["ok"] and stats["resumes"] == cycles
                 client.shutdown()
         assert driver.chunks == _reference_fingerprint(
             runtime, demo_manifest, traces[0], 0

@@ -15,12 +15,6 @@ the committed one, so a gate cannot vanish unnoticed.  The default
 tolerance (0.5) is deliberately loose: it catches "the fast path stopped
 being fast" regressions, not scheduler noise.
 
-``--require "dotted.path>=value"`` (repeatable) additionally pins
-*absolute* floors on any numeric field of the **fresh** payload —
-machine-independent ratios that must hold everywhere, not merely track
-the committed baseline (e.g. the serving kernel's
-``schemes.A-ensemble.speedup_batching>=1.3``).
-
 Usage (the nightly CI job)::
 
     python tools/bench_parallel.py --output /tmp/BENCH_parallel.json
@@ -51,52 +45,6 @@ def speedup_fields(payload: dict, prefix: str = "") -> dict[str, float]:
     return fields
 
 
-def numeric_fields(payload: dict, prefix: str = "") -> dict[str, float]:
-    """Flatten every numeric entry, keyed by dotted path."""
-    fields: dict[str, float] = {}
-    for key, value in payload.items():
-        path = f"{prefix}{key}"
-        if isinstance(value, dict):
-            fields.update(numeric_fields(value, f"{path}."))
-        elif isinstance(value, (int, float)) and not isinstance(value, bool):
-            fields[path] = float(value)
-    return fields
-
-
-def parse_requirement(spec: str) -> tuple[str, float]:
-    """Split a ``dotted.path>=value`` requirement spec."""
-    path, separator, floor = spec.partition(">=")
-    if not separator or not path.strip():
-        raise SystemExit(
-            f"bad --require spec {spec!r}: expected 'dotted.path>=value'"
-        )
-    try:
-        return path.strip(), float(floor)
-    except ValueError:
-        raise SystemExit(
-            f"bad --require spec {spec!r}: {floor!r} is not a number"
-        ) from None
-
-
-def check_requirements(
-    payload: dict, requirements: list[tuple[str, float]]
-) -> list[str]:
-    """Absolute floors against the fresh payload; returns failed paths."""
-    fields = numeric_fields(payload)
-    failures = []
-    for path, floor in requirements:
-        value = fields.get(path)
-        if value is None:
-            print(f"  {path}: MISSING (required >= {floor:g})")
-            failures.append(path)
-            continue
-        status = "ok" if value >= floor else "BELOW FLOOR"
-        print(f"  {path}: fresh {value:6.2f} (required >= {floor:g}) {status}")
-        if value < floor:
-            failures.append(path)
-    return failures
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("fresh", type=Path, help="benchmark JSON from this run")
@@ -109,18 +57,8 @@ def main(argv: list[str] | None = None) -> int:
         default=0.5,
         help="minimum fresh/committed speedup ratio tolerated (default 0.5)",
     )
-    parser.add_argument(
-        "--require",
-        action="append",
-        default=[],
-        metavar="PATH>=VALUE",
-        help="absolute floor on a fresh numeric field, e.g. "
-        "'schemes.A-ensemble.speedup_batching>=1.3' (repeatable)",
-    )
     args = parser.parse_args(argv)
-    requirements = [parse_requirement(spec) for spec in args.require]
-    fresh_payload = json.loads(args.fresh.read_text())
-    fresh = speedup_fields(fresh_payload)
+    fresh = speedup_fields(json.loads(args.fresh.read_text()))
     committed = speedup_fields(json.loads(args.committed.read_text()))
     if not committed:
         print(f"FAIL: no speedup fields in {args.committed}", file=sys.stderr)
@@ -155,18 +93,7 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 1
-    required_failures = check_requirements(fresh_payload, requirements)
-    if required_failures:
-        print(
-            f"FAIL: {len(required_failures)} absolute floor(s) not met: "
-            + ", ".join(required_failures),
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        f"{len(shared)} speedup field(s) within tolerance, "
-        f"{len(requirements)} absolute floor(s) met"
-    )
+    print(f"{len(shared)} speedup field(s) within tolerance")
     return 0
 
 
